@@ -7,6 +7,9 @@ earlier line; name, schema, and expression problems are load-time errors.
 Each command emits exactly one JSON record on stdout; after a recoverable
 command error the stream continues.
 
+One table, `_COMMANDS`, gives each command's parameters (kinds in `_PARAMS`),
+from which come its subcommand flags, its task-line checks and its handler call.
+
 Exit codes: 0 all commands ok, 1 at least one command failed, 2 usage or
 parse error.  GAQL_DEFAULT_BOUND overrides the default nilpotency bound.
 """
@@ -20,28 +23,17 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .action import GaAction, UncertifiedDerivationError, act, deg_function, exponentiate, is_invariant
-from .derivation import (
-    DEFAULT_BOUND,
-    DegreeExplosionError,
-    Derivation,
-    apply,
-    certify_locally_nilpotent,
-    fixed_locus,
-)
+from .derivation import DEFAULT_BOUND, DegreeExplosionError, Derivation, apply
+from .derivation import certify_locally_nilpotent, fixed_locus
 from .exprs import PolyParseError, format_polynomial, parse_polynomial
 from .geometry import GridSpec, complement_scan, fiber_probe, singular_locus
-from .groebner import GREVLEX, LEX, MonomialOrder, subalgebra_membership
-from .poly import NEG_INF, PolyMap, Polynomial, Ring, RingMismatchError
-from .quotient import (
-    DEFAULT_POWER_BOUND,
-    DEFAULT_SLICE_DEGREE_BOUND,
-    find_local_slice,
-    jacobian_derivation,
-    slice_coefficient_as_P,
-    verify_localization_identity,
-)
+from .groebner import GREVLEX, LEX, subalgebra_membership
+from .poly import NEG_INF, PolyMap, Ring, RingMismatchError
+from .quotient import DEFAULT_POWER_BOUND, DEFAULT_SLICE_DEGREE_BOUND, find_local_slice
+from .quotient import jacobian_derivation, slice_coefficient_as_P, verify_localization_identity
 
 EXIT_OK = 0
 EXIT_COMMAND_ERROR = 1
@@ -59,26 +51,20 @@ class TaskLoadError(Exception):
         super().__init__(message)
 
 
-class CommandFailure(Exception):
-    """A structured per-command error carried into the output record."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 @dataclass
 class TaskState:
+    """The ring, and per declaration kind a table of names (kind + "s")."""
+
     ring: Ring | None = None
     polys: dict = field(default_factory=dict)
     maps: dict = field(default_factory=dict)
     derivations: dict = field(default_factory=dict)
-    actions: dict = field(default_factory=dict)
-    declared_actions: set = field(default_factory=set)
+    actions: dict = field(default_factory=dict)  # name -> GaAction, None until built
 
 
-def _default_bound() -> int:
-    return int(os.environ.get(BOUND_ENV_VAR, DEFAULT_BOUND))
+def _bound(bound: int | None) -> int:
+    """The nilpotency bound a command asked for, or the default."""
+    return int(os.environ.get(BOUND_ENV_VAR, DEFAULT_BOUND)) if bound is None else bound
 
 
 def _check_bound_env():
@@ -93,23 +79,339 @@ def _check_bound_env():
         raise TaskLoadError(f"{BOUND_ENV_VAR} must be at least 1, got {value}")
 
 
-def _parse_fraction(text, what: str, line_no=None) -> Fraction:
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError):
-        raise TaskLoadError(f"malformed rational in {what}: {text!r}", line_no)
+def _split_csv(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",")]
 
 
-def _resolve_poly(state: TaskState, ref, line_no=None) -> Polynomial:
+# ---------------------------------------------------------------------------
+# task parameters: a resolver maps (state, value, key, params resolved so far)
+# to the value handlers take, or raises TaskLoadError (load_task adds the line)
+
+
+def _declared(state: TaskState, value, key, params):
+    """A declared derivation or map; an action's name (built at run time)."""
+    table = getattr(state, key + "s")
+    if not isinstance(value, str) or value not in table:
+        raise TaskLoadError(f"unknown {key} {value!r}")
+    return value if key == "action" else table[value]
+
+
+def _poly(state: TaskState, ref, *_):
     """A polynomial parameter is a declared name or an inline expression."""
     if not isinstance(ref, str):
-        raise TaskLoadError(f"expected a polynomial name or expression, got {ref!r}", line_no)
+        raise TaskLoadError(f"expected a polynomial name or expression, got {ref!r}")
     if ref in state.polys:
         return state.polys[ref]
     try:
         return parse_polynomial(ref, state.ring)
     except PolyParseError as exc:
-        raise TaskLoadError(f"in {ref!r}: {exc}", line_no) from None
+        raise TaskLoadError(f"in {ref!r}: {exc}") from None
+
+
+def _int_at_least(minimum: int):
+    def resolve(state, value, key, params):
+        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+            raise TaskLoadError(f"{key} must be an integer >= {minimum}")
+        return value
+
+    return resolve
+
+
+def _order(state, value, *_):
+    if value not in ("lex", "grevlex"):
+        raise TaskLoadError("order must be lex or grevlex")
+    return LEX if value == "lex" else GREVLEX
+
+
+def _fraction(text, what: str) -> Fraction:
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError):
+        raise TaskLoadError(f"malformed rational in {what}: {text!r}") from None
+
+
+def _rationals(values, what: str) -> tuple[Fraction, ...]:
+    if not isinstance(values, list) or not values:
+        raise TaskLoadError(f"{what} must be a nonempty list")
+    return tuple(_fraction(v, what) for v in values)
+
+
+def _point(state, value, key, params):
+    point = _rationals(value, key)
+    if len(point) != params["map"].arity:
+        raise TaskLoadError("point length does not match the map")
+    return point
+
+
+def _points(state, value, key, params):
+    if not isinstance(value, list) or not value:
+        raise TaskLoadError("points must be a nonempty list")
+    points = [_rationals(p, key) for p in value]
+    if any(len(p) != params["map"].arity for p in points):
+        raise TaskLoadError("point length does not match the map")
+    return points
+
+
+def _box(state, value, key, params):
+    if not isinstance(value, list) or len(value) != params["map"].arity:
+        raise TaskLoadError("box needs one [lo, hi] pair per map component")
+    box = []
+    for axis in value:
+        if not isinstance(axis, list) or len(axis) != 2:
+            raise TaskLoadError("box axes are [lo, hi] pairs")
+        lo, hi = _fraction(axis[0], "box"), _fraction(axis[1], "box")
+        if lo > hi:
+            raise TaskLoadError(f"malformed box axis: [{lo}, {hi}]")
+        box.append((lo, hi))
+    if "steps" not in params:
+        raise TaskLoadError("scan over a box needs steps")
+    return tuple(box)
+
+
+def _as_text(values):
+    """Resolved rationals as the canonical strings that records echo."""
+    return [str(v) if isinstance(v, Fraction) else _as_text(v) for v in values]
+
+
+def _derivation_flag(text, args, objects):
+    objects.append((None, {"derivation": {"name": "D", "images": _split_csv(text)}}))
+    return "D"
+
+
+def _map_flag(text, args, objects):
+    decl = {"name": "F", "components": _split_csv(text)}
+    if args.target:
+        decl["target"] = _split_csv(args.target)
+    objects.append((None, {"map": decl}))
+    return "F"
+
+
+def _box_flag(text, args, objects):
+    axes = [axis.split(":") for axis in _split_csv(text)]
+    for parts in axes:
+        if len(parts) != 2:
+            raise TaskLoadError(f"box axes are lo:hi ranges, got {':'.join(parts)!r}")
+    return axes
+
+
+class _Param(NamedTuple):
+    """A task parameter: its resolver, and its subcommand flag, `--` plus
+    its name with `_` written as `-` (`--expr` on `poly`), made with the
+    argparse keywords `flag` (None: no flag).  `from_flag(value, args,
+    objects)` gives the task value (None: leave it out) and adds the
+    declarations it needs.  Records echo `rational` values in canonical form."""
+
+    resolve: Callable
+    flag: dict | None = None
+    from_flag: Callable = lambda value, args, objects: value
+    rational: bool = False
+
+
+# In this order a line's parameters are resolved and a subcommand's flags listed.
+_PARAMS = {
+    "derivation": _Param(_declared, {"help": "comma-separated images"}, _derivation_flag),
+    "map": _Param(_declared, {"help": "comma-separated components"}, _map_flag),
+    "action": _Param(_declared),
+    "poly": _Param(_poly, {}),
+    "k": _Param(_int_at_least(0), {"type": int, "default": 1}),
+    "bound": _Param(_int_at_least(1), {"type": int}),
+    "degree_bound": _Param(_int_at_least(1), {"type": int}),
+    "steps": _Param(_int_at_least(1), {"type": int}),
+    "power_bound": _Param(_int_at_least(0), {"type": int}),
+    "order": _Param(
+        _order,
+        {"choices": ("lex", "grevlex"), "default": "grevlex"},
+        lambda text, *_: None if text == "grevlex" else text,
+    ),
+    "point": _Param(
+        _point, {"help": "comma-separated rationals"}, lambda text, *_: _split_csv(text), True
+    ),
+    "points": _Param(
+        _points,
+        {"help": "semicolon-separated points"},
+        lambda text, *_: [_split_csv(p) for p in text.split(";")],
+        True,
+    ),
+    "box": _Param(_box, {"help": "comma-separated lo:hi ranges"}, _box_flag, True),
+}
+
+
+# Command handlers take the state and the resolved parameters; they return the payload.
+
+
+def _flow(state, action=None, derivation=None, bound=None) -> GaAction:
+    """A declared action, or the flow of a derivation."""
+    if action is None:
+        return exponentiate(derivation, certify_locally_nilpotent(derivation, _bound(bound)))
+    flow = state.actions[action]
+    if flow is None:  # its declaration's step failed
+        raise KeyError(action)
+    return flow
+
+
+def _declare_action(state, name, derivation, bound=None):
+    state.actions[name] = _flow(state, derivation=derivation, bound=bound)
+
+
+def _cmd_ring(state):
+    return {"variables": list(state.ring.variables), "arity": state.ring.arity}
+
+
+def _cmd_poly(state, poly):
+    return {"canonical": format_polynomial(poly)}
+
+
+def _cmd_apply(state, derivation, poly, k=1):
+    return {"result": format_polynomial(apply(derivation, poly, k))}
+
+
+def _cmd_nilpotency(state, derivation, bound=None):
+    cert = certify_locally_nilpotent(derivation, _bound(bound))
+    orders = list(cert.orders) if cert.orders is not None else None
+    chains = [[format_polynomial(p) for p in chain] for chain in cert.chains]
+    return {"status": cert.status, "bound": cert.bound, "orders": orders, "chains": chains}
+
+
+def _cmd_exp(state, derivation, bound=None):
+    flow = _flow(state, derivation=derivation, bound=bound)
+    return {
+        "parameter": flow.parameter,
+        "components": [format_polynomial(c) for c in flow.components],
+        "orders": list(flow.certificate.orders),
+    }
+
+
+def _cmd_act(state, poly, action=None, derivation=None, bound=None):
+    flow = _flow(state, action, derivation, bound)
+    return {"result": format_polynomial(act(flow, poly)), "parameter": flow.parameter}
+
+
+def _cmd_invariant(state, poly, action=None, derivation=None, bound=None):
+    flow = _flow(state, action, derivation, bound)
+    deg = deg_function(flow, poly)
+    return {"invariant": is_invariant(flow, poly), "t_degree": None if deg == NEG_INF else int(deg)}
+
+
+def _cmd_fixed_locus(state, derivation):
+    loc = fixed_locus(derivation)
+    return {
+        "generators": [format_polynomial(g) for g in loc.generators],
+        "dimension": loc.dimension,
+        "fixed_point_free": loc.is_fixed_point_free,
+    }
+
+
+def _cmd_jacobian_derivation(state, map):
+    return {"images": [format_polynomial(img) for img in jacobian_derivation(map).images]}
+
+
+def _cmd_slice(state, derivation, degree_bound=DEFAULT_SLICE_DEGREE_BOUND):
+    slc = find_local_slice(derivation, degree_bound)
+    if slc is None:
+        return {"found": False}
+    return {"found": True, "f": format_polynomial(slc.f), "c": format_polynomial(slc.c)}
+
+
+def _cmd_localization(state, derivation, map, poly, degree_bound=DEFAULT_SLICE_DEGREE_BOUND,
+                      power_bound=DEFAULT_POWER_BOUND):
+    slc = find_local_slice(derivation, degree_bound)
+    if slc is None:
+        return {"found": False}
+    f, c = format_polynomial(slc.f), format_polynomial(slc.c)
+    payload = {"found": True, "f": f, "c": c, "P": None, "k": None, "T": None}
+    P = slice_coefficient_as_P(derivation, slc, map)
+    if P is None:
+        return payload
+    payload["P"] = format_polynomial(P)
+    out = verify_localization_identity(derivation, replace(slc, P=P), map, poly, power_bound)
+    if out is not None:
+        k, witness = out
+        payload["k"] = k
+        payload["T"] = format_polynomial(witness)
+        payload["tags"] = list(witness.ring.variables)
+    return payload
+
+
+def _cmd_fiber(state, map, point, order=GREVLEX):
+    report = fiber_probe(map, point, order=order)
+    coords = [str(v) for v in report.point]
+    basis = [format_polynomial(p) for p in report.witness.basis]
+    return {"point": coords, "empty": report.empty, "dimension": report.dimension, "basis": basis}
+
+
+def _cmd_singular_locus(state, map, order=GREVLEX):
+    report = singular_locus(map, order=order)
+    return {
+        "minors": [format_polynomial(m) for m in report.minors],
+        "basis": [format_polynomial(p) for p in report.basis.basis],
+        "dimension": report.dimension,
+        "codimension": report.codimension,
+        "nonsingular_in_codim_1": report.nonsingular_in_codim_1,
+    }
+
+
+def _cmd_scan(state, map, points=None, box=None, steps=None, order=GREVLEX):
+    if points is not None:
+        probe, probed = points, len(points)
+    else:
+        probe = GridSpec(box=box, steps=steps)
+        probed = probe.steps ** len(probe.box)
+    reports = complement_scan(map, probe, order=order)
+    empty = [
+        {"point": [str(v) for v in r.point], "basis": [format_polynomial(p) for p in r.witness.basis]}
+        for r in reports
+    ]
+    return {"probed": probed, "empty": empty}
+
+
+def _cmd_subalgebra(state, map, poly):
+    witness = subalgebra_membership(poly, map.components, map.target_names)
+    text = None if witness is None else format_polynomial(witness)
+    return {"member": witness is not None, "witness": text, "tags": list(map.target_names)}
+
+
+class _Command:
+    """Help text, handler, and parameters: `required`, `optional`, and
+    `one_of` (exactly one must be given); `params` has all in `_PARAMS` order."""
+
+    def __init__(self, help, handler, required=(), optional=(), one_of=()):
+        self.help = help
+        self.handler = handler
+        self.required = frozenset(required)
+        self.one_of = one_of
+        self.params = tuple(key for key in _PARAMS if key in required + optional + one_of)
+
+
+_FLOW = ("action", "derivation")
+_COMMANDS = {
+    "ring": _Command("validate and echo a ring", _cmd_ring),
+    "poly": _Command("parse and canonically print a polynomial", _cmd_poly, ("poly",)),
+    "apply": _Command("apply a derivation k times", _cmd_apply, ("derivation", "poly"), ("k",)),
+    "nilpotency": _Command(
+        "certify bounded local nilpotency", _cmd_nilpotency, ("derivation",), ("bound",)
+    ),
+    "exp": _Command("exponentiate a certified derivation", _cmd_exp, ("derivation",), ("bound",)),
+    "act": _Command("pull a polynomial back along the flow", _cmd_act, ("poly",), ("bound",), _FLOW),
+    "invariant": _Command(
+        "test invariance under the flow", _cmd_invariant, ("poly",), ("bound",), _FLOW
+    ),
+    "fixed-locus": _Command("vanishing locus of a derivation", _cmd_fixed_locus, ("derivation",)),
+    "jacobian-derivation": _Command("derivation attached to a map", _cmd_jacobian_derivation, ("map",)),
+    "slice": _Command("search for a local slice", _cmd_slice, ("derivation",), ("degree_bound",)),
+    "localization": _Command(
+        "slice, coefficient, and identity", _cmd_localization,
+        ("derivation", "map", "poly"), ("degree_bound", "power_bound"),
+    ),
+    "fiber": _Command("probe one fiber of a map", _cmd_fiber, ("map", "point"), ("order",)),
+    "singular-locus": _Command("rank-drop locus of a map", _cmd_singular_locus, ("map",), ("order",)),
+    "scan": _Command(
+        "probe many fibers, reporting the empty ones", _cmd_scan,
+        ("map",), ("steps", "order"), ("points", "box"),
+    ),
+    "subalgebra": _Command(
+        "membership in the algebra a map generates", _cmd_subalgebra, ("map", "poly")
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -117,207 +419,116 @@ def _resolve_poly(state: TaskState, ref, line_no=None) -> Polynomial:
 
 _DECL_KINDS = ("ring", "poly", "map", "derivation", "action", "command")
 
-# cmd -> (required parameter names, optional parameter names)
-_COMMANDS = {
-    "ring": (frozenset(), frozenset()),
-    "poly": (frozenset({"poly"}), frozenset()),
-    "apply": (frozenset({"derivation", "poly"}), frozenset({"k"})),
-    "nilpotency": (frozenset({"derivation"}), frozenset({"bound"})),
-    "exp": (frozenset({"derivation"}), frozenset({"bound"})),
-    "act": (frozenset({"poly"}), frozenset({"action", "derivation", "bound"})),
-    "invariant": (frozenset({"poly"}), frozenset({"action", "derivation", "bound"})),
-    "fixed-locus": (frozenset({"derivation"}), frozenset()),
-    "jacobian-derivation": (frozenset({"map"}), frozenset()),
-    "slice": (frozenset({"derivation"}), frozenset({"degree_bound"})),
-    "localization": (
-        frozenset({"derivation", "map", "poly"}),
-        frozenset({"degree_bound", "power_bound"}),
-    ),
-    "fiber": (frozenset({"map", "point"}), frozenset({"order"})),
-    "singular-locus": (frozenset({"map"}), frozenset({"order"})),
-    "scan": (frozenset({"map"}), frozenset({"points", "box", "steps", "order"})),
-    "subalgebra": (frozenset({"poly", "map"}), frozenset()),
-}
+
+def _resolve(state: TaskState, body: dict, keys) -> dict:
+    """Resolve those of the parameters `keys` (in `_PARAMS` order) the line gives."""
+    params = {}
+    for key in keys:
+        if key in body:
+            param = _PARAMS[key]
+            params[key] = param.resolve(state, body[key], key, params)
+            if param.rational:
+                body[key] = _as_text(params[key])
+    return params
 
 
-def _need_ring(state: TaskState, line_no):
-    if state.ring is None:
-        raise TaskLoadError("no ring declared yet", line_no)
-
-
-def _check_int(params, key, line_no, minimum=1):
-    if key in params:
-        value = params[key]
-        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-            raise TaskLoadError(f"{key} must be an integer >= {minimum}", line_no)
-
-
-def _load_declaration(state: TaskState, kind: str, body, line_no: int):
+def _load_declaration(state: TaskState, kind: str, body):
+    """Apply a declaration to the state; an action's returns its step's call."""
     if kind == "ring":
         if state.ring is not None:
-            raise TaskLoadError("ring already declared", line_no)
+            raise TaskLoadError("ring already declared")
         if not isinstance(body, list) or not all(isinstance(v, str) for v in body):
-            raise TaskLoadError("ring declaration must list variable names", line_no)
-        try:
-            state.ring = Ring(tuple(body))
-        except ValueError as exc:
-            raise TaskLoadError(str(exc), line_no)
-        return
+            raise TaskLoadError("ring declaration must list variable names")
+        state.ring = Ring(tuple(body))
+        return None
 
-    _need_ring(state, line_no)
+    if state.ring is None:
+        raise TaskLoadError("no ring declared yet")
     if not isinstance(body, dict) or not isinstance(body.get("name"), str):
-        raise TaskLoadError(f"{kind} declaration needs a name", line_no)
+        raise TaskLoadError(f"{kind} declaration needs a name")
     name = body["name"]
+    if name in getattr(state, kind + "s"):
+        raise TaskLoadError(f"{'polynomial' if kind == 'poly' else kind} {name!r} already declared")
 
     if kind == "poly":
-        if name in state.polys:
-            raise TaskLoadError(f"polynomial {name!r} already declared", line_no)
         if "expr" not in body:
-            raise TaskLoadError("poly declaration needs an expr", line_no)
-        state.polys[name] = _resolve_poly(state, body["expr"], line_no)
+            raise TaskLoadError("poly declaration needs an expr")
+        state.polys[name] = _poly(state, body["expr"])
     elif kind == "map":
-        if name in state.maps:
-            raise TaskLoadError(f"map {name!r} already declared", line_no)
         comps = body.get("components")
         if not isinstance(comps, list) or not comps:
-            raise TaskLoadError("map declaration needs components", line_no)
+            raise TaskLoadError("map declaration needs components")
         target = body.get("target", [])
         if not isinstance(target, list) or not all(isinstance(v, str) for v in target):
-            raise TaskLoadError("map target must list names", line_no)
-        try:
-            state.maps[name] = PolyMap(
-                state.ring,
-                tuple(_resolve_poly(state, c, line_no) for c in comps),
-                tuple(target),
-            )
-        except ValueError as exc:
-            raise TaskLoadError(str(exc), line_no)
+            raise TaskLoadError("map target must list names")
+        state.maps[name] = PolyMap(state.ring, tuple(_poly(state, c) for c in comps), tuple(target))
     elif kind == "derivation":
-        if name in state.derivations:
-            raise TaskLoadError(f"derivation {name!r} already declared", line_no)
         images = body.get("images")
         if not isinstance(images, list):
-            raise TaskLoadError("derivation declaration needs images", line_no)
-        try:
-            state.derivations[name] = Derivation(
-                state.ring, tuple(_resolve_poly(state, img, line_no) for img in images)
-            )
-        except ValueError as exc:
-            raise TaskLoadError(str(exc), line_no)
-    elif kind == "action":
-        if name in state.declared_actions:
-            raise TaskLoadError(f"action {name!r} already declared", line_no)
-        if body.get("derivation") not in state.derivations:
-            raise TaskLoadError("action declaration needs a declared derivation", line_no)
-        _check_int(body, "bound", line_no)
-        state.declared_actions.add(name)
+            raise TaskLoadError("derivation declaration needs images")
+        state.derivations[name] = Derivation(state.ring, tuple(_poly(state, p) for p in images))
     else:
-        raise TaskLoadError(f"unknown declaration kind {kind!r}", line_no)
+        derivation = body.get("derivation")
+        if not isinstance(derivation, str) or derivation not in state.derivations:
+            raise TaskLoadError("action declaration needs a declared derivation")
+        params = _resolve(state, body, ("bound",))
+        state.actions[name] = None
+        params.update(name=name, derivation=state.derivations[derivation])
+        return {"action": body}, _declare_action, params
+    return None
 
 
-def _validate_point(values, what, line_no):
-    if not isinstance(values, list) or not values:
-        raise TaskLoadError(f"{what} must be a nonempty list", line_no)
-    return [str(_parse_fraction(v, what, line_no)) for v in values]
-
-
-def _load_command(state: TaskState, cmd: dict, line_no: int):
-    if not isinstance(cmd, dict) or not isinstance(cmd.get("cmd"), str):
-        raise TaskLoadError("command needs a cmd field", line_no)
-    name = cmd["cmd"]
+def _load_command(state: TaskState, body):
+    if not isinstance(body, dict) or not isinstance(body.get("cmd"), str):
+        raise TaskLoadError("command needs a cmd field")
+    name = body["cmd"]
     if name not in _COMMANDS:
-        raise TaskLoadError(f"unknown command {name!r}", line_no)
-    required, optional = _COMMANDS[name]
-    keys = set(cmd) - {"cmd"}
-    missing = required - keys
+        raise TaskLoadError(f"unknown command {name!r}")
+    spec = _COMMANDS[name]
+    keys = set(body) - {"cmd"}
+    missing = spec.required - keys
     if missing:
-        raise TaskLoadError(f"{name} needs {sorted(missing)}", line_no)
-    unknown = keys - required - optional
+        raise TaskLoadError(f"{name} needs {sorted(missing)}")
+    unknown = keys.difference(spec.params)
     if unknown:
-        raise TaskLoadError(f"{name} does not take {sorted(unknown)}", line_no)
-    _need_ring(state, line_no)
-
-    if "derivation" in keys and cmd["derivation"] not in state.derivations:
-        raise TaskLoadError(f"unknown derivation {cmd['derivation']!r}", line_no)
-    if "map" in keys and cmd["map"] not in state.maps:
-        raise TaskLoadError(f"unknown map {cmd['map']!r}", line_no)
-    if "action" in keys and cmd["action"] not in state.declared_actions:
-        raise TaskLoadError(f"unknown action {cmd['action']!r}", line_no)
-    if "poly" in keys:
-        _resolve_poly(state, cmd["poly"], line_no)  # syntax check
-    if name in ("act", "invariant"):
-        if ("action" in keys) == ("derivation" in keys):
-            raise TaskLoadError(
-                f"{name} needs exactly one of action or derivation", line_no
-            )
-    _check_int(cmd, "k", line_no, minimum=0)
-    for key in ("bound", "degree_bound", "steps"):
-        _check_int(cmd, key, line_no)
-    _check_int(cmd, "power_bound", line_no, minimum=0)
-    if "order" in keys and cmd["order"] not in ("lex", "grevlex"):
-        raise TaskLoadError("order must be lex or grevlex", line_no)
-
-    if name == "fiber":
-        cmd["point"] = _validate_point(cmd["point"], "point", line_no)
-        if len(cmd["point"]) != state.maps[cmd["map"]].arity:
-            raise TaskLoadError("point length does not match the map", line_no)
-    if name == "scan":
-        has_points = "points" in keys
-        has_box = "box" in keys
-        if has_points == has_box:
-            raise TaskLoadError("scan needs exactly one of points or box", line_no)
-        arity = state.maps[cmd["map"]].arity
-        if has_points:
-            pts = cmd["points"]
-            if not isinstance(pts, list) or not pts:
-                raise TaskLoadError("points must be a nonempty list", line_no)
-            cmd["points"] = [_validate_point(p, "points", line_no) for p in pts]
-            if any(len(p) != arity for p in cmd["points"]):
-                raise TaskLoadError("point length does not match the map", line_no)
-        else:
-            box = cmd["box"]
-            if not isinstance(box, list) or len(box) != arity:
-                raise TaskLoadError("box needs one [lo, hi] pair per map component", line_no)
-            checked = []
-            for axis in box:
-                if not isinstance(axis, list) or len(axis) != 2:
-                    raise TaskLoadError("box axes are [lo, hi] pairs", line_no)
-                lo = _parse_fraction(axis[0], "box", line_no)
-                hi = _parse_fraction(axis[1], "box", line_no)
-                if lo > hi:
-                    raise TaskLoadError(f"malformed box axis: [{lo}, {hi}]", line_no)
-                checked.append([str(lo), str(hi)])
-            cmd["box"] = checked
-            if "steps" not in keys:
-                raise TaskLoadError("scan over a box needs steps", line_no)
+        raise TaskLoadError(f"{name} does not take {sorted(unknown)}")
+    if state.ring is None:
+        raise TaskLoadError("no ring declared yet")
+    if spec.one_of and len(keys.intersection(spec.one_of)) != 1:
+        raise TaskLoadError(f"{name} needs exactly one of {' or '.join(spec.one_of)}")
+    return body, spec.handler, _resolve(state, body, spec.params)
 
 
 def load_task(objects) -> tuple[TaskState, list]:
-    """Validate declarations and commands; returns state plus ordered steps.
+    """Validate and resolve a task's lines; returns state plus ordered steps.
 
-    Steps are ("action", declaration) or ("command", command) pairs; other
-    declarations are applied to the state immediately.
+    Ring, poly, map and derivation declarations go into the state at once.
+    Each action declaration and command becomes a step: ("action" or
+    "command", (echo, handler, params)), with the line as its records echo
+    it and the handler's parameters resolved here, once: declared names to
+    objects (action names stay names; actions are built when their step
+    runs), polynomials parsed, orders to `MonomialOrder`, rationals to
+    `Fraction`.
     """
     state = TaskState()
     steps = []
     for line_no, obj in objects:
-        if not isinstance(obj, dict) or len(obj) != 1:
-            raise TaskLoadError(
-                "each line must be an object with exactly one of "
-                + ", ".join(_DECL_KINDS),
-                line_no,
-            )
-        kind, body = next(iter(obj.items()))
-        if kind == "command":
-            _load_command(state, body, line_no)
-            steps.append(("command", body))
-        elif kind == "action":
-            _load_declaration(state, kind, body, line_no)
-            steps.append(("action", body))
-        elif kind in _DECL_KINDS:
-            _load_declaration(state, kind, body, line_no)
-        else:
-            raise TaskLoadError(f"unknown line kind {kind!r}", line_no)
+        try:
+            if not isinstance(obj, dict) or len(obj) != 1:
+                raise TaskLoadError(
+                    "each line must be an object with exactly one of " + ", ".join(_DECL_KINDS)
+                )
+            kind, body = next(iter(obj.items()))
+            if kind == "command":
+                steps.append((kind, _load_command(state, body)))
+            elif kind in _DECL_KINDS:
+                call = _load_declaration(state, kind, body)
+                if call is not None:
+                    steps.append((kind, call))
+            else:
+                raise TaskLoadError(f"unknown line kind {kind!r}")
+        except (TaskLoadError, ValueError) as exc:  # ValueError: the library refused an input
+            raise TaskLoadError(str(exc), line_no) from None
     return state, steps
 
 
@@ -337,234 +548,24 @@ def parse_task_text(text: str):
 # ---------------------------------------------------------------------------
 # execution
 
-def _frac_str(value: Fraction) -> str:
-    return str(value)
-
-
-def _certificate_payload(cert) -> dict:
-    return {
-        "status": cert.status,
-        "bound": cert.bound,
-        "orders": list(cert.orders) if cert.orders is not None else None,
-        "chains": [[format_polynomial(p) for p in chain] for chain in cert.chains],
-    }
-
-
-def _action_payload(action: GaAction) -> dict:
-    return {
-        "parameter": action.parameter,
-        "components": [format_polynomial(c) for c in action.components],
-        "orders": list(action.certificate.orders),
-    }
-
-
-def _fiber_payload(report) -> dict:
-    return {
-        "point": [_frac_str(v) for v in report.point],
-        "empty": report.empty,
-        "dimension": report.dimension,
-        "basis": [format_polynomial(p) for p in report.witness.basis],
-    }
-
-
-def _build_action(state: TaskState, params) -> GaAction:
-    if "action" in params:
-        return state.actions[params["action"]]
-    D = state.derivations[params["derivation"]]
-    bound = params.get("bound", _default_bound())
-    cert = certify_locally_nilpotent(D, bound)
-    return exponentiate(D, cert)
-
-
-def _order_from(params) -> MonomialOrder:
-    return LEX if params.get("order") == "lex" else GREVLEX
-
-
-def _cmd_ring(state, params):
-    return {"variables": list(state.ring.variables), "arity": state.ring.arity}
-
-
-def _cmd_poly(state, params):
-    return {"canonical": format_polynomial(_resolve_poly(state, params["poly"]))}
-
-
-def _cmd_apply(state, params):
-    D = state.derivations[params["derivation"]]
-    p = _resolve_poly(state, params["poly"])
-    result = apply(D, p, params.get("k", 1))
-    return {"result": format_polynomial(result)}
-
-
-def _cmd_nilpotency(state, params):
-    D = state.derivations[params["derivation"]]
-    cert = certify_locally_nilpotent(D, params.get("bound", _default_bound()))
-    return _certificate_payload(cert)
-
-
-def _cmd_exp(state, params):
-    return _action_payload(_build_action(state, params))
-
-
-def _cmd_act(state, params):
-    action = _build_action(state, params)
-    moved = act(action, _resolve_poly(state, params["poly"]))
-    return {"result": format_polynomial(moved), "parameter": action.parameter}
-
-
-def _cmd_invariant(state, params):
-    action = _build_action(state, params)
-    p = _resolve_poly(state, params["poly"])
-    deg = deg_function(action, p)
-    return {
-        "invariant": is_invariant(action, p),
-        "t_degree": None if deg == NEG_INF else int(deg),
-    }
-
-
-def _cmd_fixed_locus(state, params):
-    loc = fixed_locus(state.derivations[params["derivation"]])
-    return {
-        "generators": [format_polynomial(g) for g in loc.generators],
-        "dimension": loc.dimension,
-        "fixed_point_free": loc.is_fixed_point_free,
-    }
-
-
-def _cmd_jacobian_derivation(state, params):
-    D = jacobian_derivation(state.maps[params["map"]])
-    return {"images": [format_polynomial(img) for img in D.images]}
-
-
-def _cmd_slice(state, params):
-    D = state.derivations[params["derivation"]]
-    slc = find_local_slice(D, params.get("degree_bound", DEFAULT_SLICE_DEGREE_BOUND))
-    if slc is None:
-        return {"found": False}
-    return {
-        "found": True,
-        "f": format_polynomial(slc.f),
-        "c": format_polynomial(slc.c),
-    }
-
-
-def _cmd_localization(state, params):
-    D = state.derivations[params["derivation"]]
-    F = state.maps[params["map"]]
-    R = _resolve_poly(state, params["poly"])
-    slc = find_local_slice(D, params.get("degree_bound", DEFAULT_SLICE_DEGREE_BOUND))
-    if slc is None:
-        return {"found": False}
-    payload = {
-        "found": True,
-        "f": format_polynomial(slc.f),
-        "c": format_polynomial(slc.c),
-        "P": None,
-        "k": None,
-        "T": None,
-    }
-    P = slice_coefficient_as_P(D, slc, F)
-    if P is None:
-        return payload
-    payload["P"] = format_polynomial(P)
-    out = verify_localization_identity(
-        D, replace(slc, P=P), F, R, params.get("power_bound", DEFAULT_POWER_BOUND)
-    )
-    if out is not None:
-        k, witness = out
-        payload["k"] = k
-        payload["T"] = format_polynomial(witness)
-        payload["tags"] = list(witness.ring.variables)
-    return payload
-
-
-def _cmd_fiber(state, params):
-    report = fiber_probe(
-        state.maps[params["map"]],
-        [Fraction(v) for v in params["point"]],
-        order=_order_from(params),
-    )
-    return _fiber_payload(report)
-
-
-def _cmd_singular_locus(state, params):
-    report = singular_locus(state.maps[params["map"]], order=_order_from(params))
-    return {
-        "minors": [format_polynomial(m) for m in report.minors],
-        "basis": [format_polynomial(p) for p in report.basis.basis],
-        "dimension": report.dimension,
-        "codimension": report.codimension,
-        "nonsingular_in_codim_1": report.nonsingular_in_codim_1,
-    }
-
-
-def _cmd_scan(state, params):
-    F = state.maps[params["map"]]
-    if "points" in params:
-        probe = [[Fraction(v) for v in point] for point in params["points"]]
-        probed = len(probe)
-    else:
-        probe = GridSpec(
-            box=tuple((Fraction(lo), Fraction(hi)) for lo, hi in params["box"]),
-            steps=params["steps"],
-        )
-        probed = probe.steps ** len(probe.box)
-    reports = complement_scan(F, probe, order=_order_from(params))
-    return {
-        "probed": probed,
-        "empty": [
-            {
-                "point": [_frac_str(v) for v in r.point],
-                "basis": [format_polynomial(p) for p in r.witness.basis],
-            }
-            for r in reports
-        ],
-    }
-
-
-def _cmd_subalgebra(state, params):
-    F = state.maps[params["map"]]
-    g = _resolve_poly(state, params["poly"])
-    witness = subalgebra_membership(g, F.components, F.target_names)
-    return {
-        "member": witness is not None,
-        "witness": None if witness is None else format_polynomial(witness),
-        "tags": list(F.target_names),
-    }
-
-
-_HANDLERS = {
-    "ring": _cmd_ring,
-    "poly": _cmd_poly,
-    "apply": _cmd_apply,
-    "nilpotency": _cmd_nilpotency,
-    "exp": _cmd_exp,
-    "act": _cmd_act,
-    "invariant": _cmd_invariant,
-    "fixed-locus": _cmd_fixed_locus,
-    "jacobian-derivation": _cmd_jacobian_derivation,
-    "slice": _cmd_slice,
-    "localization": _cmd_localization,
-    "fiber": _cmd_fiber,
-    "singular-locus": _cmd_singular_locus,
-    "scan": _cmd_scan,
-    "subalgebra": _cmd_subalgebra,
+# Error codes by exception type; the most specific class of an exception
+# that appears here gives its code, anything else is an internal error.
+_ERROR_CODES = {
+    UncertifiedDerivationError: "not-certified",
+    DegreeExplosionError: "degree-explosion",
+    RingMismatchError: "ring-mismatch",
+    PolyParseError: "parse-error",
+    ValueError: "invalid-argument",
+    IndexError: "invalid-argument",
+    KeyError: "invalid-argument",
 }
 
 
-def _failure_from(exc: Exception) -> CommandFailure:
-    if isinstance(exc, CommandFailure):
-        return exc
-    if isinstance(exc, UncertifiedDerivationError):
-        return CommandFailure("not-certified", str(exc))
-    if isinstance(exc, DegreeExplosionError):
-        return CommandFailure("degree-explosion", str(exc))
-    if isinstance(exc, RingMismatchError):
-        return CommandFailure("ring-mismatch", str(exc))
-    if isinstance(exc, PolyParseError):
-        return CommandFailure("parse-error", str(exc))
-    if isinstance(exc, (ValueError, IndexError, KeyError)):
-        return CommandFailure("invalid-argument", str(exc))
-    return CommandFailure("internal-error", f"{type(exc).__name__}: {exc}")
+def _error(exc: Exception) -> dict:
+    for cls in type(exc).__mro__:
+        if cls in _ERROR_CODES:
+            return {"code": _ERROR_CODES[cls], "message": str(exc)}
+    return {"code": "internal-error", "message": f"{type(exc).__name__}: {exc}"}
 
 
 def _emit(record: dict, started: float, out):
@@ -575,151 +576,44 @@ def _emit(record: dict, started: float, out):
 def run_steps(state: TaskState, steps, out) -> int:
     """Execute in order; one record per command; abort on declaration failure."""
     failed = False
-    for kind, body in steps:
+    for kind, (echo, handler, params) in steps:
         started = time.perf_counter()
-        if kind == "action":
-            try:
-                D = state.derivations[body["derivation"]]
-                cert = certify_locally_nilpotent(D, body.get("bound", _default_bound()))
-                state.actions[body["name"]] = exponentiate(D, cert)
-            except Exception as exc:  # declaration failure poisons later steps
-                failure = _failure_from(exc)
-                _emit(
-                    {
-                        "command": {"action": body},
-                        "status": "error",
-                        "error": {"code": failure.code, "message": str(failure)},
-                    },
-                    started,
-                    out,
-                )
-                return EXIT_COMMAND_ERROR
-            continue
         try:
-            payload = _HANDLERS[body["cmd"]](state, body)
-            _emit(
-                {"command": body, "status": "ok", "payload": payload}, started, out
-            )
+            payload = handler(state, **params)
         except Exception as exc:
-            failure = _failure_from(exc)
-            _emit(
-                {
-                    "command": body,
-                    "status": "error",
-                    "error": {"code": failure.code, "message": str(failure)},
-                },
-                started,
-                out,
-            )
+            _emit({"command": echo, "status": "error", "error": _error(exc)}, started, out)
+            if kind == "action":  # a failed declaration poisons later steps
+                return EXIT_COMMAND_ERROR
             failed = True
+            continue
+        if kind == "command":
+            _emit({"command": echo, "status": "ok", "payload": payload}, started, out)
     return EXIT_COMMAND_ERROR if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _split_csv(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",")]
-
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gaql",
-        description="Exact probes for derivations, flows, and polynomial maps.",
-    )
+    description = "Exact probes for derivations, flows, and polynomial maps."
+    parser = argparse.ArgumentParser(prog="gaql", description=description)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     run = sub.add_parser("run", help="execute a JSON-lines task file")
     run.add_argument("task", help="path to the task file, or - for stdin")
 
-    def common(p, order=False):
+    for name, spec in _COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
         p.add_argument("--ring", required=True, help="comma-separated variable names")
-        if order:
-            p.add_argument("--order", choices=("lex", "grevlex"), default="grevlex")
-
-    p = sub.add_parser("ring", help="validate and echo a ring")
-    common(p)
-
-    p = sub.add_parser("poly", help="parse and canonically print a polynomial")
-    common(p)
-    p.add_argument("--expr", required=True)
-
-    p = sub.add_parser("apply", help="apply a derivation k times")
-    common(p)
-    p.add_argument("--derivation", required=True, help="comma-separated images")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--k", type=int, default=1)
-
-    p = sub.add_parser("nilpotency", help="certify bounded local nilpotency")
-    common(p)
-    p.add_argument("--derivation", required=True)
-    p.add_argument("--bound", type=int)
-
-    p = sub.add_parser("exp", help="exponentiate a certified derivation")
-    common(p)
-    p.add_argument("--derivation", required=True)
-    p.add_argument("--bound", type=int)
-
-    p = sub.add_parser("act", help="pull a polynomial back along the flow")
-    common(p)
-    p.add_argument("--derivation", required=True)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--bound", type=int)
-
-    p = sub.add_parser("invariant", help="test invariance under the flow")
-    common(p)
-    p.add_argument("--derivation", required=True)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--bound", type=int)
-
-    p = sub.add_parser("fixed-locus", help="vanishing locus of a derivation")
-    common(p)
-    p.add_argument("--derivation", required=True)
-
-    p = sub.add_parser("jacobian-derivation", help="derivation attached to a map")
-    common(p)
-    p.add_argument("--map", required=True, help="comma-separated components")
-    p.add_argument("--target", help="comma-separated target names")
-
-    p = sub.add_parser("slice", help="search for a local slice")
-    common(p)
-    p.add_argument("--derivation", required=True)
-    p.add_argument("--degree-bound", type=int)
-
-    p = sub.add_parser("localization", help="slice, coefficient, and identity")
-    common(p)
-    p.add_argument("--derivation", required=True)
-    p.add_argument("--map", required=True)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--target", help="comma-separated target names")
-    p.add_argument("--degree-bound", type=int)
-    p.add_argument("--power-bound", type=int)
-
-    p = sub.add_parser("fiber", help="probe one fiber of a map")
-    common(p, order=True)
-    p.add_argument("--map", required=True)
-    p.add_argument("--target", help="comma-separated target names")
-    p.add_argument("--point", required=True, help="comma-separated rationals")
-
-    p = sub.add_parser("singular-locus", help="rank-drop locus of a map")
-    common(p, order=True)
-    p.add_argument("--map", required=True)
-    p.add_argument("--target", help="comma-separated target names")
-
-    p = sub.add_parser("scan", help="probe many fibers, reporting the empty ones")
-    common(p, order=True)
-    p.add_argument("--map", required=True)
-    p.add_argument("--target", help="comma-separated target names")
-    p.add_argument("--points", help="semicolon-separated points")
-    p.add_argument("--box", help="comma-separated lo:hi ranges")
-    p.add_argument("--steps", type=int)
-
-    p = sub.add_parser("subalgebra", help="membership in the algebra a map generates")
-    common(p)
-    p.add_argument("--map", required=True)
-    p.add_argument("--target", help="comma-separated target names")
-    p.add_argument("--poly", required=True)
-
+        for key in spec.params:
+            flag = _PARAMS[key].flag
+            if flag is None:
+                continue
+            option = "--expr" if name == "poly" else "--" + key.replace("_", "-")
+            p.add_argument(option, dest=key, required=key in spec.required, **flag)
+            if key == "map":
+                p.add_argument("--target", help="comma-separated target names")
     return parser
 
 
@@ -727,45 +621,13 @@ def _synthesize_task(args) -> list:
     """Translate one subcommand invocation into task-file objects."""
     objects = [(None, {"ring": _split_csv(args.ring)})]
     cmd = {"cmd": args.subcommand}
-
-    def add_map():
-        decl = {"name": "F", "components": _split_csv(args.map)}
-        if getattr(args, "target", None):
-            decl["target"] = _split_csv(args.target)
-        objects.append((None, {"map": decl}))
-        cmd["map"] = "F"
-
-    if getattr(args, "derivation", None):
-        objects.append(
-            (None, {"derivation": {"name": "D", "images": _split_csv(args.derivation)}})
-        )
-        cmd["derivation"] = "D"
-    if getattr(args, "map", None):
-        add_map()
-    if getattr(args, "expr", None):
-        cmd["poly"] = args.expr
-    if getattr(args, "poly", None):
-        cmd["poly"] = args.poly
-    if getattr(args, "point", None):
-        cmd["point"] = _split_csv(args.point)
-    if getattr(args, "points", None):
-        cmd["points"] = [_split_csv(p) for p in args.points.split(";")]
-    if getattr(args, "box", None):
-        axes = []
-        for axis in _split_csv(args.box):
-            parts = axis.split(":")
-            if len(parts) != 2:
-                raise TaskLoadError(f"box axes are lo:hi ranges, got {axis!r}")
-            axes.append(parts)
-        cmd["box"] = axes
-    for key in ("k", "steps", "bound"):
-        if getattr(args, key, None) is not None:
-            cmd[key] = getattr(args, key)
-    for key, param in (("degree_bound", "degree_bound"), ("power_bound", "power_bound")):
-        if getattr(args, key, None) is not None:
-            cmd[param] = getattr(args, key)
-    if getattr(args, "order", "grevlex") != "grevlex":
-        cmd["order"] = args.order
+    for key in _COMMANDS[args.subcommand].params:
+        value = getattr(args, key, None)
+        if value is None or value == "":
+            continue
+        value = _PARAMS[key].from_flag(value, args, objects)
+        if value is not None:
+            cmd[key] = value
     objects.append((None, {"command": cmd}))
     return objects
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .groebner import GREVLEX, GroebnerBasis, MonomialOrder, dimension_of, groebner_basis
-from .poly import PolyMap, Polynomial, det
+from .poly import PolyMap, Polynomial, det, _exact
 
 Point = tuple[Fraction, ...]
 
@@ -49,7 +49,7 @@ class GridSpec:
     steps: int
 
     def __post_init__(self):
-        box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in self.box)
+        box = tuple((_exact(lo), _exact(hi)) for lo, hi in self.box)
         object.__setattr__(self, "box", box)
         if not box:
             raise ValueError("grid needs at least one axis")
@@ -74,22 +74,19 @@ class GridSpec:
 def fiber_probe(F: PolyMap, point: Sequence, order: MonomialOrder = GREVLEX) -> FiberReport:
     """Groebner certificate for the fiber of F over a rational point.
 
-    The witness basis is computed in the requested order; the dimension is
-    always taken from a graded basis.
+    The witness basis is computed in the requested order and the dimension
+    is read off it: dim R/I = dim R/in(I) for every monomial order
+    (Greuel-Pfister, A Singular Introduction to Commutative Algebra,
+    Cor. 5.3.14).
     """
     if len(point) != len(F.components):
         raise ValueError(
             f"point has {len(point)} coordinates, map has {len(F.components)}"
         )
-    values = tuple(Fraction(v) for v in point)
+    values = tuple(_exact(v) for v in point)
     gens = [f - F.ring.const(v) for f, v in zip(F.components, values)]
     gb = groebner_basis(gens, order)
-    if gb.is_unit:
-        return FiberReport(point=values, empty=True, dimension=-1, witness=gb)
-    graded = gb if order.kind == "grevlex" else groebner_basis(gens)
-    return FiberReport(
-        point=values, empty=False, dimension=dimension_of(graded), witness=gb
-    )
+    return FiberReport(point=values, empty=gb.is_unit, dimension=dimension_of(gb), witness=gb)
 
 
 def singular_locus(F: PolyMap, order: MonomialOrder = GREVLEX) -> SingularityReport:
@@ -116,12 +113,8 @@ def singular_locus(F: PolyMap, order: MonomialOrder = GREVLEX) -> SingularityRep
             codimension=n + 1,
             nonsingular_in_codim_1=True,
         )
-    if not nonzero:
-        dim = n  # all minors vanish identically: the locus is everything
-    elif order.kind == "grevlex":
-        dim = dimension_of(gb)
-    else:
-        dim = dimension_of(groebner_basis(nonzero))
+    # when all minors vanish identically the locus is everything
+    dim = dimension_of(gb) if nonzero else n
     codim = n - dim
     return SingularityReport(
         minors=minors,

@@ -27,6 +27,14 @@ class RingMismatchError(ValueError):
     """Raised when operands or arguments belong to different rings."""
 
 
+def _exact(value) -> Fraction:
+    """Fraction(value), refusing floats: a float such as 0.1 would silently
+    become its binary expansion 3602879701896397/36028797018963968."""
+    if isinstance(value, float):
+        raise TypeError(f"inexact float {value!r}; pass an int, Fraction, or string")
+    return Fraction(value)
+
+
 def grevlex_key(exponents: Sequence[int]):
     """Sort key realizing grevlex: higher key means bigger monomial."""
     return (sum(exponents), tuple(-e for e in reversed(exponents)))
@@ -78,7 +86,7 @@ class Ring:
         return self.const(1)
 
     def const(self, value) -> "Polynomial":
-        c = Fraction(value)
+        c = _exact(value)
         if c == 0:
             return self.zero()
         return Polynomial(self, {(0,) * self.arity: c})
@@ -94,7 +102,7 @@ class Ring:
         return tuple(self.var(i) for i in range(self.arity))
 
     def from_terms(self, terms: Mapping[Sequence[int], object]) -> "Polynomial":
-        return Polynomial(self, {tuple(e): Fraction(c) for e, c in terms.items()})
+        return Polynomial(self, {tuple(e): _exact(c) for e, c in terms.items()})
 
     def extended(self, extra: Sequence[str]) -> "Ring":
         return Ring(self.variables + tuple(extra))
@@ -261,7 +269,13 @@ class Polynomial:
         return self.ring == other.ring and self._terms == other._terms
 
     def __hash__(self):
+        # a constant equals its Fraction value, so it must hash like it
+        if self.is_constant:
+            return hash(self.constant_value())
         return hash((self.ring, tuple(self._terms.items())))
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
 
     # -- calculus and substitution ------------------------------------------
 
@@ -311,7 +325,7 @@ class Polynomial:
             raise ValueError(
                 f"expected {self.ring.arity} coordinates, got {len(point)}"
             )
-        values = [Fraction(v) for v in point]
+        values = [_exact(v) for v in point]
         total = Fraction(0)
         for exps, coeff in self._terms.items():
             term = coeff

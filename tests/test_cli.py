@@ -1,7 +1,10 @@
+import io
 import json
+from collections import Counter
 
 import pytest
 
+from gaql import cli
 from gaql.cli import main
 
 PUNCTURED_MAP = "1+x*z,y+z+x*y*z"
@@ -425,3 +428,167 @@ def test_usage_error_from_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fiber", "--ring", "x,y"])  # missing --map/--point
     assert exc.value.code == 2
+
+
+def test_each_inline_command_polynomial_is_parsed_once(monkeypatch):
+    parsed = Counter()
+    parse = cli.parse_polynomial
+
+    def counting_parse(src, ring):
+        parsed[src] += 1
+        return parse(src, ring)
+
+    monkeypatch.setattr(cli, "parse_polynomial", counting_parse)
+    inline = ["u^2", "u*v + 1", "x*u+y*v", "v", "x^2*u + x*y*v", "y^3 - x"]
+    lines = [
+        {"ring": ["x", "y", "u", "v"]},
+        {"map": {"name": "F", "components": ["x", "y", "x*u + y*v"]}},
+        {"derivation": {"name": "D", "images": ["0", "0", "y", "0-x"]}},
+        {"action": {"name": "A", "derivation": "D"}},
+        {"command": {"cmd": "act", "action": "A", "poly": inline[0]}},
+        {"command": {"cmd": "invariant", "derivation": "D", "poly": inline[1]}},
+        {"command": {"cmd": "apply", "derivation": "D", "poly": inline[2]}},
+        {"command": {"cmd": "localization", "derivation": "D", "map": "F", "poly": inline[3]}},
+        {"command": {"cmd": "subalgebra", "map": "F", "poly": inline[4]}},
+        {"command": {"cmd": "poly", "poly": inline[5]}},
+    ]
+    state, steps = cli.load_task(cli.parse_task_text("\n".join(json.dumps(o) for o in lines)))
+    assert cli.run_steps(state, steps, io.StringIO()) == 0
+    assert {src: parsed[src] for src in inline} == {src: 1 for src in inline}
+
+
+RING3 = {"ring": ["x", "y", "z"]}
+RING4 = {"ring": ["x", "y", "u", "v"]}
+PUNCTURED_F = {"map": {"name": "F", "components": ["1+x*z", "y+z+x*y*z"]}}
+BILINEAR_F = {"map": {"name": "F", "components": ["x", "y", "x*u+y*v"]}}
+
+
+def derivation_d(*images):
+    return {"derivation": {"name": "D", "images": list(images)}}
+
+
+def command(**params):
+    return {"command": params}
+
+
+# Each subcommand invocation of the tests above, with the task file it stands for.
+SUBCOMMAND_TASKS = [
+    (["ring", "--ring", "x,y,z"], [RING3, command(cmd="ring")]),
+    (
+        ["poly", "--ring", "x,y", "--expr", "y*x + x^2 - y^2 + 1"],
+        [{"ring": ["x", "y"]}, command(cmd="poly", poly="y*x + x^2 - y^2 + 1")],
+    ),
+    (
+        ["apply", "--ring", "x,y,z", "--derivation", "0,x,y", "--poly", "z", "--k", "2"],
+        [RING3, derivation_d("0", "x", "y"), command(cmd="apply", derivation="D", poly="z", k=2)],
+    ),
+    (
+        ["nilpotency", "--ring", "x,y,z", "--derivation", "1,0,0"],
+        [RING3, derivation_d("1", "0", "0"), command(cmd="nilpotency", derivation="D")],
+    ),
+    (
+        ["exp", "--ring", "x1,x2,x3", "--derivation", "1,0,0", "--bound", "64"],
+        [
+            {"ring": ["x1", "x2", "x3"]},
+            derivation_d("1", "0", "0"),
+            command(cmd="exp", derivation="D", bound=64),
+        ],
+    ),
+    (
+        ["exp", "--ring", "x", "--derivation", "x", "--bound", "10"],
+        [{"ring": ["x"]}, derivation_d("x"), command(cmd="exp", derivation="D", bound=10)],
+    ),
+    (
+        ["invariant", "--ring", "x,y,u,v", "--derivation", "0,0,y,0-x", "--poly", "x*u+y*v"],
+        [
+            RING4,
+            derivation_d("0", "0", "y", "0-x"),
+            command(cmd="invariant", derivation="D", poly="x*u+y*v"),
+        ],
+    ),
+    (
+        ["jacobian-derivation", "--ring", "x,y,u,v", "--map", BILINEAR_MAP],
+        [RING4, BILINEAR_F, command(cmd="jacobian-derivation", map="F")],
+    ),
+    (
+        ["fiber", "--ring", "x,y,z", "--map", PUNCTURED_MAP, "--point", "0,0"],
+        [RING3, PUNCTURED_F, command(cmd="fiber", map="F", point=["0", "0"])],
+    ),
+    (
+        ["singular-locus", "--ring", "x,y,z", "--map", PUNCTURED_MAP],
+        [RING3, PUNCTURED_F, command(cmd="singular-locus", map="F")],
+    ),
+    (
+        ["scan", "--ring", "x,y,u,v", "--map", BILINEAR_MAP, "--points", "0,0,1;1,2,3;0,0,0"],
+        [
+            RING4,
+            BILINEAR_F,
+            command(cmd="scan", map="F", points=[["0", "0", "1"], ["1", "2", "3"], ["0", "0", "0"]]),
+        ],
+    ),
+    (
+        ["scan", "--ring", "x,y,z", "--map", "x,2*x*z-y^2", "--box=-2:2,-2:2", "--steps", "5"],
+        [
+            RING3,
+            {"map": {"name": "F", "components": ["x", "2*x*z-y^2"]}},
+            command(cmd="scan", map="F", box=[["-2", "2"], ["-2", "2"]], steps=5),
+        ],
+    ),
+    (
+        ["slice", "--ring", "x,y,z", "--derivation", "0,x,y"],
+        [RING3, derivation_d("0", "x", "y"), command(cmd="slice", derivation="D")],
+    ),
+    (
+        [
+            "localization", "--ring", "x,y,z", "--derivation", "0,x,y",
+            "--map", "x,2*x*z-y^2", "--poly", "z",
+        ],
+        [
+            RING3,
+            derivation_d("0", "x", "y"),
+            {"map": {"name": "F", "components": ["x", "2*x*z-y^2"]}},
+            command(cmd="localization", derivation="D", map="F", poly="z"),
+        ],
+    ),
+    (
+        ["subalgebra", "--ring", "x,y,u,v", "--map", BILINEAR_MAP, "--poly", "x^2*u + x*y*v"],
+        [RING4, BILINEAR_F, command(cmd="subalgebra", map="F", poly="x^2*u + x*y*v")],
+    ),
+    (
+        ["subalgebra", "--ring", "x,y,u,v", "--map", BILINEAR_MAP, "--poly", "u"],
+        [RING4, BILINEAR_F, command(cmd="subalgebra", map="F", poly="u")],
+    ),
+    (
+        ["fixed-locus", "--ring", "x,y,u,v", "--derivation", "0,0,y,0-x"],
+        [RING4, derivation_d("0", "0", "y", "0-x"), command(cmd="fixed-locus", derivation="D")],
+    ),
+    (
+        ["act", "--ring", "x,y,z", "--derivation", "0,x,y", "--poly", "z"],
+        [RING3, derivation_d("0", "x", "y"), command(cmd="act", derivation="D", poly="z")],
+    ),
+    (
+        ["fiber", "--ring", "x,y,z", "--map", PUNCTURED_MAP, "--point", "1,1", "--order", "lex"],
+        [RING3, PUNCTURED_F, command(cmd="fiber", map="F", point=["1", "1"], order="lex")],
+    ),
+]
+
+
+def without_timing(records):
+    return [json.dumps({k: v for k, v in r.items() if k != "timing"}, sort_keys=True) for r in records]
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    SUBCOMMAND_TASKS,
+    ids=[f"{i}-{argv[0]}" for i, (argv, _) in enumerate(SUBCOMMAND_TASKS)],
+)
+@pytest.mark.parametrize("one_at_a_time", [False, True], ids=["all-steps", "step-by-step"])
+def test_subcommand_matches_its_task_file(capsys, argv, lines, one_at_a_time):
+    code, records, _ = run_cli(capsys, argv)
+    assert records
+    state, steps = cli.load_task(cli.parse_task_text("\n".join(json.dumps(o) for o in lines)))
+    out = io.StringIO()
+    batches = [[step] for step in steps] if one_at_a_time else [steps]
+    codes = [cli.run_steps(state, batch, out) for batch in batches]
+    assert max(codes) == code
+    assert without_timing(json.loads(line) for line in out.getvalue().splitlines()) == without_timing(records)

@@ -127,6 +127,19 @@ def test_grid_spec():
         GridSpec(box=((Fraction(0), Fraction(1)),), steps=0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fiber_probe(F_PUNCTURED, (0.1, 0)),
+        lambda: GridSpec(box=((0, 0.5),), steps=2),
+    ],
+    ids=["fiber_probe_point", "grid_box"],
+)
+def test_floats_are_rejected(call):
+    with pytest.raises(TypeError, match="float"):
+        call()
+
+
 def test_complement_scan_explicit_points():
     reports = complement_scan(F_BILINEAR, [(0, 0, 1), (1, 0, 0), (0, 0, -2)])
     assert [r.point for r in reports] == [

@@ -169,6 +169,22 @@ def test_dimension_unit_iff_membership_of_one_random():
         assert (dimension(gens) == -1) == ideal_membership(R2.one(), gens)
 
 
+def test_dimension_is_the_same_in_every_order_random():
+    """dim R/I = dim R/in(I) for every monomial order, so lex and block
+    bases give the grevlex dimension."""
+    rng = random.Random(11)
+    for _ in range(100):
+        n = rng.randint(2, 4)
+        ring = Ring(("x", "y", "z", "w")[:n])
+        gens = [rand_poly(rng, ring, max_degree=2, max_terms=3) for _ in range(rng.randint(1, n))]
+        gens = [g for g in gens if not g.is_zero]
+        if not gens:
+            continue
+        want = dimension(gens, GREVLEX)
+        for order in [LEX] + [block_order(k) for k in range(1, n)]:
+            assert dimension(gens, order) == want, (gens, order)
+
+
 def test_radical_membership():
     assert radical_membership(X, [X**2])
     assert not radical_membership(Y, [X**2])

@@ -56,6 +56,35 @@ def test_zero_terms_dropped():
     assert (X - X).is_zero
 
 
+def test_constant_hashes_like_its_value():
+    assert hash(R3.one()) == hash(1)
+    assert 1 in {R3.one()}
+    assert R3.const(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert hash(R3.zero()) == hash(0)
+
+
+def test_only_zero_is_falsy():
+    assert not R3.zero()
+    assert not (X - X)
+    assert R3.one()
+    assert X - Y
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: R3.const(0.1),
+        lambda: R3.from_terms({(1, 0, 0): 0.5}),
+        lambda: X.evaluate([0.1, 0, 0]),
+        lambda: PolyMap(R3, (X, Y)).evaluate([0, 0.5, 0]),
+    ],
+    ids=["const", "from_terms", "evaluate", "polymap_evaluate"],
+)
+def test_floats_are_rejected(call):
+    with pytest.raises(TypeError, match="float"):
+        call()
+
+
 def test_partial_derivative():
     assert (X**2).partial_derivative(0) == 2 * X
     assert (X4 * U4 + Y4 * V4).partial_derivative(2) == X4
