@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .action import GaAction, UncertifiedDerivationError, act, deg_function, exponentiate, is_invariant
+from .action import GaAction, UncertifiedDerivationError, act, deg_function, exponentiate
 from .derivation import DEFAULT_BOUND, DegreeExplosionError, Derivation, apply
 from .derivation import certify_locally_nilpotent, fixed_locus
 from .exprs import PolyParseError, format_polynomial, parse_polynomial
@@ -289,7 +289,9 @@ def _cmd_act(state, poly, action=None, derivation=None, bound=None):
 def _cmd_invariant(state, poly, action=None, derivation=None, bound=None):
     flow = _flow(state, action, derivation, bound)
     deg = deg_function(flow, poly)
-    return {"invariant": is_invariant(flow, poly), "t_degree": None if deg == NEG_INF else int(deg)}
+    # exponentiate checked that the flow is the identity at t = 0, so a pullback
+    # without t equals p: degree 0 (or NEG_INF for p = 0) means invariant.
+    return {"invariant": deg <= 0, "t_degree": None if deg == NEG_INF else int(deg)}
 
 
 def _cmd_fixed_locus(state, derivation):

@@ -161,11 +161,9 @@ def fixed_locus(D: Derivation) -> FixedLocus:
     The derivation has no fixed points exactly when the images generate the
     unit ideal.
     """
-    gens = D.images
-    nonzero = [g for g in gens if not g.is_zero]
-    dim = groebner.dimension(nonzero, ring=D.ring)
+    dim = groebner.groebner_basis(D.images).dimension
     return FixedLocus(
-        generators=gens,
+        generators=D.images,
         dimension=dim,
         is_fixed_point_free=dim == -1,
     )

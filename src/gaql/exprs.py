@@ -37,6 +37,9 @@ class _Token:
     col: int
 
 
+_DIGITS = "0123456789"  # str.isdigit also accepts superscripts and other scripts' digits
+
+
 def _tokenize(src: str) -> list[_Token]:
     tokens = []
     line, col = 1, 1
@@ -53,9 +56,9 @@ def _tokenize(src: str) -> list[_Token]:
             i += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("number", src[i:j], line, start_col))
             col += j - i

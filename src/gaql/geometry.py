@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .groebner import GREVLEX, GroebnerBasis, MonomialOrder, dimension_of, groebner_basis
-from .poly import PolyMap, Polynomial, det, _exact
+from .groebner import GREVLEX, GroebnerBasis, MonomialOrder, groebner_basis
+from .poly import PolyMap, Polynomial, _exact
 
 Point = tuple[Fraction, ...]
 
@@ -86,36 +86,20 @@ def fiber_probe(F: PolyMap, point: Sequence, order: MonomialOrder = GREVLEX) -> 
     values = tuple(_exact(v) for v in point)
     gens = [f - F.ring.const(v) for f, v in zip(F.components, values)]
     gb = groebner_basis(gens, order)
-    return FiberReport(point=values, empty=gb.is_unit, dimension=dimension_of(gb), witness=gb)
+    return FiberReport(point=values, empty=gb.is_unit, dimension=gb.dimension, witness=gb)
 
 
 def singular_locus(F: PolyMap, order: MonomialOrder = GREVLEX) -> SingularityReport:
     """Ideal of all maximal minors of the Jacobian matrix, with dimension
     and codimension.
 
-    An empty locus reports codimension n + 1 so that codimension >= 2 holds
-    vacuously.
+    An empty locus has dimension -1, so its codimension is n + 1 and
+    codimension >= 2 holds vacuously.
     """
-    F.require_hypersurface_count()
-    n = F.ring.arity
-    jac = F.jacobian_matrix()
-    minors = tuple(
-        det([row[:skip] + row[skip + 1 :] for row in jac]) for skip in range(n)
-    )
-    nonzero = [m for m in minors if not m.is_zero]
-    gb = groebner_basis(nonzero, order)
-    if gb.is_unit:
-        # the minors have no common zero: the map is nonsingular everywhere
-        return SingularityReport(
-            minors=minors,
-            basis=gb,
-            dimension=-1,
-            codimension=n + 1,
-            nonsingular_in_codim_1=True,
-        )
-    # when all minors vanish identically the locus is everything
-    dim = dimension_of(gb) if nonzero else n
-    codim = n - dim
+    minors = F.maximal_minors()
+    gb = groebner_basis(minors, order)
+    dim = gb.dimension
+    codim = F.ring.arity - dim
     return SingularityReport(
         minors=minors,
         basis=gb,

@@ -151,6 +151,33 @@ class GroebnerBasis:
     def is_unit(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].is_constant and not self.basis[0].is_zero
 
+    @property
+    def dimension(self) -> int:
+        """Krull dimension of R/I; -1 for the unit ideal.
+
+        Read off the leading monomials (combinatorial dimension): the largest
+        variable subset containing no leading monomial's support.  This holds
+        for every monomial order (Greuel-Pfister, A Singular Introduction to
+        Commutative Algebra, Cor. 5.3.14).
+        """
+        if self.is_unit:
+            return -1
+        if not self.generators:
+            raise ValueError("an ideal with no generators has no ring")
+        n = self.generators[0].ring.arity
+        supports = [
+            frozenset(i for i, e in enumerate(leading_term(p, self.order)[0]) if e)
+            for p in self.basis
+        ]
+        best = 0
+        for mask in range(1 << n):
+            subset = frozenset(i for i in range(n) if mask >> i & 1)
+            if len(subset) <= best:
+                continue
+            if all(not s <= subset for s in supports):
+                best = len(subset)
+        return best
+
     def contains(self, p: Polynomial) -> bool:
         return reduce(p, self.basis, self.order).is_zero
 
@@ -255,8 +282,6 @@ def ideal_membership(p: Polynomial, gens: Sequence[Polynomial], order: MonomialO
 
 def is_unit_ideal(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> bool:
     """True iff the generated ideal is the whole ring (no common zero)."""
-    if not gens:
-        return False
     return groebner_basis(gens, order).is_unit
 
 
@@ -279,70 +304,19 @@ def eliminate(gens: Sequence[Polynomial], drop: Iterable[int]) -> tuple[Polynomi
         return tuple(groebner_basis(gens).basis)
     keep = [i for i in range(ring.arity) if i not in drop]
     perm = drop + keep  # position p in the permuted ring holds variable perm[p]
+    back = [perm.index(i) for i in range(ring.arity)]
     permuted = Ring(tuple(ring.variables[i] for i in perm))
 
-    def to_permuted(p: Polynomial) -> Polynomial:
-        return Polynomial(
-            permuted, {tuple(e[i] for i in perm): c for e, c in p.terms()}
-        )
+    def relabel(p: Polynomial, target: Ring, positions) -> Polynomial:
+        return Polynomial(target, {tuple(e[i] for i in positions): c for e, c in p.terms()})
 
-    inverse = [0] * ring.arity
-    for pos, i in enumerate(perm):
-        inverse[i] = pos
-
-    def to_original(p: Polynomial) -> Polynomial:
-        return Polynomial(
-            ring, {tuple(e[inverse[i]] for i in range(ring.arity)): c for e, c in p.terms()}
-        )
-
-    gb = groebner_basis([to_permuted(g) for g in gens], block_order(len(drop)))
+    gb = groebner_basis([relabel(g, permuted, perm) for g in gens], block_order(len(drop)))
     kept = [
-        to_original(p)
+        relabel(p, ring, back)
         for p in gb.basis
         if all(e[pos] == 0 for e, _ in p.terms() for pos in range(len(drop)))
     ]
     return tuple(kept)
-
-
-def dimension(
-    gens: Sequence[Polynomial],
-    order: MonomialOrder = GREVLEX,
-    ring: Ring | None = None,
-) -> int:
-    """Krull dimension of the quotient ring; -1 for the unit ideal.
-
-    `ring` is only needed to give the zero ideal (no generators) a home.
-    """
-    gens = tuple(gens)
-    if not gens:
-        if ring is None:
-            raise ValueError("dimension of the zero ideal needs an explicit ring")
-        return ring.arity
-    return dimension_of(groebner_basis(gens, order))
-
-
-def dimension_of(gb: GroebnerBasis) -> int:
-    """Dimension from a computed basis: the largest variable subset meeting
-    no leading monomial's support (combinatorial dimension); -1 if unit."""
-    if gb.is_unit:
-        return -1
-    if not gb.basis:
-        if not gb.generators:
-            raise ValueError("dimension of the zero ideal needs an explicit ring")
-        return gb.generators[0].ring.arity
-    n = gb.basis[0].ring.arity
-    supports = [
-        frozenset(i for i, e in enumerate(leading_term(p, gb.order)[0]) if e)
-        for p in gb.basis
-    ]
-    best = 0
-    for mask in range(1 << n):
-        subset = frozenset(i for i in range(n) if mask >> i & 1)
-        if len(subset) <= best:
-            continue
-        if all(not s <= subset for s in supports):
-            best = len(subset)
-    return best
 
 
 def radical_membership(p: Polynomial, gens: Sequence[Polynomial]) -> bool:

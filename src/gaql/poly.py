@@ -493,12 +493,13 @@ class PolyMap:
                 f"got {len(self.components)}"
             )
 
-    def jacobian_matrix(self) -> list[list[Polynomial]]:
-        """m x n matrix of partial derivatives, one row per component."""
-        return [
-            [f.partial_derivative(j) for j in range(self.ring.arity)]
-            for f in self.components
-        ]
+    def maximal_minors(self) -> tuple[Polynomial, ...]:
+        """The n maximal minors of the (n - 1) x n Jacobian matrix; minor j
+        drops column j."""
+        self.require_hypersurface_count()
+        n = self.ring.arity
+        jac = [[f.partial_derivative(j) for j in range(n)] for f in self.components]
+        return tuple(det([row[:j] + row[j + 1 :] for row in jac]) for j in range(n))
 
     def evaluate(self, point: Sequence) -> tuple[Fraction, ...]:
         return tuple(f.evaluate(point) for f in self.components)

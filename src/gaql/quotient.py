@@ -25,7 +25,6 @@ from .poly import (
     RingMismatchError,
     fresh_names,
     grevlex_key,
-    jacobian_det,
 )
 
 DEFAULT_SLICE_DEGREE_BOUND = 3
@@ -39,12 +38,9 @@ def jacobian_derivation(F: PolyMap) -> Derivation:
     of x_i; by multilinearity of the determinant this pins down the whole
     derivation.
     """
-    F.require_hypersurface_count()
-    ring = F.ring
-    images = [
-        jacobian_det([ring.var(i), *F.components]) for i in range(ring.arity)
-    ]
-    return Derivation(ring, tuple(images))
+    # Laplace expansion along the unit first row: image i is (-1)^i minor i.
+    minors = F.maximal_minors()
+    return Derivation(F.ring, tuple(-m if i % 2 else m for i, m in enumerate(minors)))
 
 
 def check_map_invariant(A: GaAction, F: PolyMap) -> bool:
@@ -215,7 +211,7 @@ def verify_localization_identity(
         raise ValueError("slice coefficient must first be expressed in the map")
     if power_bound < 0:
         raise ValueError("power bound must be nonnegative")
-    (slice_tag,) = fresh_names(("s",), F.target_names)
+    (slice_tag,) = fresh_names(("s",), F.target_names + F.ring.variables)
     tags = (slice_tag,) + F.target_names
     gens = (slc.f,) + F.components
     power = R.ring.one()

@@ -305,6 +305,23 @@ def test_task_file_run(tmp_path, capsys):
     assert records[3]["payload"]["images"] == ["0", "0", "y", "-x"]
 
 
+def test_task_localization_with_a_ring_variable_named_s(tmp_path, capsys):
+    task = tmp_path / "task.jsonl"
+    lines = [
+        {"ring": ["x", "y", "s"]},
+        {"map": {"name": "F", "components": ["x", "2*x*s - y^2"]}},
+        {"derivation": {"name": "D", "images": ["0", "x", "y"]}},
+        {"command": {"cmd": "localization", "derivation": "D", "map": "F", "poly": "s"}},
+    ]
+    task.write_text("\n".join(json.dumps(obj) for obj in lines) + "\n")
+    code, records, _ = run_cli(capsys, ["run", str(task)])
+    assert code == 0
+    payload = records[0]["payload"]
+    assert payload["k"] == 1
+    assert payload["T"] == "1/2*s_^2 + 1/2*t2"
+    assert payload["tags"] == ["s_", "t1", "t2"]
+
+
 def test_task_undeclared_name_is_load_error(tmp_path, capsys):
     task = tmp_path / "task.jsonl"
     task.write_text(json.dumps({"ring": ["x"]}) + "\n" +

@@ -54,6 +54,14 @@ def test_syntax_errors():
             parse_polynomial(bad, R3)
 
 
+def test_only_ascii_digits_are_numbers():
+    for bad in ("x^\u00b2", "x^\u0663"):  # superscript two, Arabic-Indic three
+        with pytest.raises(PolyParseError) as err:
+            parse_polynomial(bad, R3)
+        assert "unexpected character" in str(err.value)
+        assert (err.value.line, err.value.col) == (1, 3)
+
+
 def test_division_only_in_rationals():
     with pytest.raises(PolyParseError):
         parse_polynomial("x/2", R3)

@@ -89,6 +89,14 @@ def test_singular_locus_rank_drop_on_hypersurface():
     assert not report.nonsingular_in_codim_1
 
 
+def test_singular_locus_where_every_minor_vanishes():
+    report = singular_locus(PolyMap(R3, (X, X)))
+    assert all(m.is_zero for m in report.minors)
+    assert report.dimension == 3
+    assert report.codimension == 0
+    assert not report.nonsingular_in_codim_1
+
+
 def test_singular_locus_shape_check():
     with pytest.raises(ValueError):
         singular_locus(PolyMap(R3, (X,)))

@@ -9,7 +9,6 @@ from gaql.groebner import (
     MonomialOrder,
     block_order,
     buchberger_criterion_holds,
-    dimension,
     eliminate,
     groebner_basis,
     ideal_membership,
@@ -148,15 +147,14 @@ def test_eliminate_random_properties():
 
 
 def test_dimension():
-    assert dimension([X, Z]) == 1
-    assert dimension([], ring=R3) == 3
-    assert dimension([R3.zero()], ring=R3) == 3
+    assert groebner_basis([X, Z]).dimension == 1
+    assert groebner_basis([R3.zero()]).dimension == 3
     # minors of the Jacobian of (1 + x*z, y + z + x*y*z): the ideal is (x, z)
     minors = [Z * (1 + X * Z), Z, X * (1 + X * Z)]
-    assert dimension(minors) == 1
-    assert dimension([R3.one()]) == -1
+    assert groebner_basis(minors).dimension == 1
+    assert groebner_basis([R3.one()]).dimension == -1
     with pytest.raises(ValueError):
-        dimension([])
+        groebner_basis([]).dimension
 
 
 def test_dimension_unit_iff_membership_of_one_random():
@@ -166,7 +164,7 @@ def test_dimension_unit_iff_membership_of_one_random():
         gens = [g for g in gens if not g.is_zero]
         if not gens:
             continue
-        assert (dimension(gens) == -1) == ideal_membership(R2.one(), gens)
+        assert (groebner_basis(gens).dimension == -1) == ideal_membership(R2.one(), gens)
 
 
 def test_dimension_is_the_same_in_every_order_random():
@@ -180,9 +178,9 @@ def test_dimension_is_the_same_in_every_order_random():
         gens = [g for g in gens if not g.is_zero]
         if not gens:
             continue
-        want = dimension(gens, GREVLEX)
+        want = groebner_basis(gens, GREVLEX).dimension
         for order in [LEX] + [block_order(k) for k in range(1, n)]:
-            assert dimension(gens, order) == want, (gens, order)
+            assert groebner_basis(gens, order).dimension == want, (gens, order)
 
 
 def test_radical_membership():

@@ -219,6 +219,17 @@ def test_jacobian_alternating_random():
         assert jacobian_det(repeated).is_zero
 
 
+def test_maximal_minors_match_cofactor_oracle_random():
+    rng = random.Random(6)
+    for n in (3, 4):
+        ring = Ring(tuple(f"x{i}" for i in range(n)))
+        for _ in range(10):
+            fs = [rand_poly(rng, ring, max_degree=2, max_terms=3) for _ in range(n - 1)]
+            jac = [[f.partial_derivative(j) for j in range(n)] for f in fs]
+            want = tuple(cofactor_det([row[:j] + row[j + 1 :] for row in jac]) for j in range(n))
+            assert PolyMap(ring, fs).maximal_minors() == want
+
+
 def test_jacobian_det_shape_errors():
     with pytest.raises(ValueError):
         jacobian_det([X, Y])

@@ -209,6 +209,20 @@ def test_localization_identity_component_is_free():
     assert T == Ring(("s", "t1", "t2")).var(1)
 
 
+def test_localization_identity_slice_tag_avoids_ring_variables():
+    ring = Ring(("x", "y", "s"))
+    x, y, s = ring.gens()
+    D = Derivation(ring, (ring.zero(), x, y))
+    F = PolyMap(ring, (x, 2 * x * s - y**2))
+    slc = attach_P(D, find_local_slice(D, 1), F)
+    k, T = verify_localization_identity(D, slc, F, s)
+    assert k == 1
+    assert T.ring.variables == ("s_", "t1", "t2")
+    s_, _, t2 = T.ring.gens()
+    assert T == (s_**2 + t2) * Fraction(1, 2)
+    assert T.compose([slc.f, *F.components]) == slc.c * s
+
+
 def test_localization_identity_requires_P():
     D = Derivation(R3, (R3.zero(), X, Y))
     slc = find_local_slice(D, 1)
