@@ -541,7 +541,7 @@ def parse_task_text(text: str):
         if not line.strip():
             continue
         try:
-            objects.append((line_no, json.loads(line)))
+            objects.append((line_no, json.loads(line, parse_float=Fraction)))
         except json.JSONDecodeError as exc:
             raise TaskLoadError(f"invalid JSON: {exc.msg}", line_no) from None
     return objects

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .poly import (
+    PolyMap,
     Polynomial,
     Ring,
     RingMismatchError,
@@ -116,7 +117,7 @@ def reduce(p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
     if not divisors:
         return p
     ring = p.ring
-    remainder = ring.zero()
+    remainder = {}
     h = p
     while not h.is_zero:
         hm, hc = leading_term(h, order)
@@ -126,10 +127,9 @@ def reduce(p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
                 h = h - b.mul_monomial(shift, hc / bc)
                 break
         else:
-            moved = Polynomial(ring, {hm: hc})
-            remainder = remainder + moved
-            h = h - moved
-    return remainder
+            remainder[hm] = hc
+            h = h - Polynomial(ring, {hm: hc})
+    return Polynomial(ring, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -193,28 +193,20 @@ def buchberger_criterion_holds(gb: GroebnerBasis) -> bool:
     return True
 
 
-def _monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
-    _, c = leading_term(p, order)
-    return p * (Fraction(1) / c)
-
-
 def _interreduce(polys: list[Polynomial], order: MonomialOrder) -> tuple[Polynomial, ...]:
-    """Minimalize and fully reduce, yielding the unique reduced basis."""
-    monic = sorted(
-        (_monic(p, order) for p in polys if not p.is_zero),
-        key=lambda p: order.key(leading_term(p, order)[0]),
-    )
+    """Minimalize and fully reduce nonzero polys, yielding the unique reduced basis."""
     minimal: list[Polynomial] = []
-    for p in monic:
-        lm = leading_term(p, order)[0]
-        if not any(_monomial_divides(leading_term(q, order)[0], lm) for q in minimal):
-            minimal.append(p)
-    reduced = []
-    for i, p in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(_monic(reduce(p, others, order), order))
-    reduced.sort(key=lambda p: order.key(leading_term(p, order)[0]), reverse=True)
-    return tuple(reduced)
+    lms = []
+    heads = [(leading_term(p, order), p) for p in polys]
+    for (lm, c), p in sorted(heads, key=lambda head: order.key(head[0][0])):
+        if not any(_monomial_divides(m, lm) for m in lms):
+            minimal.append(p * (Fraction(1) / c))
+            lms.append(lm)
+    # No other leading monomial divides an element's own, so reducing it
+    # against the others keeps its monic leading term; the leading monomials
+    # stay distinct and ascending, and reversed they descend.
+    reduced = [reduce(p, minimal[:i] + minimal[i + 1 :], order) for i, p in enumerate(minimal)]
+    return tuple(reversed(reduced))
 
 
 def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
@@ -222,8 +214,10 @@ def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -
 
     Buchberger's algorithm, normal selection (smallest lcm first); pairs with
     coprime leading terms are skipped, as are pairs covered by the chain
-    criterion.  Deterministic: ties are broken by the canonical polynomial
-    sort key, and the final interreduction makes the output unique anyway.
+    criterion.  Each pair's lcm and order key are computed once, when the
+    pair is formed.  Deterministic: ties are broken by the canonical
+    polynomial sort key, and the final interreduction makes the output
+    unique anyway.
     """
     gens = tuple(gens)
     if gens:
@@ -231,24 +225,24 @@ def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -
         for g in gens:
             if g.ring != ring:
                 raise RingMismatchError("generators over different rings")
-    work = sorted(
-        (g for g in gens if not g.is_zero), key=lambda p: poly_sort_key(p, order)
-    )
-    if not work:
-        return GroebnerBasis(order, gens, ())
+    basis: list[Polynomial] = []
+    lms = []
+    pairs = {}  # (i, j) -> (order key of the lcm, i, j, lcm), i < j
 
-    basis: list[Polynomial] = list(work)
-    lms = [leading_term(g, order)[0] for g in basis]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    def add(h: Polynomial):
+        lm = leading_term(h, order)[0]
+        new = len(basis)
+        for k, km in enumerate(lms):
+            lcm = _monomial_lcm(km, lm)
+            pairs[k, new] = (order.key(lcm), k, new, lcm)
+        basis.append(h)
+        lms.append(lm)
 
-    def pair_key(pair):
-        i, j = pair
-        return (order.key(_monomial_lcm(lms[i], lms[j])), i, j)
-
+    for g in sorted((g for g in gens if not g.is_zero), key=lambda p: poly_sort_key(p, order)):
+        add(g)
     while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        lcm = _monomial_lcm(lms[i], lms[j])
+        _, i, j, lcm = min(pairs.values())
+        del pairs[i, j]
         if lcm == tuple(a + b for a, b in zip(lms[i], lms[j])):
             continue  # coprime leading terms
         chain = any(
@@ -262,12 +256,8 @@ def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -
         if chain:
             continue
         h = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
-        if h.is_zero:
-            continue
-        basis.append(h)
-        lms.append(leading_term(h, order)[0])
-        new = len(basis) - 1
-        pairs.update((k, new) for k in range(new))
+        if not h.is_zero:
+            add(h)
 
     result = GroebnerBasis(order, gens, _interreduce(basis, order))
     if _verify_bases and not buchberger_criterion_holds(result):
@@ -344,24 +334,14 @@ def subalgebra_membership(
     None.
     """
     ring = g.ring
-    fs = tuple(fs)
-    if not fs:
-        raise ValueError("subalgebra membership needs at least one generator")
-    for f in fs:
-        if f.ring != ring:
-            raise RingMismatchError("generators over a different ring")
-    names = tuple(target_names) if target_names else tuple(
-        f"t{i + 1}" for i in range(len(fs))
-    )
-    if len(names) != len(fs):
-        raise ValueError("one tag name per generator required")
+    tagged = PolyMap(ring, fs, tuple(target_names or ()))
+    names = tagged.target_names
     collisions = set(names) & set(ring.variables)
     if collisions:
         raise ValueError(f"tag names collide with ring variables: {sorted(collisions)}")
     big = ring.extended(names)
     n = ring.arity
-    tags = [big.var(n + i) for i in range(len(fs))]
-    gens = [tags[i] - embed(f, big) for i, f in enumerate(fs)]
+    gens = [big.var(n + i) - embed(f, big) for i, f in enumerate(tagged.components)]
     order = block_order(n)
     gb = groebner_basis(gens, order)
     nf = reduce(embed(g, big), gb.basis, order)

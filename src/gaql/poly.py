@@ -464,8 +464,8 @@ class PolyMap:
         for f in self.components:
             if f.ring != self.ring:
                 raise RingMismatchError("map components over different rings")
-        names = tuple(self.target_names) or tuple(
-            f"t{i + 1}" for i in range(len(self.components))
+        names = tuple(self.target_names) or fresh_names(
+            [f"t{i + 1}" for i in range(len(self.components))], self.ring.variables
         )
         if len(names) != len(self.components):
             raise ValueError("one target name per component required")

@@ -322,6 +322,47 @@ def test_task_localization_with_a_ring_variable_named_s(tmp_path, capsys):
     assert payload["tags"] == ["s_", "t1", "t2"]
 
 
+def test_task_default_target_names_avoid_ring_variables(tmp_path, capsys):
+    task = tmp_path / "task.jsonl"
+    lines = [
+        {"ring": ["x", "y", "t1"]},
+        {"map": {"name": "S", "components": ["x", "2*x*t1 - y^2"]}},
+        {"derivation": {"name": "D", "images": ["0", "x", "y"]}},
+        {"command": {"cmd": "subalgebra", "map": "S", "poly": "x^2"}},
+        {"command": {"cmd": "localization", "derivation": "D", "map": "S", "poly": "t1"}},
+    ]
+    task.write_text("\n".join(json.dumps(obj) for obj in lines) + "\n")
+    code, records, _ = run_cli(capsys, ["run", str(task)])
+    assert code == 0
+    member, local = (r["payload"] for r in records)
+    assert member == {"member": True, "witness": "t1_^2", "tags": ["t1_", "t2"]}
+    assert local["k"] == 1
+    assert local["T"] == "1/2*s^2 + 1/2*t2"
+    assert local["tags"] == ["s", "t1_", "t2"]
+
+
+def test_task_number_literals_are_exact(capsys):
+    text = "\n".join(
+        [
+            '{"ring": ["x", "y", "z"]}',
+            '{"map": {"name": "F", "components": ["x", "y"]}}',
+            '{"command": {"cmd": "fiber", "map": "F", "point": [12345678901234567891.0, 0.1]}}',
+            '{"command": {"cmd": "fiber", "map": "F", "point": [1e-400, 2]}}',
+        ]
+    )
+    code, records, _ = run_cli_text(capsys, text)
+    assert code == 0
+    assert records[0]["command"]["point"] == ["12345678901234567891", "1/10"]
+    assert records[0]["payload"]["basis"] == ["x - 12345678901234567891", "y - 1/10"]
+    assert records[1]["command"]["point"] == ["1/1" + "0" * 400, "2"]
+
+    # a float is still no integer, name or expression
+    for bad in ('"steps": 2.0, "box": [[0, 1], [0, 1]]', '"points": [[0, 1]], "order": 1.0'):
+        line = '{"command": {"cmd": "scan", "map": "F", %s}}' % bad
+        code, records, _ = run_cli_text(capsys, text + "\n" + line)
+        assert code == 2 and records == []
+
+
 def test_task_undeclared_name_is_load_error(tmp_path, capsys):
     task = tmp_path / "task.jsonl"
     task.write_text(json.dumps({"ring": ["x"]}) + "\n" +

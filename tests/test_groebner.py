@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from conftest import rand_poly
+from conftest import rand_nonzero_poly, rand_poly
 from gaql.groebner import (
     GREVLEX,
     LEX,
@@ -230,6 +231,14 @@ def test_subalgebra_tag_collision_rejected():
         subalgebra_membership(X, [X, Y], target_names=("x", "q"))
 
 
+def test_subalgebra_default_tags_avoid_ring_variables():
+    ring = Ring(("x", "y", "t1"))
+    x, y, _ = ring.gens()
+    s = subalgebra_membership(x**2, [x, y])
+    assert s.ring == Ring(("t1_", "t2"))
+    assert s == s.ring.var(0) ** 2
+
+
 def test_buchberger_criterion_on_assorted_ideals():
     ideals = [
         [X**2 + Y, X * Y - Z],
@@ -252,6 +261,31 @@ def test_determinism_identical_inputs():
     assert a.basis == b.basis
     c = groebner_basis(list(reversed(gens)))
     assert a.basis == c.basis  # reduced basis is unique for the order
+
+
+def test_reduced_basis_shape_and_input_order_random():
+    """Each element is monic, leading monomials strictly descend, no term is
+    divisible by another element's leading monomial, and the generators'
+    order does not matter."""
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        ring = Ring(("x", "y", "z", "w")[:n])
+        gens = [rand_nonzero_poly(rng, ring, max_degree=2) for _ in range(rng.randint(1, 3))]
+        for order in (GREVLEX, LEX, block_order(1)):
+            basis = groebner_basis(gens, order).basis
+            lts = [leading_term(p, order) for p in basis]
+            assert all(c == 1 for _, c in lts), (gens, order)
+            keys = [order.key(m) for m, _ in lts]
+            assert all(a > b for a, b in zip(keys, keys[1:])), (gens, order)
+            for i, p in enumerate(basis):
+                for j, (m, _) in enumerate(lts):
+                    if i != j:
+                        assert not any(
+                            all(a <= b for a, b in zip(m, e)) for e, _ in p.terms()
+                        ), (gens, order)
+            for perm in itertools.permutations(gens):
+                assert groebner_basis(perm, order).basis == basis, (gens, order)
 
 
 def test_s_polynomial_cancels_leading_terms():
