@@ -5,6 +5,10 @@ from exponent tuples to Fraction coefficients.  Zero coefficients are never
 stored, and terms are kept in descending graded reverse lexicographic
 (grevlex) order so that iteration, printing, and hashing are deterministic.
 
+Products (and so compositions and powers) run on integer numerators over
+one common denominator per operand, with each exponent tuple packed into
+one int; only the output terms become Fractions again.
+
 All operations are pure: values are immutable after construction and safe
 to share across threads.
 """
@@ -14,6 +18,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add, lshift
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -30,6 +36,8 @@ class RingMismatchError(ValueError):
 def _exact(value) -> Fraction:
     """Fraction(value), refusing floats: a float such as 0.1 would silently
     become its binary expansion 3602879701896397/36028797018963968."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError(f"inexact float {value!r}; pass an int, Fraction, or string")
     return Fraction(value)
@@ -38,6 +46,20 @@ def _exact(value) -> Fraction:
 def grevlex_key(exponents: Sequence[int]):
     """Sort key realizing grevlex: higher key means bigger monomial."""
     return (sum(exponents), tuple(-e for e in reversed(exponents)))
+
+
+def _grevlex_descending(term):
+    """Ascending sort key of a term putting the bigger grevlex monomial first:
+    grevlex_key negated field by field."""
+    exps = term[0]
+    return (-sum(exps), exps[::-1])
+
+
+def _common_denominator(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm d of the denominators (1 for no coefficients) and each
+    coefficient times d, an integer."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
 
 
 def fresh_names(bases: Sequence[str], avoid: Iterable[str]) -> tuple[str, ...]:
@@ -119,6 +141,7 @@ class Polynomial:
     def __init__(self, ring: Ring, terms: Mapping[Exponents, Fraction]):
         cleaned = {}
         for exps, coeff in terms.items():
+            coeff = _exact(coeff)
             if coeff == 0:
                 continue
             if len(exps) != ring.arity:
@@ -128,11 +151,20 @@ class Polynomial:
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
             cleaned[exps] = coeff
-        ordered = dict(
-            sorted(cleaned.items(), key=lambda kv: grevlex_key(kv[0]), reverse=True)
-        )
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", ordered)
+        object.__setattr__(self, "_terms", dict(sorted(cleaned.items(), key=_grevlex_descending)))
+
+    @classmethod
+    def _exact_result(cls, ring: Ring, terms: Mapping[Exponents, Fraction]) -> "Polynomial":
+        """Polynomial from arithmetic on valid polynomials: the exponents are
+        valid and the coefficients Fractions, so only zeros are dropped and
+        the terms sorted."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ring", ring)
+        object.__setattr__(
+            p, "_terms", dict(sorted([t for t in terms.items() if t[1]], key=_grevlex_descending))
+        )
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -200,8 +232,8 @@ class Polynomial:
             return NotImplemented
         out = dict(self._terms)
         for exps, coeff in q._terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return Polynomial(self.ring, out)
+            out[exps] = out[exps] + coeff if exps in out else coeff
+        return Polynomial._exact_result(self.ring, out)
 
     __radd__ = __add__
 
@@ -211,8 +243,8 @@ class Polynomial:
             return NotImplemented
         out = dict(self._terms)
         for exps, coeff in q._terms.items():
-            out[exps] = out.get(exps, Fraction(0)) - coeff
-        return Polynomial(self.ring, out)
+            out[exps] = out[exps] - coeff if exps in out else -coeff
+        return Polynomial._exact_result(self.ring, out)
 
     def __rsub__(self, other):
         q = self._coerce(other)
@@ -221,18 +253,41 @@ class Polynomial:
         return q - self
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self._terms.items()})
+        return Polynomial._exact_result(self.ring, {e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        out: dict[Exponents, Fraction] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in q._terms.items():
-                key = tuple(a + b for a, b in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return Polynomial(self.ring, out)
+        if not self._terms or not q._terms:
+            return self.ring.zero()
+        # An exponent of the product is at most the sum of the operands'
+        # total degrees, so fields this wide never carry into each other.
+        width = (max(map(sum, self._terms)) + max(map(sum, q._terms))).bit_length() or 1
+        shifts = range(0, width * self.ring.arity, width)
+        da, na = _common_denominator(list(self._terms.values()))
+        db, nb = _common_denominator(list(q._terms.values()))
+        pa = [(sum(map(lshift, e, shifts)), c) for e, c in zip(self._terms, na)]
+        pb = [(sum(map(lshift, e, shifts)), c) for e, c in zip(q._terms, nb)]
+        acc: dict[int, int] = {}
+        get = acc.get
+        for ka, ca in pa:
+            for kb, cb in pb:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+        mask = (1 << width) - 1
+        denom = da * db
+        return Polynomial._exact_result(
+            self.ring,
+            {
+                # Fraction(v) skips the gcd that Fraction(v, 1) would take
+                tuple([k >> s & mask for s in shifts]): (
+                    Fraction(v, denom) if denom > 1 else Fraction(v)
+                )
+                for k, v in acc.items()
+                if v
+            },
+        )
 
     __rmul__ = __mul__
 
@@ -251,14 +306,14 @@ class Polynomial:
     def mul_monomial(self, exps: Sequence[int], coeff: Fraction) -> "Polynomial":
         """Multiply by coeff * x^exps in one pass."""
         exps = tuple(exps)
+        coeff = _exact(coeff)
+        if len(exps) != self.ring.arity or min(exps) < 0:
+            raise ValueError(f"invalid exponent tuple {exps} for arity {self.ring.arity}")
         if coeff == 0:
             return self.ring.zero()
-        return Polynomial(
+        return Polynomial._exact_result(
             self.ring,
-            {
-                tuple(a + b for a, b in zip(e, exps)): c * coeff
-                for e, c in self._terms.items()
-            },
+            {tuple(map(add, e, exps)): c * coeff for e, c in self._terms.items()},
         )
 
     def __eq__(self, other):
@@ -286,11 +341,9 @@ class Polynomial:
         out: dict[Exponents, Fraction] = {}
         for exps, coeff in self._terms.items():
             e = exps[i]
-            if e == 0:
-                continue
-            key = exps[:i] + (e - 1,) + exps[i + 1 :]
-            out[key] = out.get(key, Fraction(0)) + coeff * e
-        return Polynomial(self.ring, out)
+            if e:
+                out[exps[:i] + (e - 1,) + exps[i + 1 :]] = coeff * e
+        return Polynomial._exact_result(self.ring, out)
 
     def compose(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute images[i] for variable i; images share one target ring."""
@@ -302,7 +355,6 @@ class Polynomial:
         for img in images:
             if img.ring != target:
                 raise RingMismatchError("images must share one target ring")
-        result = target.zero()
         power_cache: dict[tuple[int, int], Polynomial] = {}
 
         def power(i: int, e: int) -> Polynomial:
@@ -311,13 +363,15 @@ class Polynomial:
                 power_cache[key] = images[i] ** e
             return power_cache[key]
 
+        out: dict[Exponents, Fraction] = {}
         for exps, coeff in self._terms.items():
             term = target.const(coeff)
             for i, e in enumerate(exps):
                 if e:
                     term = term * power(i, e)
-            result = result + term
-        return result
+            for m, c in term._terms.items():
+                out[m] = out[m] + c if m in out else c
+        return Polynomial._exact_result(target, out)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point."""

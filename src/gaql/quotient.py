@@ -23,6 +23,7 @@ from .poly import (
     Polynomial,
     Ring,
     RingMismatchError,
+    _common_denominator,
     fresh_names,
     grevlex_key,
 )
@@ -88,9 +89,12 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the exact nullspace via reduced row echelon form.
 
     One basis vector per free column, in column order, each with entry 1 at
-    its free column.
+    its free column.  The elimination is fraction-free: each row is scaled
+    to integers and kept primitive, so it stays a nonzero multiple of the
+    matching row of the (unique) reduced echelon form, whose entries are the
+    ratios read off at the end.
     """
-    m = [row[:] for row in rows]
+    m = [_common_denominator(row)[1] for row in rows]
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
@@ -98,12 +102,14 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][col]
-        m[r] = [v * inv for v in m[r]]
+        p = m[r]
+        a = p[col]
         for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+            f = m[i][col]
+            if i != r and f != 0:
+                row = [a * x - f * y for x, y in zip(m[i], p)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
         r += 1
         if r == len(m):
@@ -116,7 +122,7 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
         vec = [Fraction(0)] * ncols
         vec[col] = Fraction(1)
         for row_idx, pcol in enumerate(pivots):
-            vec[pcol] = -m[row_idx][col]
+            vec[pcol] = -Fraction(m[row_idx][col], m[row_idx][pcol])
         basis.append(vec)
     return basis
 
@@ -126,15 +132,9 @@ def _integral_normalize(p: Polynomial) -> Polynomial:
     coeffs = [c for _, c in p.terms()]
     if not coeffs:
         return p
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    nums = [c.numerator * (denom_lcm // c.denominator) for c in coeffs]
-    content = 0
-    for v in nums:
-        content = gcd(content, abs(v))
-    scale = Fraction(denom_lcm, content)
-    if next(iter(p.terms()))[1] < 0:
+    denom, nums = _common_denominator(coeffs)
+    scale = Fraction(denom, gcd(*nums))
+    if coeffs[0] < 0:
         scale = -scale
     return p * scale
 

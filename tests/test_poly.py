@@ -7,6 +7,7 @@ from conftest import cofactor_det, rand_poly
 from gaql.poly import (
     NEG_INF,
     PolyMap,
+    Polynomial,
     Ring,
     RingMismatchError,
     embed,
@@ -77,12 +78,85 @@ def test_only_zero_is_falsy():
         lambda: R3.from_terms({(1, 0, 0): 0.5}),
         lambda: X.evaluate([0.1, 0, 0]),
         lambda: PolyMap(R3, (X, Y)).evaluate([0, 0.5, 0]),
+        lambda: Polynomial(R3, {(1, 0, 0): 0.5}),
+        lambda: X.mul_monomial((1, 0, 0), 0.25),
     ],
-    ids=["const", "from_terms", "evaluate", "polymap_evaluate"],
+    ids=["const", "from_terms", "evaluate", "polymap_evaluate", "constructor", "mul_monomial"],
 )
 def test_floats_are_rejected(call):
     with pytest.raises(TypeError, match="float"):
         call()
+
+
+def test_constructor_stores_fractions():
+    p = Polynomial(R3, {(1, 0, 0): 2, (0, 0, 0): Fraction(1, 2)})
+    assert [type(c) for _, c in p.terms()] == [Fraction, Fraction]
+    assert type(X.mul_monomial((0, 1, 0), 3).coefficient((1, 1, 0))) is Fraction
+
+
+def _oracle_product(p, q):
+    """Term list of p*q by the schoolbook Fraction double loop, zeros dropped,
+    in descending grevlex order."""
+    out = {}
+    for ea, ca in p.terms():
+        for eb, cb in q.terms():
+            key = tuple(a + b for a, b in zip(ea, eb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return sorted(((e, c) for e, c in out.items() if c), key=lambda t: grevlex_key(t[0]), reverse=True)
+
+
+def test_product_matches_fraction_oracle_random():
+    rng = random.Random(8)
+    for trial in range(200):
+        n = 1 + trial % 8
+        ring = Ring(tuple(f"x{i}" for i in range(n)))
+
+        def rand():
+            terms = {}
+            for _ in range(rng.randint(1, 8)):
+                exps = tuple(rng.randint(0, 4) for _ in range(n))
+                terms[exps] = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+            return ring.from_terms(terms)
+
+        p, q = rand(), rand()
+        product = p * q
+        assert list(product.terms()) == _oracle_product(p, q)
+        assert all(type(c) is Fraction for _, c in product.terms())
+
+
+def test_product_cancellation_and_scalars():
+    p = X**2 * Fraction(1, 3) - Y * Z + Fraction(5, 7)
+    assert (p * p - p * p).is_zero
+    assert list(((X + 1) * (X - 1)).terms()) == [((2, 0, 0), 1), ((0, 0, 0), -1)]
+    assert (p * R3.zero()).is_zero and (R3.zero() * p).is_zero
+    assert (p * 0).is_zero
+    assert list((p * 3).terms()) == [(e, 3 * c) for e, c in p.terms()]
+    assert list((Fraction(-2, 9) * p).terms()) == [(e, Fraction(-2, 9) * c) for e, c in p.terms()]
+    assert p * R3.const(Fraction(7, 4)) == Fraction(7, 4) * p
+
+
+def test_product_wide_exponents():
+    R2 = Ring(("x", "y"))
+    big = R2.from_terms({(2**17, 0): 1})
+    assert list((big * big).terms()) == [((2**18, 0), 1)]
+    huge = R2.from_terms({(2**70, 0): 3})
+    y = R2.var(1)
+    assert list((huge * y * huge).terms()) == [((2**71, 1), 9)]
+    # fields must not carry: x^(2^70) + y times x^(2^70) + 1
+    p = R2.from_terms({(2**70, 0): 1, (0, 1): 1})
+    q = R2.from_terms({(2**70, 0): 1, (0, 0): 1})
+    assert list((p * q).terms()) == _oracle_product(p, q)
+
+
+def test_compose_matches_evaluation_random():
+    rng = random.Random(9)
+    two = Ring(("a", "b"))
+    for _ in range(40):
+        p = rand_poly(rng, R3, max_degree=4, max_terms=5)
+        images = [rand_poly(rng, two, max_degree=3, max_terms=4) for _ in range(3)]
+        pt = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2)]
+        composed = p.compose(images)
+        assert composed.evaluate(pt) == p.evaluate([g.evaluate(pt) for g in images])
 
 
 def test_partial_derivative():

@@ -8,6 +8,7 @@ from gaql.action import exponentiate
 from gaql.derivation import Derivation, apply, certify_locally_nilpotent
 from gaql.poly import PolyMap, Ring, jacobian_det
 from gaql.quotient import (
+    _nullspace,
     check_map_invariant,
     find_local_slice,
     jacobian_derivation,
@@ -114,6 +115,67 @@ def test_find_local_slice_properties():
         assert apply(D, slc.f) == slc.c
         assert not slc.c.is_zero
         assert apply(D, slc.c).is_zero
+
+
+def _fraction_rref_nullspace(rows, ncols):
+    """Gauss-Jordan on Fraction rows: the reference the integer elimination
+    of _nullspace must match vector for vector."""
+    m = [row[:] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = Fraction(1) / m[r][col]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    basis = []
+    for col in range(ncols):
+        if col in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[col] = Fraction(1)
+        for row_idx, pcol in enumerate(pivots):
+            vec[pcol] = -m[row_idx][col]
+        basis.append(vec)
+    return basis
+
+
+def test_nullspace_matches_fraction_rref_random():
+    rng = random.Random(10)
+
+    def rand_q():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    matrices = [([[Fraction(0)] * 4 for _ in range(3)], 4), ([], 3)]
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 10)
+        rank = rng.randint(0, min(nrows, ncols))
+        left = [[rand_q() for _ in range(rank)] for _ in range(nrows)]
+        right = [[rand_q() for _ in range(ncols)] for _ in range(rank)]
+        rows = [[sum((row[k] * right[k][j] for k in range(rank)), Fraction(0)) for j in range(ncols)]
+                for row in left]
+        if rng.random() < 0.3:
+            rows.insert(rng.randint(0, nrows), [Fraction(0)] * ncols)
+        matrices.append((rows, ncols))
+    for rows, ncols in matrices:
+        basis = _nullspace(rows, ncols)
+        assert basis == _fraction_rref_nullspace(rows, ncols)
+        # in reduced echelon form a free column's vector ends at that column
+        free = [max(i for i, v in enumerate(vec) if v) for vec in basis]
+        assert free == sorted(set(free))
+        for vec, col in zip(basis, free):
+            assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in rows)
+            assert [vec[c] for c in free] == [int(c == col) for c in free]
 
 
 def test_find_local_slice_absent_within_bound():
