@@ -144,6 +144,8 @@ def _point(state, value, key, params):
 
 
 def _points(state, value, key, params):
+    if "steps" in params:
+        raise TaskLoadError("steps applies only to a box")
     if not isinstance(value, list) or not value:
         raise TaskLoadError("points must be a nonempty list")
     points = [_rationals(p, key) for p in value]
@@ -420,6 +422,12 @@ _COMMANDS = {
 # task loading
 
 _DECL_KINDS = ("ring", "poly", "map", "derivation", "action", "command")
+_DECL_KEYS = {
+    "poly": {"name", "expr"},
+    "map": {"name", "components", "target"},
+    "derivation": {"name", "images"},
+    "action": {"name", "derivation", "bound"},
+}
 
 
 def _resolve(state: TaskState, body: dict, keys) -> dict:
@@ -448,6 +456,9 @@ def _load_declaration(state: TaskState, kind: str, body):
         raise TaskLoadError("no ring declared yet")
     if not isinstance(body, dict) or not isinstance(body.get("name"), str):
         raise TaskLoadError(f"{kind} declaration needs a name")
+    unknown = set(body).difference(_DECL_KEYS[kind])
+    if unknown:
+        raise TaskLoadError(f"{kind} declaration does not take {sorted(unknown)}")
     name = body["name"]
     if name in getattr(state, kind + "s"):
         raise TaskLoadError(f"{'polynomial' if kind == 'poly' else kind} {name!r} already declared")

@@ -3,7 +3,8 @@
 Plain Buchberger with the normal selection strategy and the two classical
 pair-skipping criteria (coprime leading terms, chain criterion), followed by
 full interreduction.  The reduced basis is unique for a given monomial order,
-so identical inputs always produce identical bases.
+so identical inputs always produce identical bases.  Normal forms
+(`reduce`) come from `poly._divide`, the package's one multivariate division.
 
 Decision procedures built on top: ideal membership, unit-ideal test,
 elimination via block orders, combinatorial Krull dimension, radical
@@ -22,6 +23,7 @@ from .poly import (
     Polynomial,
     Ring,
     RingMismatchError,
+    _divide,
     embed,
     fresh_names,
     grevlex_key,
@@ -108,28 +110,10 @@ def reduce(p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
     No term of the result is divisible by any basis leading term, and
     p minus the result lies in the ideal generated by the basis.
     """
-    divisors = []
-    for b in basis:
-        if b.ring != p.ring:
-            raise RingMismatchError("basis polynomial over a different ring")
-        if not b.is_zero:
-            divisors.append((*leading_term(b, order), b))
-    if not divisors:
-        return p
-    ring = p.ring
-    remainder = {}
-    h = p
-    while not h.is_zero:
-        hm, hc = leading_term(h, order)
-        for bm, bc, b in divisors:
-            if _monomial_divides(bm, hm):
-                shift = tuple(x - y for x, y in zip(hm, bm))
-                h = h - b.mul_monomial(shift, hc / bc)
-                break
-        else:
-            remainder[hm] = hc
-            h = h - Polynomial(ring, {hm: hc})
-    return Polynomial(ring, remainder)
+    if any(b.ring != p.ring for b in basis):
+        raise RingMismatchError("basis polynomial over a different ring")
+    divisors = [b for b in basis if not b.is_zero]
+    return _divide(p, divisors, order.key)[1] if divisors else p
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:

@@ -9,6 +9,10 @@ Products (and so compositions and powers) run on integer numerators over
 one common denominator per operand, with each exponent tuple packed into
 one int; only the output terms become Fractions again.
 
+Division lives in one routine, `_divide`, which works on one exponent ->
+Fraction dict: `groebner.reduce` takes its remainder and the determinant
+its exact quotient.
+
 All operations are pure: values are immutable after construction and safe
 to share across threads.
 """
@@ -19,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, lshift
+from operator import add, le, lshift, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -431,23 +435,36 @@ def embed(p: Polynomial, ring: Ring) -> Polynomial:
     return Polynomial(ring, out)
 
 
-def _exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Quotient p/q when q divides p exactly; internal to the determinant."""
-    if q.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    ring = p.ring
-    quotient: dict[Exponents, Fraction] = {}
-    q_lead, q_coeff = next(iter(q.terms()))
-    rem = p
-    while not rem.is_zero:
-        r_lead, r_coeff = next(iter(rem.terms()))
-        exps = tuple(a - b for a, b in zip(r_lead, q_lead))
-        if any(e < 0 for e in exps):
-            raise ValueError("inexact polynomial division")
-        c = r_coeff / q_coeff
-        quotient[exps] = quotient.get(exps, Fraction(0)) + c
-        rem = rem - q.mul_monomial(exps, c)
-    return Polynomial(ring, quotient)
+def _divide(p: Polynomial, divisors: Sequence[Polynomial], key):
+    """Divide p by nonzero divisors (Cox, Little, O'Shea, Ideals, Varieties,
+    and Algorithms, 2.3): each step divides the leading term (largest under
+    `key`) by the first divisor whose leading monomial divides it, or moves
+    it to the remainder r.  Returns each divisor's quotient q_i as an
+    exponent -> Fraction dict, and r: p = sum(q_i * divisors[i]) + r."""
+    heads = []
+    for d in divisors:
+        lm = max(d._terms, key=key)
+        lc = d._terms[lm]
+        heads.append((lm, lc, [(e, c / lc) for e, c in d._terms.items() if e != lm]))
+    quotients: list[dict[Exponents, Fraction]] = [{} for _ in divisors]
+    remainder: dict[Exponents, Fraction] = {}
+    h = dict(p._terms)  # the working polynomial; no zero is stored
+    while h:
+        hm = max(h, key=key)
+        hc = h.pop(hm)
+        for (lm, lc, tail), quotient in zip(heads, quotients):
+            if all(map(le, lm, hm)):
+                shift = tuple(map(sub, hm, lm))
+                quotient[shift] = hc / lc  # hm falls each step, so no shift repeats
+                for te, tc in tail:
+                    e = tuple(map(add, te, shift))
+                    c = h.pop(e, 0) - hc * tc
+                    if c:
+                        h[e] = c
+                break
+        else:
+            remainder[hm] = hc
+    return quotients, Polynomial._exact_result(p.ring, remainder)
 
 
 def det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
@@ -477,7 +494,10 @@ def det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = _exact_div(num, prev)
+                (quotient,), rem = _divide(num, [prev], grevlex_key)
+                if rem:
+                    raise ValueError("inexact polynomial division")
+                m[i][j] = Polynomial._exact_result(ring, quotient)
             m[i][k] = ring.zero()
         prev = m[k][k]
     result = m[n - 1][n - 1]

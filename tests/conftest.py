@@ -1,5 +1,6 @@
-"""Shared test helpers: random polynomial generation and a cofactor-expansion
-determinant oracle kept independent of the production determinant path."""
+"""Shared test helpers: random polynomial generation, random division
+problems, and a cofactor-expansion determinant oracle kept independent of
+the production determinant path."""
 
 import random
 from fractions import Fraction
@@ -36,6 +37,24 @@ def rand_nonzero_poly(rng, ring, **kw) -> Polynomial:
         p = rand_poly(rng, ring, **kw)
         if not p.is_zero:
             return p
+
+
+def rand_division_case(rng: random.Random, order):
+    """A random p and 1-4 nonzero divisors in 1-4 variables.  About half of
+    the divisors after the first copy an earlier divisor's leading term
+    (scaled) above smaller random terms, so that several divisors share a
+    leading monomial and the choice among them shows in the remainder."""
+    ring = Ring(("x", "y", "z", "w")[: rng.randint(1, 4)])
+    p = rand_poly(rng, ring, max_degree=4, max_terms=6)
+    divisors = []
+    for _ in range(rng.randint(1, 4)):
+        d = rand_nonzero_poly(rng, ring, max_degree=2)
+        if divisors and rng.random() < 0.5:
+            lm, lc = groebner.leading_term(rng.choice(divisors), order)
+            lower = {e: c for e, c in d.terms() if order.key(e) < order.key(lm)}
+            d = Polynomial(ring, {**lower, lm: lc * rng.randint(1, 3)})
+        divisors.append(d)
+    return p, divisors
 
 
 def cofactor_det(rows) -> Polynomial:

@@ -394,6 +394,34 @@ def test_task_bad_json_reports_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "line, unknown",
+    [
+        ({"map": {"name": "M", "components": ["x", "y"], "tgt": ["u", "v"]}}, "['tgt']"),
+        ({"action": {"name": "A", "derivation": "D", "bond": 2}}, "['bond']"),
+    ],
+    ids=["map", "action"],
+)
+def test_task_declaration_unknown_key_is_load_error(capsys, line, unknown):
+    lines = [{"ring": ["x", "y", "z"]}, derivation_d("0", "x", "y"), line]
+    code, records, err = run_cli_text(capsys, "\n".join(json.dumps(o) for o in lines))
+    assert code == 2
+    assert records == []
+    assert f"line 3: {next(iter(line))} declaration does not take {unknown}" in err
+
+
+def test_task_scan_refuses_steps_with_points(capsys):
+    lines = [
+        {"ring": ["x", "y", "z"]},
+        {"map": {"name": "P", "components": ["1+x*z", "y+z+x*y*z"]}},
+        command(cmd="scan", map="P", points=[[0, 0]], steps=5),
+    ]
+    code, records, err = run_cli_text(capsys, "\n".join(json.dumps(o) for o in lines))
+    assert code == 2
+    assert records == []
+    assert "line 3: steps applies only to a box" in err
+
+
 def test_task_stream_continues_after_command_error(capsys):
     good = [
         {"ring": ["x", "y", "z"]},

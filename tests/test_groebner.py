@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import rand_nonzero_poly, rand_poly
+from conftest import rand_division_case, rand_nonzero_poly, rand_poly
 from gaql.groebner import (
     GREVLEX,
     LEX,
@@ -20,7 +20,7 @@ from gaql.groebner import (
     s_polynomial,
     subalgebra_membership,
 )
-from gaql.poly import Ring, RingMismatchError
+from gaql.poly import Polynomial, Ring, RingMismatchError
 
 R2 = Ring(("x", "y"))
 R3 = Ring(("x", "y", "z"))
@@ -78,6 +78,35 @@ def test_reduce_idempotent_random():
         basis = [b for b in basis if not b.is_zero]
         r = reduce(p, basis)
         assert reduce(r, basis) == r
+
+
+def _polynomial_reduce(p, basis, order):
+    """The normal form computed on whole Polynomial values, one division step
+    at a time, re-deriving the working polynomial's leading term each step:
+    the reference the coefficient-dict division must reproduce term for term."""
+    divisors = [(*leading_term(b, order), b) for b in basis if not b.is_zero]
+    if not divisors:
+        return p
+    remainder = {}
+    h = p
+    while not h.is_zero:
+        hm, hc = leading_term(h, order)
+        for bm, bc, b in divisors:
+            if all(x <= y for x, y in zip(bm, hm)):
+                h = h - b.mul_monomial(tuple(x - y for x, y in zip(hm, bm)), hc / bc)
+                break
+        else:
+            remainder[hm] = hc
+            h = h - Polynomial(p.ring, {hm: hc})
+    return Polynomial(p.ring, remainder)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)], ids=str)
+def test_reduce_matches_polynomial_division_random(order):
+    rng = random.Random(13)
+    for _ in range(300):
+        p, divisors = rand_division_case(rng, order)
+        assert reduce(p, divisors, order) == _polynomial_reduce(p, divisors, order)
 
 
 def test_groebner_simple():

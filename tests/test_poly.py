@@ -3,13 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cofactor_det, rand_poly
+from conftest import cofactor_det, rand_division_case, rand_nonzero_poly, rand_poly
+from gaql import poly
+from gaql.groebner import GREVLEX, LEX, block_order, leading_term
 from gaql.poly import (
     NEG_INF,
     PolyMap,
     Polynomial,
     Ring,
     RingMismatchError,
+    _divide,
+    det,
     embed,
     grevlex_key,
     jacobian_det,
@@ -302,6 +306,43 @@ def test_maximal_minors_match_cofactor_oracle_random():
             jac = [[f.partial_derivative(j) for j in range(n)] for f in fs]
             want = tuple(cofactor_det([row[:j] + row[j + 1 :] for row in jac]) for j in range(n))
             assert PolyMap(ring, fs).maximal_minors() == want
+
+
+DIVISION_ORDERS = [GREVLEX, LEX, block_order(1)]
+
+
+@pytest.mark.parametrize("order", DIVISION_ORDERS, ids=str)
+def test_divide_rebuilds_p_with_an_irreducible_remainder_random(order):
+    rng = random.Random(14)
+    for _ in range(300):
+        p, divisors = rand_division_case(rng, order)
+        quotients, r = _divide(p, divisors, order.key)
+        rebuilt = r
+        for q, d in zip(quotients, divisors):
+            rebuilt = rebuilt + Polynomial(p.ring, q) * d
+        assert rebuilt == p
+        lms = [leading_term(d, order)[0] for d in divisors]
+        for e, _ in r.terms():
+            assert not any(all(a <= b for a, b in zip(lm, e)) for lm in lms)
+
+
+@pytest.mark.parametrize("order", DIVISION_ORDERS, ids=str)
+def test_divide_exact_multiples_random(order):
+    rng = random.Random(15)
+    for _ in range(100):
+        ring = Ring(("x", "y", "z", "w")[: rng.randint(1, 4)])
+        p, q = rand_poly(rng, ring), rand_nonzero_poly(rng, ring, max_degree=2)
+        (quotient,), r = _divide(p * q, [q], order.key)
+        assert Polynomial(ring, quotient) == p and r.is_zero
+        if not q.is_constant:
+            assert not _divide(p * q + 1, [q], order.key)[1].is_zero
+
+
+def test_det_refuses_an_inexact_division(monkeypatch):
+    divide = poly._divide
+    monkeypatch.setattr(poly, "_divide", lambda p, divisors, key: divide(p + 1, divisors, key))
+    with pytest.raises(ValueError, match="inexact polynomial division"):
+        det([[X, Y, Z], [Y, Z, X], [Z, X, Y]])
 
 
 def test_jacobian_det_shape_errors():
