@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -123,9 +124,30 @@ def _order(state, value, *_):
     return LEX if value == "lex" else GREVLEX
 
 
+# Fraction("1e100000000") expands the power of ten before anything can look
+# at the value, which takes minutes, so the exponent is checked first.  The
+# bound is CPython's default limit on integer string conversion
+# (sys.get_int_max_str_digits()), past which a record could not echo the
+# value anyway.
+_MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT_RE = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
+
+
+def _decimal(text: str) -> Fraction:
+    """Fraction(text), refusing a decimal exponent beyond the bound."""
+    match = _EXPONENT_RE.search(text)
+    if match:
+        digits = match.group(1).lstrip("+-").replace("_", "").lstrip("0")
+        if len(digits) > 4 or int(digits or "0") > _MAX_DECIMAL_EXPONENT:
+            raise TaskLoadError(
+                f"decimal exponent in {text!r} exceeds {_MAX_DECIMAL_EXPONENT} in magnitude"
+            )
+    return Fraction(text)
+
+
 def _fraction(text, what: str) -> Fraction:
     try:
-        return Fraction(str(text))
+        return _decimal(str(text))
     except (ValueError, ZeroDivisionError):
         raise TaskLoadError(f"malformed rational in {what}: {text!r}") from None
 
@@ -552,9 +574,11 @@ def parse_task_text(text: str):
         if not line.strip():
             continue
         try:
-            objects.append((line_no, json.loads(line, parse_float=Fraction)))
+            objects.append((line_no, json.loads(line, parse_float=_decimal)))
         except json.JSONDecodeError as exc:
             raise TaskLoadError(f"invalid JSON: {exc.msg}", line_no) from None
+        except (TaskLoadError, ValueError) as exc:  # ValueError: a number with too many digits
+            raise TaskLoadError(str(exc), line_no) from None
     return objects
 
 

@@ -93,7 +93,8 @@ def leading_term(p: Polynomial, order: MonomialOrder):
     """(exponents, coefficient) of the order-largest term; p must be nonzero."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no leading term")
-    return max(p.terms(), key=lambda kv: order.key(kv[0]))
+    lm, lc, _ = p._head(order.key)
+    return lm, lc
 
 
 def poly_sort_key(p: Polynomial, order: MonomialOrder):
@@ -181,10 +182,12 @@ def _interreduce(polys: list[Polynomial], order: MonomialOrder) -> tuple[Polynom
     """Minimalize and fully reduce nonzero polys, yielding the unique reduced basis."""
     minimal: list[Polynomial] = []
     lms = []
-    heads = [(leading_term(p, order), p) for p in polys]
-    for (lm, c), p in sorted(heads, key=lambda head: order.key(head[0][0])):
+    heads = sorted((p._head(order.key) for p in polys), key=lambda head: order.key(head[0]))
+    for lm, _, tail in heads:
         if not any(_monomial_divides(m, lm) for m in lms):
-            minimal.append(p * (Fraction(1) / c))
+            monic = dict(tail)  # lm -> 1 plus the monic tail
+            monic[lm] = Fraction(1)
+            minimal.append(Polynomial._exact_result(polys[0].ring, monic))
             lms.append(lm)
     # No other leading monomial divides an element's own, so reducing it
     # against the others keeps its monic leading term; the leading monomials

@@ -13,8 +13,12 @@ Division lives in one routine, `_divide`, which works on one exponent ->
 Fraction dict: `groebner.reduce` takes its remainder and the determinant
 its exact quotient.
 
-All operations are pure: values are immutable after construction and safe
-to share across threads.
+All operations are pure, and the ring and terms of a value never change
+after construction.  The one other slot, the head cache of `_head`, holds
+derived data: per monomial order key, the leading monomial, its coefficient
+and the monic tail, written once on first use for that key and read after.
+It is left out of `==`, `hash` and pickles, and a thread that fills it
+concurrently with another writes the same value.
 """
 
 from __future__ import annotations
@@ -140,7 +144,8 @@ class Ring:
 class Polynomial:
     """Immutable sparse polynomial over a Ring with Fraction coefficients."""
 
-    __slots__ = ("ring", "_terms")
+    # _heads is filled by _head on first use, never by a constructor
+    __slots__ = ("ring", "_terms", "_heads")
 
     def __init__(self, ring: Ring, terms: Mapping[Exponents, Fraction]):
         cleaned = {}
@@ -163,15 +168,42 @@ class Polynomial:
         """Polynomial from arithmetic on valid polynomials: the exponents are
         valid and the coefficients Fractions, so only zeros are dropped and
         the terms sorted."""
+        return cls._ordered_result(
+            ring, dict(sorted([t for t in terms.items() if t[1]], key=_grevlex_descending))
+        )
+
+    @classmethod
+    def _ordered_result(cls, ring: Ring, terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """Polynomial from nonzero terms already in descending grevlex order,
+        as a scalar or monomial multiple of a polynomial gives them."""
         p = object.__new__(cls)
         object.__setattr__(p, "ring", ring)
-        object.__setattr__(
-            p, "_terms", dict(sorted([t for t in terms.items() if t[1]], key=_grevlex_descending))
-        )
+        object.__setattr__(p, "_terms", terms)
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        # rebuilt from ring and terms alone, so a copy starts with no head cache
+        return Polynomial, (self.ring, self._terms)
+
+    def _head(self, key):
+        """(lm, lc, tail) for the order with sort key `key`: the largest
+        monomial, its coefficient, and the other terms divided by it in
+        descending grevlex order.  Computed once per key; self is nonzero."""
+        try:
+            heads = self._heads
+        except AttributeError:
+            heads = {}
+            object.__setattr__(self, "_heads", heads)
+        head = heads.get(key)
+        if head is None:
+            terms = self._terms
+            lm = max(terms, key=key)
+            lc = terms[lm]
+            head = heads[key] = (lm, lc, [(e, c / lc) for e, c in terms.items() if e != lm])
+        return head
 
     # -- inspection ---------------------------------------------------------
 
@@ -257,7 +289,7 @@ class Polynomial:
         return q - self
 
     def __neg__(self):
-        return Polynomial._exact_result(self.ring, {e: -c for e, c in self._terms.items()})
+        return Polynomial._ordered_result(self.ring, {e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other):
         q = self._coerce(other)
@@ -265,6 +297,13 @@ class Polynomial:
             return NotImplemented
         if not self._terms or not q._terms:
             return self.ring.zero()
+        for a, b in ((self, q), (q, self)):
+            if len(b._terms) == 1:
+                ((e, c),) = b._terms.items()
+                if not any(e):  # a constant operand scales the other
+                    return Polynomial._ordered_result(
+                        self.ring, {m: v * c for m, v in a._terms.items()}
+                    )
         # An exponent of the product is at most the sum of the operands'
         # total degrees, so fields this wide never carry into each other.
         width = (max(map(sum, self._terms)) + max(map(sum, q._terms))).bit_length() or 1
@@ -315,7 +354,8 @@ class Polynomial:
             raise ValueError(f"invalid exponent tuple {exps} for arity {self.ring.arity}")
         if coeff == 0:
             return self.ring.zero()
-        return Polynomial._exact_result(
+        # multiplying by a monomial keeps the grevlex order of the terms
+        return Polynomial._ordered_result(
             self.ring,
             {tuple(map(add, e, exps)): c * coeff for e, c in self._terms.items()},
         )
@@ -441,16 +481,13 @@ def _divide(p: Polynomial, divisors: Sequence[Polynomial], key):
     `key`) by the first divisor whose leading monomial divides it, or moves
     it to the remainder r.  Returns each divisor's quotient q_i as an
     exponent -> Fraction dict, and r: p = sum(q_i * divisors[i]) + r."""
-    heads = []
-    for d in divisors:
-        lm = max(d._terms, key=key)
-        lc = d._terms[lm]
-        heads.append((lm, lc, [(e, c / lc) for e, c in d._terms.items() if e != lm]))
+    heads = [d._head(key) for d in divisors]
     quotients: list[dict[Exponents, Fraction]] = [{} for _ in divisors]
     remainder: dict[Exponents, Fraction] = {}
     h = dict(p._terms)  # the working polynomial; no zero is stored
+    keys = {e: key(e) for e in h}  # every monomial h has held, with its key
     while h:
-        hm = max(h, key=key)
+        hm = max(h, key=keys.__getitem__)
         hc = h.pop(hm)
         for (lm, lc, tail), quotient in zip(heads, quotients):
             if all(map(le, lm, hm)):
@@ -461,6 +498,8 @@ def _divide(p: Polynomial, divisors: Sequence[Polynomial], key):
                     c = h.pop(e, 0) - hc * tc
                     if c:
                         h[e] = c
+                        if e not in keys:
+                            keys[e] = key(e)
                 break
         else:
             remainder[hm] = hc

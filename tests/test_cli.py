@@ -1,6 +1,8 @@
 import io
 import json
+import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -678,3 +680,60 @@ def test_subcommand_matches_its_task_file(capsys, argv, lines, one_at_a_time):
     codes = [cli.run_steps(state, batch, out) for batch in batches]
     assert max(codes) == code
     assert without_timing(json.loads(line) for line in out.getvalue().splitlines()) == without_timing(records)
+
+
+def test_task_huge_decimal_exponent_is_load_error_not_hang(tmp_path):
+    # Fraction("1e100000000") alone runs for minutes; the exponent is refused first
+    import os
+    import subprocess
+    import sys
+
+    import gaql
+
+    lines = [
+        '{"ring": ["x", "y", "z"]}',
+        '{"map": {"name": "F", "components": ["x", "y"]}}',
+        '{"command": {"cmd": "fiber", "map": "F", "point": ["1e100000000", 0]}}',
+        '{"command": {"cmd": "fiber", "map": "F", "point": [1E+100000000, 0]}}',
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gaql.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for bad in (2, 3):
+        task = tmp_path / f"task{bad}.jsonl"
+        task.write_text("\n".join(lines[:2] + [lines[bad]]) + "\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "gaql.cli", "run", str(task)],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("gaql: line 3: decimal exponent in ")
+        assert done.stderr.rstrip().endswith(" exceeds 4300 in magnitude")
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1e4300", 10**4300), ("-2.5E-4_300", Fraction(-25, 10**4301)), ("1e4301", None), ("7e-000004301", None)],
+    ids=["1e4300", "-2.5E-4_300", "1e4301", "7e-000004301"],
+)
+def test_decimal_exponent_bound(text, value):
+    if value is None:
+        with pytest.raises(cli.TaskLoadError, match="exceeds 4300"):
+            cli._decimal(text)
+    else:
+        assert cli._decimal(text) == value
+
+
+_INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _INT_DIGIT_LIMIT, reason="no limit on integer string conversion")
+def test_task_integer_past_the_digit_limit_is_load_error(capsys):
+    digits = "7" * (_INT_DIGIT_LIMIT + 700)
+    lines = [
+        '{"ring": ["x", "y", "z"]}',
+        '{"map": {"name": "F", "components": ["x", "y"]}}',
+        '{"command": {"cmd": "fiber", "map": "F", "point": [%s, 0]}}' % digits,
+    ]
+    code, records, err = run_cli_text(capsys, "\n".join(lines))
+    assert code == 2 and records == []
+    assert err.startswith("gaql: line 3: Exceeds the limit")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from gaql.groebner import (
     GREVLEX,
     LEX,
     MonomialOrder,
+    _interreduce,
     block_order,
     buchberger_criterion_holds,
     eliminate,
@@ -107,6 +109,32 @@ def test_reduce_matches_polynomial_division_random(order):
     for _ in range(300):
         p, divisors = rand_division_case(rng, order)
         assert reduce(p, divisors, order) == _polynomial_reduce(p, divisors, order)
+
+
+def _scaling_interreduce(polys, order):
+    """Interreduction that makes each minimal element monic by a product
+    with 1/lc, finding leading terms with a fresh max: the reference for the
+    monic elements built from the cached heads."""
+    minimal, lms = [], []
+    heads = [(max(p.terms(), key=lambda t: order.key(t[0])), p) for p in polys]
+    for (lm, c), p in sorted(heads, key=lambda head: order.key(head[0][0])):
+        if not any(all(a <= b for a, b in zip(m, lm)) for m in lms):
+            minimal.append(p * (Fraction(1) / c))
+            lms.append(lm)
+    reduced = [reduce(p, minimal[:i] + minimal[i + 1 :], order) for i, p in enumerate(minimal)]
+    return tuple(reversed(reduced))
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)], ids=str)
+def test_interreduce_matches_scaling_by_the_leading_coefficient_random(order):
+    rng = random.Random(19)
+    for _ in range(150):
+        _, polys = rand_division_case(rng, order)
+        want = _scaling_interreduce(polys, order)
+        got = _interreduce(polys, order)
+        assert got == want
+        assert [list(p.terms()) for p in got] == [list(p.terms()) for p in want]
+        assert all(leading_term(p, order)[1] == 1 for p in got)
 
 
 def test_groebner_simple():

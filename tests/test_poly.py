@@ -378,3 +378,114 @@ def test_immutability():
     p = X + Y
     with pytest.raises(AttributeError):
         p.ring = R4
+
+
+def _head_oracle(p, key):
+    lm = max((e for e, _ in p.terms()), key=key)
+    lc = p.coefficient(lm)
+    return lm, lc, [(e, c / lc) for e, c in p.terms() if e != lm]
+
+
+def test_head_cache_is_per_order_key_random():
+    # one object queried under five keys in a random interleaving; a cache
+    # that ignored the key would answer with the first key's head
+    keys = [GREVLEX.key, LEX.key, block_order(1).key, block_order(2).key, grevlex_key]
+    rng = random.Random(16)
+    for _ in range(60):
+        p = rand_nonzero_poly(rng, R4, max_degree=4, max_terms=8)
+        for _ in range(15):
+            key = rng.choice(keys)
+            assert p._head(key) == _head_oracle(p, key)
+        assert leading_term(p, LEX) == _head_oracle(p, LEX.key)[:2]
+
+
+def test_head_cache_leaves_value_unchanged():
+    p = 3 * X**2 * Z - Y**3 + Fraction(1, 2) * X * Y + 7
+    before = (list(p.terms()), hash(p), str(p), repr(p))
+    fresh = Polynomial(R3, dict(p.terms()))
+    for order in (GREVLEX, LEX, block_order(1)):
+        leading_term(p, order)
+    assert (list(p.terms()), hash(p), str(p), repr(p)) == before
+    assert p == fresh and fresh == p and hash(p) == hash(fresh)
+
+
+def test_copies_and_pickles_rebuild_from_ring_and_terms():
+    import copy
+    import pickle
+
+    cached = X**2 * Y - Fraction(3, 4) * Z + 1
+    leading_term(cached, LEX)
+    for p in (X * Y - Fraction(3, 4) * Z + 1, cached, R3.zero(), R3.const(5)):
+        for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert twin == p and hash(twin) == hash(p) and str(twin) == str(p)
+            assert list(twin.terms()) == list(p.terms())
+    F = PolyMap(R3, (cached, X + Y))
+    assert copy.deepcopy(F) == F and pickle.loads(pickle.dumps(F)) == F
+
+
+def test_scalar_negated_and_monomial_products_keep_grevlex_order_random():
+    rng = random.Random(17)
+    for _ in range(100):
+        p = rand_nonzero_poly(rng, R4, max_degree=4, max_terms=8)
+        c = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+        m = tuple(rng.randint(0, 2) for _ in range(R4.arity))
+        for result, want in (
+            (p * c, {e: v * c for e, v in p.terms()}),
+            (R4.const(c) * p, {e: v * c for e, v in p.terms()}),
+            (-p, {e: -v for e, v in p.terms()}),
+            (p.mul_monomial(m, c), {tuple(a + b for a, b in zip(e, m)): v * c for e, v in p.terms()}),
+        ):
+            assert list(result.terms()) == list(Polynomial(R4, want).terms())
+
+
+def _divide_oracle(p, divisors, key, events):
+    """The division as it was before the head cache: each call rebuilds the
+    divisors' heads and each step calls key on every working monomial.
+    events counts monomials cancelled to zero and later created again."""
+    heads = []
+    for d in divisors:
+        lm = max(d._terms, key=key)
+        lc = d._terms[lm]
+        heads.append((lm, lc, [(e, c / lc) for e, c in d._terms.items() if e != lm]))
+    quotients = [{} for _ in divisors]
+    remainder = {}
+    h = dict(p._terms)
+    cancelled = set()
+    while h:
+        hm = max(h, key=key)
+        hc = h.pop(hm)
+        for (lm, lc, tail), quotient in zip(heads, quotients):
+            if all(a <= b for a, b in zip(lm, hm)):
+                shift = tuple(a - b for a, b in zip(hm, lm))
+                quotient[shift] = hc / lc
+                for te, tc in tail:
+                    e = tuple(a + b for a, b in zip(te, shift))
+                    was = e in h
+                    c = h.pop(e, 0) - hc * tc
+                    if c:
+                        h[e] = c
+                        events["recreated"] += not was and e in cancelled
+                    else:
+                        cancelled.add(e)
+                break
+        else:
+            remainder[hm] = hc
+    return quotients, Polynomial(p.ring, remainder)
+
+
+@pytest.mark.parametrize("order", DIVISION_ORDERS + [block_order(2)], ids=str)
+def test_divide_matches_uncached_division_random(order):
+    # p is a combination of the divisors plus a few terms, so tails cancel
+    # working monomials, and later steps create some of them again
+    from collections import Counter
+
+    rng = random.Random(18)
+    events = Counter()
+    for _ in range(150):
+        p, divisors = rand_division_case(rng, order)
+        for d in divisors:
+            p = p + rand_poly(rng, p.ring, max_degree=2, max_terms=3) * d
+        assert _divide(p, divisors, order.key) == _divide_oracle(p, divisors, order.key, events)
+        # a second call reads the heads cached by the first
+        assert _divide(p, divisors, order.key) == _divide_oracle(p, divisors, order.key, events)
+    assert events["recreated"] > 0
