@@ -65,16 +65,14 @@ def exponentiate(
     ring = D.ring
     (pname,) = fresh_names((parameter,), ring.variables)
     ext = ring.extended((pname,))
-    t = ext.var(ext.arity - 1)
     components = []
     for i in range(ring.arity):
         comp = embed(ring.var(i), ext)
-        t_power = ext.one()
         for k, deriv in enumerate(cert.chains[i], start=1):
             if deriv.is_zero:
                 break
-            t_power = t_power * t
-            comp = comp + embed(deriv, ext) * t_power * Fraction(1, math.factorial(k))
+            t_k = (0,) * ring.arity + (k,)
+            comp = comp + embed(deriv, ext).mul_monomial(t_k, Fraction(1, math.factorial(k)))
         components.append(comp)
     action = GaAction(
         ring=ring,
@@ -122,8 +120,13 @@ def act(action: GaAction, p: Polynomial) -> Polynomial:
 
 
 def is_invariant(action: GaAction, p: Polynomial) -> bool:
-    """True iff p is unchanged along the flow."""
-    return act(action, p) == embed(p, action.extended_ring)
+    """True iff p is unchanged along the flow.
+
+    Exact with one pullback: exponentiate verified phi(0; x) = x, so
+    p(phi(t; x)) at t = 0 is p, and p(phi(t; x)) equals p exactly when it
+    has no t, that is when its t-degree is 0 (or NEG_INF, for p = 0).
+    """
+    return deg_function(action, p) <= 0
 
 
 def deg_function(action: GaAction, p: Polynomial):

@@ -11,7 +11,8 @@ One table, `_COMMANDS`, gives each command's parameters (kinds in `_PARAMS`),
 from which come its subcommand flags, its task-line checks and its handler call.
 
 Exit codes: 0 all commands ok, 1 at least one command failed, 2 usage or
-parse error.  GAQL_DEFAULT_BOUND overrides the default nilpotency bound.
+parse error.  GAQL_DEFAULT_BOUND overrides the default nilpotency bound; it
+is read and checked once, when a task loads.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -32,7 +32,7 @@ from .derivation import certify_locally_nilpotent, fixed_locus
 from .exprs import PolyParseError, format_polynomial, parse_polynomial
 from .geometry import GridSpec, complement_scan, fiber_probe, singular_locus
 from .groebner import GREVLEX, LEX, subalgebra_membership
-from .poly import NEG_INF, PolyMap, Ring, RingMismatchError
+from .poly import NEG_INF, PolyMap, Ring, RingMismatchError, check_decimal_exponent
 from .quotient import DEFAULT_POWER_BOUND, DEFAULT_SLICE_DEGREE_BOUND, find_local_slice
 from .quotient import jacobian_derivation, slice_coefficient_as_P, verify_localization_identity
 
@@ -54,30 +54,29 @@ class TaskLoadError(Exception):
 
 @dataclass
 class TaskState:
-    """The ring, and per declaration kind a table of names (kind + "s")."""
+    """The ring, per declaration kind a table of names (kind + "s"), and the
+    nilpotency bound of steps that give none (a given bound is at least 1)."""
 
     ring: Ring | None = None
     polys: dict = field(default_factory=dict)
     maps: dict = field(default_factory=dict)
     derivations: dict = field(default_factory=dict)
     actions: dict = field(default_factory=dict)  # name -> GaAction, None until built
+    default_bound: int = DEFAULT_BOUND
 
 
-def _bound(bound: int | None) -> int:
-    """The nilpotency bound a command asked for, or the default."""
-    return int(os.environ.get(BOUND_ENV_VAR, DEFAULT_BOUND)) if bound is None else bound
-
-
-def _check_bound_env():
+def _default_bound() -> int:
+    """GAQL_DEFAULT_BOUND if set, else DEFAULT_BOUND; read when a task loads."""
     raw = os.environ.get(BOUND_ENV_VAR)
     if raw is None:
-        return
+        return DEFAULT_BOUND
     try:
         value = int(raw)
     except ValueError:
         raise TaskLoadError(f"{BOUND_ENV_VAR} must be an integer, got {raw!r}")
     if value < 1:
         raise TaskLoadError(f"{BOUND_ENV_VAR} must be at least 1, got {value}")
+    return value
 
 
 def _split_csv(text: str) -> list[str]:
@@ -124,24 +123,13 @@ def _order(state, value, *_):
     return LEX if value == "lex" else GREVLEX
 
 
-# Fraction("1e100000000") expands the power of ten before anything can look
-# at the value, which takes minutes, so the exponent is checked first.  The
-# bound is CPython's default limit on integer string conversion
-# (sys.get_int_max_str_digits()), past which a record could not echo the
-# value anyway.
-_MAX_DECIMAL_EXPONENT = 4300
-_EXPONENT_RE = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
-
-
 def _decimal(text: str) -> Fraction:
-    """Fraction(text), refusing a decimal exponent beyond the bound."""
-    match = _EXPONENT_RE.search(text)
-    if match:
-        digits = match.group(1).lstrip("+-").replace("_", "").lstrip("0")
-        if len(digits) > 4 or int(digits or "0") > _MAX_DECIMAL_EXPONENT:
-            raise TaskLoadError(
-                f"decimal exponent in {text!r} exceeds {_MAX_DECIMAL_EXPONENT} in magnitude"
-            )
+    """Fraction(text), refusing a decimal exponent beyond the library's bound
+    (`poly.check_decimal_exponent`)."""
+    try:
+        check_decimal_exponent(text)
+    except ValueError as exc:
+        raise TaskLoadError(str(exc)) from None
     return Fraction(text)
 
 
@@ -266,7 +254,8 @@ _PARAMS = {
 def _flow(state, action=None, derivation=None, bound=None) -> GaAction:
     """A declared action, or the flow of a derivation."""
     if action is None:
-        return exponentiate(derivation, certify_locally_nilpotent(derivation, _bound(bound)))
+        cert = certify_locally_nilpotent(derivation, bound or state.default_bound)
+        return exponentiate(derivation, cert)
     flow = state.actions[action]
     if flow is None:  # its declaration's step failed
         raise KeyError(action)
@@ -290,7 +279,7 @@ def _cmd_apply(state, derivation, poly, k=1):
 
 
 def _cmd_nilpotency(state, derivation, bound=None):
-    cert = certify_locally_nilpotent(derivation, _bound(bound))
+    cert = certify_locally_nilpotent(derivation, bound or state.default_bound)
     orders = list(cert.orders) if cert.orders is not None else None
     chains = [[format_polynomial(p) for p in chain] for chain in cert.chains]
     return {"status": cert.status, "bound": cert.bound, "orders": orders, "chains": chains}
@@ -312,9 +301,7 @@ def _cmd_act(state, poly, action=None, derivation=None, bound=None):
 
 def _cmd_invariant(state, poly, action=None, derivation=None, bound=None):
     flow = _flow(state, action, derivation, bound)
-    deg = deg_function(flow, poly)
-    # exponentiate checked that the flow is the identity at t = 0, so a pullback
-    # without t equals p: degree 0 (or NEG_INF for p = 0) means invariant.
+    deg = deg_function(flow, poly)  # invariant iff deg <= 0, as in action.is_invariant
     return {"invariant": deg <= 0, "t_degree": None if deg == NEG_INF else int(deg)}
 
 
@@ -543,9 +530,9 @@ def load_task(objects) -> tuple[TaskState, list]:
     it and the handler's parameters resolved here, once: declared names to
     objects (action names stay names; actions are built when their step
     runs), polynomials parsed, orders to `MonomialOrder`, rationals to
-    `Fraction`.
+    `Fraction`.  GAQL_DEFAULT_BOUND is read here, once, into the state.
     """
-    state = TaskState()
+    state = TaskState(default_bound=_default_bound())
     steps = []
     for line_no, obj in objects:
         try:
@@ -672,7 +659,6 @@ def _synthesize_task(args) -> list:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_bound_env()
         if args.subcommand == "run":
             if args.task == "-":
                 text = sys.stdin.read()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -141,27 +142,22 @@ class GroebnerBasis:
         """Krull dimension of R/I; -1 for the unit ideal.
 
         Read off the leading monomials (combinatorial dimension): the largest
-        variable subset containing no leading monomial's support.  This holds
-        for every monomial order (Greuel-Pfister, A Singular Introduction to
-        Commutative Algebra, Cor. 5.3.14).
+        variable subset containing no leading monomial's support, searched
+        from the largest size down.  This holds for every monomial order
+        (Greuel-Pfister, A Singular Introduction to Commutative Algebra,
+        Cor. 5.3.14).
         """
         if self.is_unit:
             return -1
         if not self.generators:
             raise ValueError("an ideal with no generators has no ring")
         n = self.generators[0].ring.arity
-        supports = [
-            frozenset(i for i, e in enumerate(leading_term(p, self.order)[0]) if e)
-            for p in self.basis
-        ]
-        best = 0
-        for mask in range(1 << n):
-            subset = frozenset(i for i in range(n) if mask >> i & 1)
-            if len(subset) <= best:
-                continue
-            if all(not s <= subset for s in supports):
-                best = len(subset)
-        return best
+        supports = [{i for i, e in enumerate(leading_term(p, self.order)[0]) if e} for p in self.basis]
+        for size in range(n, 0, -1):
+            for subset in map(set, combinations(range(n), size)):
+                if not any(s <= subset for s in supports):
+                    return size
+        return 0
 
     def contains(self, p: Polynomial) -> bool:
         return reduce(p, self.basis, self.order).is_zero
@@ -280,16 +276,10 @@ def eliminate(gens: Sequence[Polynomial], drop: Iterable[int]) -> tuple[Polynomi
     if not drop:
         return tuple(groebner_basis(gens).basis)
     keep = [i for i in range(ring.arity) if i not in drop]
-    perm = drop + keep  # position p in the permuted ring holds variable perm[p]
-    back = [perm.index(i) for i in range(ring.arity)]
-    permuted = Ring(tuple(ring.variables[i] for i in perm))
-
-    def relabel(p: Polynomial, target: Ring, positions) -> Polynomial:
-        return Polynomial(target, {tuple(e[i] for i in positions): c for e, c in p.terms()})
-
-    gb = groebner_basis([relabel(g, permuted, perm) for g in gens], block_order(len(drop)))
+    permuted = Ring(tuple(ring.variables[i] for i in drop + keep))
+    gb = groebner_basis([embed(g, permuted) for g in gens], block_order(len(drop)))
     kept = [
-        relabel(p, ring, back)
+        embed(p, ring)
         for p in gb.basis
         if all(e[pos] == 0 for e, _ in p.terms() for pos in range(len(drop)))
     ]

@@ -7,7 +7,10 @@ stored, and terms are kept in descending graded reverse lexicographic
 
 Products (and so compositions and powers) run on integer numerators over
 one common denominator per operand, with each exponent tuple packed into
-one int; only the output terms become Fractions again.
+one int; only the output terms become Fractions again.  A product by a
+one-term polynomial, constant or not, takes one other path, `_mul_term`
+(which `mul_monomial` also calls): it shifts and scales each term, which
+keeps their grevlex order, so nothing is packed or re-sorted.
 
 Division lives in one routine, `_divide`, which works on one exponent ->
 Fraction dict: `groebner.reduce` takes its remainder and the determinant
@@ -41,13 +44,37 @@ class RingMismatchError(ValueError):
     """Raised when operands or arguments belong to different rings."""
 
 
+# Fraction("1e100000000") expands the power of ten before anything can look
+# at the value, which takes minutes, so a string's exponent is checked
+# first.  The bound is CPython's default limit on integer string conversion
+# (sys.get_int_max_str_digits()), past which the value could not be printed
+# anyway.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT_RE = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
+
+
+def check_decimal_exponent(text: str):
+    """Raise ValueError if text has a decimal exponent beyond
+    MAX_DECIMAL_EXPONENT in magnitude."""
+    match = _EXPONENT_RE.search(text)
+    if match:
+        digits = match.group(1).lstrip("+-").replace("_", "").lstrip("0")
+        if len(digits) > 4 or int(digits or "0") > MAX_DECIMAL_EXPONENT:
+            raise ValueError(
+                f"decimal exponent in {text!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
+            )
+
+
 def _exact(value) -> Fraction:
     """Fraction(value), refusing floats: a float such as 0.1 would silently
-    become its binary expansion 3602879701896397/36028797018963968."""
+    become its binary expansion 3602879701896397/36028797018963968.  A
+    string must pass check_decimal_exponent."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError(f"inexact float {value!r}; pass an int, Fraction, or string")
+    if isinstance(value, str):
+        check_decimal_exponent(value)
     return Fraction(value)
 
 
@@ -300,10 +327,7 @@ class Polynomial:
         for a, b in ((self, q), (q, self)):
             if len(b._terms) == 1:
                 ((e, c),) = b._terms.items()
-                if not any(e):  # a constant operand scales the other
-                    return Polynomial._ordered_result(
-                        self.ring, {m: v * c for m, v in a._terms.items()}
-                    )
+                return a._mul_term(e, c)
         # An exponent of the product is at most the sum of the operands'
         # total degrees, so fields this wide never carry into each other.
         width = (max(map(sum, self._terms)) + max(map(sum, q._terms))).bit_length() or 1
@@ -354,11 +378,17 @@ class Polynomial:
             raise ValueError(f"invalid exponent tuple {exps} for arity {self.ring.arity}")
         if coeff == 0:
             return self.ring.zero()
-        # multiplying by a monomial keeps the grevlex order of the terms
-        return Polynomial._ordered_result(
-            self.ring,
-            {tuple(map(add, e, exps)): c * coeff for e, c in self._terms.items()},
-        )
+        return self._mul_term(exps, coeff)
+
+    def _mul_term(self, exps: Exponents, coeff: Fraction) -> "Polynomial":
+        """Multiply by the term coeff * x^exps, coeff a nonzero Fraction.  A
+        one-term factor keeps the grevlex order of the terms, so they are not
+        re-sorted; a constant (exps all zero) only scales them."""
+        if any(exps):
+            terms = {tuple(map(add, e, exps)): c * coeff for e, c in self._terms.items()}
+        else:
+            terms = {e: c * coeff for e, c in self._terms.items()}
+        return Polynomial._ordered_result(self.ring, terms)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -464,7 +494,8 @@ class Polynomial:
 
 
 def embed(p: Polynomial, ring: Ring) -> Polynomial:
-    """Reinterpret p in a larger ring, matching variables by name."""
+    """Reinterpret p in a ring holding all its variables (a larger ring, or
+    the same variables in another order), matching variables by name."""
     positions = [ring.index(name) for name in p.ring.variables]
     out: dict[Exponents, Fraction] = {}
     for exps, coeff in p.terms():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 
 from .action import GaAction, is_invariant
@@ -25,7 +26,6 @@ from .poly import (
     RingMismatchError,
     _common_denominator,
     fresh_names,
-    grevlex_key,
 )
 
 DEFAULT_SLICE_DEGREE_BOUND = 3
@@ -66,23 +66,17 @@ class LocalSlice:
 
 def _monomials_upto(ring: Ring, degree: int):
     """Exponent tuples of total degree <= degree: degree ascending, and the
-    order-largest monomial first within each degree."""
-    by_degree: dict[int, list] = {d: [] for d in range(degree + 1)}
-
-    def walk(prefix, remaining, pos):
-        if pos == ring.arity - 1:
-            for d in range(remaining + 1):
-                exps = prefix + (d,)
-                by_degree[sum(exps)].append(exps)
-            return
-        for d in range(remaining + 1):
-            walk(prefix + (d,), remaining - d, pos + 1)
-
-    walk((), degree, 0)
-    out = []
+    grevlex-largest monomial first within each degree."""
+    monomials = []
     for d in range(degree + 1):
-        out.extend(sorted(by_degree[d], key=grevlex_key, reverse=True))
-    return out
+        for combo in combinations_with_replacement(range(ring.arity), d):
+            exps = [0] * ring.arity
+            for i in combo:
+                exps[i] += 1
+            monomials.append(tuple(exps))
+    # within a degree, grevlex puts first the monomial whose reversed
+    # exponents are lexicographically smallest
+    return sorted(monomials, key=lambda e: (sum(e), e[::-1]))
 
 
 def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -162,3 +164,41 @@ def test_act_is_ring_hom_random(rotor):
         q = rand_poly(rng, R4, max_degree=2, max_terms=3)
         assert act(rotor, p * q) == act(rotor, p) * act(rotor, q)
         assert act(rotor, p + q) == act(rotor, p) + act(rotor, q)
+
+
+def test_is_invariant_matches_comparing_the_pullback_with_p():
+    rng = random.Random(34)
+    outcomes = set()
+    for A in action_corpus():
+        ring = A.ring
+        candidates = [rand_poly(rng, ring, max_degree=3, max_terms=4) for _ in range(15)]
+        candidates += [ring.zero(), ring.const(3), ring.var(0), ring.var(0) ** 2 - 1]
+        for p in candidates:
+            # the comparison is_invariant made before it read the t-degree
+            want = act(A, p) == embed(p, A.extended_ring)
+            assert is_invariant(A, p) == want, (A, p)
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def _components_by_running_t_power(D, cert, ext):
+    """exponentiate's components as built before with a running power of t."""
+    t = ext.var(ext.arity - 1)
+    components = []
+    for i in range(D.ring.arity):
+        comp = embed(D.ring.var(i), ext)
+        t_power = ext.one()
+        for k, deriv in enumerate(cert.chains[i], start=1):
+            if deriv.is_zero:
+                break
+            t_power = t_power * t
+            comp = comp + embed(deriv, ext) * t_power * Fraction(1, math.factorial(k))
+        components.append(comp)
+    return tuple(components)
+
+
+def test_exponentiate_matches_the_running_t_power():
+    for A in action_corpus():
+        want = _components_by_running_t_power(A.derivation, A.certificate, A.extended_ring)
+        assert A.components == want
+        assert [list(c.terms()) for c in A.components] == [list(c.terms()) for c in want]

@@ -512,6 +512,34 @@ def test_bound_env_override(capsys, monkeypatch):
     assert "GAQL_DEFAULT_BOUND" in err
 
 
+NILPOTENCY_TASK = "\n".join(
+    json.dumps(o)
+    for o in (
+        {"ring": ["x", "y", "z"]},
+        {"derivation": {"name": "D", "images": ["0", "x", "y"]}},
+        {"command": {"cmd": "nilpotency", "derivation": "D"}},
+    )
+)
+
+
+@pytest.mark.parametrize("raw", ["zebra", "0"])
+def test_bad_bound_env_is_a_load_error(monkeypatch, raw):
+    # the benchmark and embedders call load_task and run_steps without main
+    monkeypatch.setenv("GAQL_DEFAULT_BOUND", raw)
+    with pytest.raises(cli.TaskLoadError, match="GAQL_DEFAULT_BOUND"):
+        cli.load_task(cli.parse_task_text(NILPOTENCY_TASK))
+
+
+def test_bound_env_is_read_when_the_task_loads(monkeypatch):
+    monkeypatch.setenv("GAQL_DEFAULT_BOUND", "2")
+    state, steps = cli.load_task(cli.parse_task_text(NILPOTENCY_TASK))
+    monkeypatch.setenv("GAQL_DEFAULT_BOUND", "8")
+    out = io.StringIO()
+    assert cli.run_steps(state, steps, out) == 0
+    payload = json.loads(out.getvalue())["payload"]
+    assert (payload["status"], payload["bound"]) == ("inconclusive", 2)
+
+
 def test_usage_error_from_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fiber", "--ring", "x,y"])  # missing --map/--point

@@ -148,6 +148,23 @@ def test_floats_are_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda value: fiber_probe(PolyMap(R3, (X, Y)), (value, 0)),
+        lambda value: GridSpec(box=((0, value),), steps=2),
+    ],
+    ids=["fiber_probe_point", "grid_box"],
+)
+def test_decimal_exponent_is_bounded(call):
+    # Fraction("1e3000000") alone takes seconds; the exponent is refused first
+    for text in ("1e4301", "-7E+4301", "2.5e-04301"):
+        with pytest.raises(ValueError, match="exceeds 4300 in magnitude"):
+            call(text)
+    assert call("1e4300") == call(10**4300)
+    assert call("1e-4300") == call(Fraction(1, 10**4300))
+
+
 def test_complement_scan_explicit_points():
     reports = complement_scan(F_BILINEAR, [(0, 0, 1), (1, 0, 0), (0, 0, -2)])
     assert [r.point for r in reports] == [

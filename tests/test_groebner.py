@@ -241,6 +241,41 @@ def test_dimension_is_the_same_in_every_order_random():
             assert groebner_basis(gens, order).dimension == want, (gens, order)
 
 
+def _dimension_by_bitmask(gb):
+    """The 2^n subset walk GroebnerBasis.dimension replaced, kept as its oracle."""
+    if gb.is_unit:
+        return -1
+    n = gb.generators[0].ring.arity
+    supports = [
+        frozenset(i for i, e in enumerate(leading_term(p, gb.order)[0]) if e) for p in gb.basis
+    ]
+    best = 0
+    for mask in range(1 << n):
+        subset = frozenset(i for i in range(n) if mask >> i & 1)
+        if len(subset) <= best:
+            continue
+        if all(not s <= subset for s in supports):
+            best = len(subset)
+    return best
+
+
+def test_dimension_matches_the_bitmask_walk_random():
+    rng = random.Random(11)  # the ideals of test_dimension_is_the_same_in_every_order_random
+    seen = set()
+    for _ in range(100):
+        n = rng.randint(2, 4)
+        ring = Ring(("x", "y", "z", "w")[:n])
+        gens = [rand_poly(rng, ring, max_degree=2, max_terms=3) for _ in range(rng.randint(1, n))]
+        gens = [g for g in gens if not g.is_zero]
+        if not gens:
+            continue
+        for order in [GREVLEX, LEX] + [block_order(k) for k in range(1, n)]:
+            gb = groebner_basis(gens, order)
+            assert gb.dimension == _dimension_by_bitmask(gb), (gens, order)
+            seen.add(gb.dimension)
+    assert {-1, 0, 1, 2} <= seen
+
+
 def test_radical_membership():
     assert radical_membership(X, [X**2])
     assert not radical_membership(Y, [X**2])

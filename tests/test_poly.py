@@ -92,6 +92,26 @@ def test_floats_are_rejected(call):
         call()
 
 
+_STRING_ENTRY_POINTS = {
+    "const": lambda text: R3.const(text),
+    "from_terms": lambda text: R3.from_terms({(1, 0, 0): text}),
+    "constructor": lambda text: Polynomial(R3, {(1, 0, 0): text}),
+    "evaluate": lambda text: X.evaluate([text, 0, 0]),
+    "polymap_evaluate": lambda text: PolyMap(R3, (X, Y)).evaluate([text, 0, 0]),
+    "mul_monomial": lambda text: X.mul_monomial((1, 0, 0), text),
+}
+
+
+@pytest.mark.parametrize("call", _STRING_ENTRY_POINTS.values(), ids=_STRING_ENTRY_POINTS.keys())
+def test_decimal_exponent_is_bounded_at_every_entry_point(call):
+    # Fraction("1e3000000") alone takes seconds; the exponent is refused first
+    for text in ("1e4301", "-7E+4301", "2.5e-04301"):
+        with pytest.raises(ValueError, match="exceeds 4300 in magnitude"):
+            call(text)
+    assert call("1e4300") == call(10**4300)
+    assert call("1e-4300") == call(Fraction(1, 10**4300))
+
+
 def test_constructor_stores_fractions():
     p = Polynomial(R3, {(1, 0, 0): 2, (0, 0, 0): Fraction(1, 2)})
     assert [type(c) for _, c in p.terms()] == [Fraction, Fraction]
@@ -429,11 +449,15 @@ def test_scalar_negated_and_monomial_products_keep_grevlex_order_random():
         p = rand_nonzero_poly(rng, R4, max_degree=4, max_terms=8)
         c = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
         m = tuple(rng.randint(0, 2) for _ in range(R4.arity))
+        shifted = {tuple(a + b for a, b in zip(e, m)): v * c for e, v in p.terms()}
+        term = Polynomial(R4, {m: c})  # constant when m is all zero
         for result, want in (
             (p * c, {e: v * c for e, v in p.terms()}),
             (R4.const(c) * p, {e: v * c for e, v in p.terms()}),
             (-p, {e: -v for e, v in p.terms()}),
-            (p.mul_monomial(m, c), {tuple(a + b for a, b in zip(e, m)): v * c for e, v in p.terms()}),
+            (p.mul_monomial(m, c), shifted),
+            (p * term, shifted),
+            (term * p, shifted),
         ):
             assert list(result.terms()) == list(Polynomial(R4, want).terms())
 

@@ -6,8 +6,9 @@ import pytest
 from conftest import cofactor_det, rand_poly
 from gaql.action import exponentiate
 from gaql.derivation import Derivation, apply, certify_locally_nilpotent
-from gaql.poly import PolyMap, Ring, jacobian_det
+from gaql.poly import PolyMap, Ring, grevlex_key, jacobian_det
 from gaql.quotient import (
+    _monomials_upto,
     _nullspace,
     check_map_invariant,
     find_local_slice,
@@ -328,3 +329,31 @@ def test_verify_invariant_generators():
     for c in checks:
         if c.witness is not None:
             assert c.witness.compose(list(F_BILINEAR.components)) == c.candidate
+
+
+def _monomials_upto_walker(ring, degree):
+    """The recursive enumeration _monomials_upto replaced, kept as its oracle."""
+    by_degree = {d: [] for d in range(degree + 1)}
+
+    def walk(prefix, remaining, pos):
+        if pos == ring.arity - 1:
+            for d in range(remaining + 1):
+                exps = prefix + (d,)
+                by_degree[sum(exps)].append(exps)
+            return
+        for d in range(remaining + 1):
+            walk(prefix + (d,), remaining - d, pos + 1)
+
+    walk((), degree, 0)
+    out = []
+    for d in range(degree + 1):
+        out.extend(sorted(by_degree[d], key=grevlex_key, reverse=True))
+    return out
+
+
+def test_monomials_upto_matches_the_recursive_walker():
+    names = ("a", "b", "c", "d", "e", "f", "g")
+    for n in range(1, 8):
+        ring = Ring(names[:n])
+        for degree in range(7):
+            assert _monomials_upto(ring, degree) == _monomials_upto_walker(ring, degree), (n, degree)
