@@ -7,8 +7,10 @@ earlier line; name, schema, and expression problems are load-time errors.
 Each command emits exactly one JSON record on stdout; after a recoverable
 command error the stream continues.
 
-One table, `_COMMANDS`, gives each command's parameters (kinds in `_PARAMS`),
-from which come its subcommand flags, its task-line checks and its handler call.
+One table, `_COMMANDS`, gives each command's handler, whose signature is its
+schema (parameter kinds in `_PARAMS`; no default: required), from which come
+its subcommand flags, its task-line checks and its call.  Handlers return
+library values, and one JSON encoder writes them all in canonical form.
 
 Exit codes: 0 all commands ok, 1 at least one command failed, 2 usage or
 parse error.  GAQL_DEFAULT_BOUND overrides the default nilpotency bound; it
@@ -18,6 +20,7 @@ is read and checked once, when a task loads.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -29,10 +32,10 @@ from typing import Callable, NamedTuple
 from .action import GaAction, UncertifiedDerivationError, act, deg_function, exponentiate
 from .derivation import DEFAULT_BOUND, DegreeExplosionError, Derivation, apply
 from .derivation import certify_locally_nilpotent, fixed_locus
-from .exprs import PolyParseError, format_polynomial, parse_polynomial
+from .exprs import PolyParseError, parse_polynomial
 from .geometry import GridSpec, complement_scan, fiber_probe, singular_locus
 from .groebner import GREVLEX, LEX, subalgebra_membership
-from .poly import NEG_INF, PolyMap, Ring, RingMismatchError, check_decimal_exponent
+from .poly import NEG_INF, PolyMap, Polynomial, Ring, RingMismatchError, _exact, check_decimal_exponent
 from .quotient import DEFAULT_POWER_BOUND, DEFAULT_SLICE_DEGREE_BOUND, find_local_slice
 from .quotient import jacobian_derivation, slice_coefficient_as_P, verify_localization_identity
 
@@ -124,13 +127,13 @@ def _order(state, value, *_):
 
 
 def _decimal(text: str) -> Fraction:
-    """Fraction(text), refusing a decimal exponent beyond the library's bound
-    (`poly.check_decimal_exponent`)."""
+    """The rational `text` in the library's grammar (`poly._exact`); a
+    decimal exponent beyond its bound is a load error of its own."""
     try:
         check_decimal_exponent(text)
     except ValueError as exc:
         raise TaskLoadError(str(exc)) from None
-    return Fraction(text)
+    return _exact(text)
 
 
 def _fraction(text, what: str) -> Fraction:
@@ -180,11 +183,6 @@ def _box(state, value, key, params):
     return tuple(box)
 
 
-def _as_text(values):
-    """Resolved rationals as the canonical strings that records echo."""
-    return [str(v) if isinstance(v, Fraction) else _as_text(v) for v in values]
-
-
 def _derivation_flag(text, args, objects):
     objects.append((None, {"derivation": {"name": "D", "images": _split_csv(text)}}))
     return "D"
@@ -211,7 +209,7 @@ class _Param(NamedTuple):
     its name with `_` written as `-` (`--expr` on `poly`), made with the
     argparse keywords `flag` (None: no flag).  `from_flag(value, args,
     objects)` gives the task value (None: leave it out) and adds the
-    declarations it needs.  Records echo `rational` values in canonical form."""
+    declarations it needs.  Records echo `rational` values as resolved."""
 
     resolve: Callable
     flag: dict | None = None
@@ -267,36 +265,31 @@ def _declare_action(state, name, derivation, bound=None):
 
 
 def _cmd_ring(state):
-    return {"variables": list(state.ring.variables), "arity": state.ring.arity}
+    return {"variables": state.ring.variables, "arity": state.ring.arity}
 
 
 def _cmd_poly(state, poly):
-    return {"canonical": format_polynomial(poly)}
+    return {"canonical": poly}
 
 
 def _cmd_apply(state, derivation, poly, k=1):
-    return {"result": format_polynomial(apply(derivation, poly, k))}
+    return {"result": apply(derivation, poly, k)}
 
 
 def _cmd_nilpotency(state, derivation, bound=None):
     cert = certify_locally_nilpotent(derivation, bound or state.default_bound)
-    orders = list(cert.orders) if cert.orders is not None else None
-    chains = [[format_polynomial(p) for p in chain] for chain in cert.chains]
-    return {"status": cert.status, "bound": cert.bound, "orders": orders, "chains": chains}
+    return {"status": cert.status, "bound": cert.bound, "orders": cert.orders, "chains": cert.chains}
 
 
 def _cmd_exp(state, derivation, bound=None):
     flow = _flow(state, derivation=derivation, bound=bound)
-    return {
-        "parameter": flow.parameter,
-        "components": [format_polynomial(c) for c in flow.components],
-        "orders": list(flow.certificate.orders),
-    }
+    return {"parameter": flow.parameter, "components": flow.components,
+            "orders": flow.certificate.orders}
 
 
 def _cmd_act(state, poly, action=None, derivation=None, bound=None):
     flow = _flow(state, action, derivation, bound)
-    return {"result": format_polynomial(act(flow, poly)), "parameter": flow.parameter}
+    return {"result": act(flow, poly), "parameter": flow.parameter}
 
 
 def _cmd_invariant(state, poly, action=None, derivation=None, bound=None):
@@ -307,22 +300,17 @@ def _cmd_invariant(state, poly, action=None, derivation=None, bound=None):
 
 def _cmd_fixed_locus(state, derivation):
     loc = fixed_locus(derivation)
-    return {
-        "generators": [format_polynomial(g) for g in loc.generators],
-        "dimension": loc.dimension,
-        "fixed_point_free": loc.is_fixed_point_free,
-    }
+    return {"generators": loc.generators, "dimension": loc.dimension,
+            "fixed_point_free": loc.is_fixed_point_free}
 
 
 def _cmd_jacobian_derivation(state, map):
-    return {"images": [format_polynomial(img) for img in jacobian_derivation(map).images]}
+    return {"images": jacobian_derivation(map).images}
 
 
 def _cmd_slice(state, derivation, degree_bound=DEFAULT_SLICE_DEGREE_BOUND):
     slc = find_local_slice(derivation, degree_bound)
-    if slc is None:
-        return {"found": False}
-    return {"found": True, "f": format_polynomial(slc.f), "c": format_polynomial(slc.c)}
+    return {"found": False} if slc is None else {"found": True, "f": slc.f, "c": slc.c}
 
 
 def _cmd_localization(state, derivation, map, poly, degree_bound=DEFAULT_SLICE_DEGREE_BOUND,
@@ -330,37 +318,26 @@ def _cmd_localization(state, derivation, map, poly, degree_bound=DEFAULT_SLICE_D
     slc = find_local_slice(derivation, degree_bound)
     if slc is None:
         return {"found": False}
-    f, c = format_polynomial(slc.f), format_polynomial(slc.c)
-    payload = {"found": True, "f": f, "c": c, "P": None, "k": None, "T": None}
     P = slice_coefficient_as_P(derivation, slc, map)
+    payload = {"found": True, "f": slc.f, "c": slc.c, "P": P, "k": None, "T": None}
     if P is None:
         return payload
-    payload["P"] = format_polynomial(P)
     out = verify_localization_identity(derivation, replace(slc, P=P), map, poly, power_bound)
     if out is not None:
-        k, witness = out
-        payload["k"] = k
-        payload["T"] = format_polynomial(witness)
-        payload["tags"] = list(witness.ring.variables)
+        payload["k"], payload["T"] = out
+        payload["tags"] = payload["T"].ring.variables
     return payload
 
 
 def _cmd_fiber(state, map, point, order=GREVLEX):
-    report = fiber_probe(map, point, order=order)
-    coords = [str(v) for v in report.point]
-    basis = [format_polynomial(p) for p in report.witness.basis]
-    return {"point": coords, "empty": report.empty, "dimension": report.dimension, "basis": basis}
+    r = fiber_probe(map, point, order=order)
+    return {"point": r.point, "empty": r.empty, "dimension": r.dimension, "basis": r.witness.basis}
 
 
 def _cmd_singular_locus(state, map, order=GREVLEX):
-    report = singular_locus(map, order=order)
-    return {
-        "minors": [format_polynomial(m) for m in report.minors],
-        "basis": [format_polynomial(p) for p in report.basis.basis],
-        "dimension": report.dimension,
-        "codimension": report.codimension,
-        "nonsingular_in_codim_1": report.nonsingular_in_codim_1,
-    }
+    r = singular_locus(map, order=order)
+    return {"minors": r.minors, "basis": r.basis.basis, "dimension": r.dimension,
+            "codimension": r.codimension, "nonsingular_in_codim_1": r.nonsingular_in_codim_1}
 
 
 def _cmd_scan(state, map, points=None, box=None, steps=None, order=GREVLEX):
@@ -370,60 +347,47 @@ def _cmd_scan(state, map, points=None, box=None, steps=None, order=GREVLEX):
         probe = GridSpec(box=box, steps=steps)
         probed = probe.steps ** len(probe.box)
     reports = complement_scan(map, probe, order=order)
-    empty = [
-        {"point": [str(v) for v in r.point], "basis": [format_polynomial(p) for p in r.witness.basis]}
-        for r in reports
-    ]
-    return {"probed": probed, "empty": empty}
+    return {"probed": probed, "empty": [{"point": r.point, "basis": r.witness.basis} for r in reports]}
 
 
 def _cmd_subalgebra(state, map, poly):
     witness = subalgebra_membership(poly, map.components, map.target_names)
-    text = None if witness is None else format_polynomial(witness)
-    return {"member": witness is not None, "witness": text, "tags": list(map.target_names)}
+    return {"member": witness is not None, "witness": witness, "tags": map.target_names}
 
 
 class _Command:
-    """Help text, handler, and parameters: `required`, `optional`, and
-    `one_of` (exactly one must be given); `params` has all in `_PARAMS` order."""
+    """Help text, handler, and the handler's parameters after the state, all
+    (`params`, in `_PARAMS` order), without a default (`required`), and
+    exactly one of which must be given (`one_of`)."""
 
-    def __init__(self, help, handler, required=(), optional=(), one_of=()):
+    def __init__(self, help, handler, one_of=()):
         self.help = help
         self.handler = handler
-        self.required = frozenset(required)
         self.one_of = one_of
-        self.params = tuple(key for key in _PARAMS if key in required + optional + one_of)
+        params = inspect.signature(handler).parameters  # the state, then keys of _PARAMS
+        self.params = tuple(key for key in _PARAMS if key in params)
+        self.required = frozenset(k for k in self.params if params[k].default is params[k].empty)
 
 
 _FLOW = ("action", "derivation")
 _COMMANDS = {
     "ring": _Command("validate and echo a ring", _cmd_ring),
-    "poly": _Command("parse and canonically print a polynomial", _cmd_poly, ("poly",)),
-    "apply": _Command("apply a derivation k times", _cmd_apply, ("derivation", "poly"), ("k",)),
-    "nilpotency": _Command(
-        "certify bounded local nilpotency", _cmd_nilpotency, ("derivation",), ("bound",)
-    ),
-    "exp": _Command("exponentiate a certified derivation", _cmd_exp, ("derivation",), ("bound",)),
-    "act": _Command("pull a polynomial back along the flow", _cmd_act, ("poly",), ("bound",), _FLOW),
-    "invariant": _Command(
-        "test invariance under the flow", _cmd_invariant, ("poly",), ("bound",), _FLOW
-    ),
-    "fixed-locus": _Command("vanishing locus of a derivation", _cmd_fixed_locus, ("derivation",)),
-    "jacobian-derivation": _Command("derivation attached to a map", _cmd_jacobian_derivation, ("map",)),
-    "slice": _Command("search for a local slice", _cmd_slice, ("derivation",), ("degree_bound",)),
-    "localization": _Command(
-        "slice, coefficient, and identity", _cmd_localization,
-        ("derivation", "map", "poly"), ("degree_bound", "power_bound"),
-    ),
-    "fiber": _Command("probe one fiber of a map", _cmd_fiber, ("map", "point"), ("order",)),
-    "singular-locus": _Command("rank-drop locus of a map", _cmd_singular_locus, ("map",), ("order",)),
+    "poly": _Command("parse and canonically print a polynomial", _cmd_poly),
+    "apply": _Command("apply a derivation k times", _cmd_apply),
+    "nilpotency": _Command("certify bounded local nilpotency", _cmd_nilpotency),
+    "exp": _Command("exponentiate a certified derivation", _cmd_exp),
+    "act": _Command("pull a polynomial back along the flow", _cmd_act, _FLOW),
+    "invariant": _Command("test invariance under the flow", _cmd_invariant, _FLOW),
+    "fixed-locus": _Command("vanishing locus of a derivation", _cmd_fixed_locus),
+    "jacobian-derivation": _Command("derivation attached to a map", _cmd_jacobian_derivation),
+    "slice": _Command("search for a local slice", _cmd_slice),
+    "localization": _Command("slice, coefficient, and identity", _cmd_localization),
+    "fiber": _Command("probe one fiber of a map", _cmd_fiber),
+    "singular-locus": _Command("rank-drop locus of a map", _cmd_singular_locus),
     "scan": _Command(
-        "probe many fibers, reporting the empty ones", _cmd_scan,
-        ("map",), ("steps", "order"), ("points", "box"),
+        "probe many fibers, reporting the empty ones", _cmd_scan, ("points", "box")
     ),
-    "subalgebra": _Command(
-        "membership in the algebra a map generates", _cmd_subalgebra, ("map", "poly")
-    ),
+    "subalgebra": _Command("membership in the algebra a map generates", _cmd_subalgebra),
 }
 
 
@@ -447,7 +411,7 @@ def _resolve(state: TaskState, body: dict, keys) -> dict:
             param = _PARAMS[key]
             params[key] = param.resolve(state, body[key], key, params)
             if param.rational:
-                body[key] = _as_text(params[key])
+                body[key] = params[key]
     return params
 
 
@@ -592,9 +556,16 @@ def _error(exc: Exception) -> dict:
     return {"code": "internal-error", "message": f"{type(exc).__name__}: {exc}"}
 
 
+def _record_value(value):
+    """A polynomial or rational in a record: its canonical string."""
+    if isinstance(value, (Polynomial, Fraction)):
+        return str(value)
+    raise TypeError(f"a record cannot hold {type(value).__name__}")
+
+
 def _emit(record: dict, started: float, out):
     record["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
-    print(json.dumps(record, sort_keys=True, separators=(",", ":")), file=out)
+    print(json.dumps(record, sort_keys=True, separators=(",", ":"), default=_record_value), file=out)
 
 
 def run_steps(state: TaskState, steps, out) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -102,7 +103,7 @@ def poly_sort_key(p: Polynomial, order: MonomialOrder):
     """Canonical tie-breaking key: term list sorted descending by the order."""
     return tuple(
         (order.key(e), c)
-        for e, c in sorted(p.terms(), key=lambda kv: order.key(kv[0]), reverse=True)
+        for e, c in sorted(p._terms.items(), key=lambda kv: order.key(kv[0]), reverse=True)
     )
 
 
@@ -119,12 +120,20 @@ def reduce(p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    fm, fc = leading_term(f, order)
-    gm, gc = leading_term(g, order)
+    """lcm/lt(f) * f - lcm/lt(g) * g, lcm the leading monomials' lcm: the
+    two leading terms cancel, so it is built from the cached monic tails."""
+    if f.ring != g.ring:
+        raise RingMismatchError("S-polynomial of polynomials over different rings")
+    if f.is_zero or g.is_zero:
+        raise ValueError("the zero polynomial has no leading term")
+    (fm, _, f_tail), (gm, _, g_tail) = f._head(order.key), g._head(order.key)
     lcm = _monomial_lcm(fm, gm)
-    return f.mul_monomial(
-        tuple(a - b for a, b in zip(lcm, fm)), Fraction(1) / fc
-    ) - g.mul_monomial(tuple(a - b for a, b in zip(lcm, gm)), Fraction(1) / gc)
+    f_shift, g_shift = tuple(map(sub, lcm, fm)), tuple(map(sub, lcm, gm))
+    out = {tuple(map(add, e, f_shift)): c for e, c in f_tail}
+    for e, c in g_tail:
+        e = tuple(map(add, e, g_shift))
+        out[e] = out[e] - c if e in out else -c
+    return Polynomial._exact_result(f.ring, {e: c for e, c in out.items() if c})
 
 
 @dataclass(frozen=True)
@@ -281,7 +290,7 @@ def eliminate(gens: Sequence[Polynomial], drop: Iterable[int]) -> tuple[Polynomi
     kept = [
         embed(p, ring)
         for p in gb.basis
-        if all(e[pos] == 0 for e, _ in p.terms() for pos in range(len(drop)))
+        if all(e[pos] == 0 for e in p._terms for pos in range(len(drop)))
     ]
     return tuple(kept)
 
@@ -322,7 +331,6 @@ def subalgebra_membership(
     order = block_order(n)
     gb = groebner_basis(gens, order)
     nf = reduce(embed(g, big), gb.basis, order)
-    if any(any(e[i] for i in range(n)) for e, _ in nf.terms()):
+    if any(any(e[i] for i in range(n)) for e in nf._terms):
         return None
-    target = Ring(names)
-    return Polynomial(target, {e[n:]: c for e, c in nf.terms()})
+    return Polynomial._exact_result(Ring(names), {e[n:]: c for e, c in nf._terms.items()})

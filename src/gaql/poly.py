@@ -1,16 +1,17 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial lives in a fixed ring Q[x_1, .., x_n] and is stored as a map
-from exponent tuples to Fraction coefficients.  Zero coefficients are never
-stored, and terms are kept in descending graded reverse lexicographic
-(grevlex) order so that iteration, printing, and hashing are deterministic.
+A polynomial lives in a fixed ring Q[x_1, .., x_n] and is stored as an
+unordered map from exponent tuples to Fraction coefficients, with no zero
+coefficient stored.  Arithmetic never sorts: only `terms()` and printing put
+the terms in descending graded reverse lexicographic (grevlex) order, the
+canonical form, and equality and hashing do not depend on the order.
 
 Products (and so compositions and powers) run on integer numerators over
 one common denominator per operand, with each exponent tuple packed into
 one int; only the output terms become Fractions again.  A product by a
 one-term polynomial, constant or not, takes one other path, `_mul_term`
-(which `mul_monomial` also calls): it shifts and scales each term, which
-keeps their grevlex order, so nothing is packed or re-sorted.
+(which `mul_monomial` also calls): it shifts and scales each term, so
+nothing is packed.
 
 Division lives in one routine, `_divide`, which works on one exponent ->
 Fraction dict: `groebner.reduce` takes its remainder and the determinant
@@ -65,16 +66,26 @@ def check_decimal_exponent(text: str):
             )
 
 
+# An underscore not between two digits, which Fraction refuses on 3.11+.
+_STRAY_UNDERSCORE_RE = re.compile(r"(?<!\d)_|_(?!\d)")
+
+
 def _exact(value) -> Fraction:
     """Fraction(value), refusing floats: a float such as 0.1 would silently
     become its binary expansion 3602879701896397/36028797018963968.  A
-    string must pass check_decimal_exponent."""
+    string must pass check_decimal_exponent, and may group digits with `_`
+    between two digits on every Python version (Fraction itself accepts
+    that only from 3.11)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError(f"inexact float {value!r}; pass an int, Fraction, or string")
     if isinstance(value, str):
         check_decimal_exponent(value)
+        if "_" in value:
+            if _STRAY_UNDERSCORE_RE.search(value):
+                raise ValueError(f"Invalid literal for Fraction: {value!r}")
+            value = value.replace("_", "")
     return Fraction(value)
 
 
@@ -188,21 +199,12 @@ class Polynomial:
                 raise ValueError(f"negative exponent in {exps}")
             cleaned[exps] = coeff
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", dict(sorted(cleaned.items(), key=_grevlex_descending)))
+        object.__setattr__(self, "_terms", cleaned)
 
     @classmethod
-    def _exact_result(cls, ring: Ring, terms: Mapping[Exponents, Fraction]) -> "Polynomial":
+    def _exact_result(cls, ring: Ring, terms: dict[Exponents, Fraction]) -> "Polynomial":
         """Polynomial from arithmetic on valid polynomials: the exponents are
-        valid and the coefficients Fractions, so only zeros are dropped and
-        the terms sorted."""
-        return cls._ordered_result(
-            ring, dict(sorted([t for t in terms.items() if t[1]], key=_grevlex_descending))
-        )
-
-    @classmethod
-    def _ordered_result(cls, ring: Ring, terms: dict[Exponents, Fraction]) -> "Polynomial":
-        """Polynomial from nonzero terms already in descending grevlex order,
-        as a scalar or monomial multiple of a polynomial gives them."""
+        valid and the coefficients nonzero Fractions, so nothing is checked."""
         p = object.__new__(cls)
         object.__setattr__(p, "ring", ring)
         object.__setattr__(p, "_terms", terms)
@@ -217,8 +219,8 @@ class Polynomial:
 
     def _head(self, key):
         """(lm, lc, tail) for the order with sort key `key`: the largest
-        monomial, its coefficient, and the other terms divided by it in
-        descending grevlex order.  Computed once per key; self is nonzero."""
+        monomial, its coefficient, and the other terms divided by it, in no
+        particular order.  Computed once per key; self is nonzero."""
         try:
             heads = self._heads
         except AttributeError:
@@ -236,7 +238,7 @@ class Polynomial:
 
     def terms(self) -> Iterator[tuple[Exponents, Fraction]]:
         """Iterate (exponents, coefficient) pairs in descending grevlex order."""
-        return iter(self._terms.items())
+        return iter(sorted(self._terms.items(), key=_grevlex_descending))
 
     @property
     def is_zero(self) -> bool:
@@ -296,7 +298,7 @@ class Polynomial:
         out = dict(self._terms)
         for exps, coeff in q._terms.items():
             out[exps] = out[exps] + coeff if exps in out else coeff
-        return Polynomial._exact_result(self.ring, out)
+        return Polynomial._exact_result(self.ring, {e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 
@@ -307,16 +309,14 @@ class Polynomial:
         out = dict(self._terms)
         for exps, coeff in q._terms.items():
             out[exps] = out[exps] - coeff if exps in out else -coeff
-        return Polynomial._exact_result(self.ring, out)
+        return Polynomial._exact_result(self.ring, {e: c for e, c in out.items() if c})
 
     def __rsub__(self, other):
         q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return q - self
+        return NotImplemented if q is None else q - self
 
     def __neg__(self):
-        return Polynomial._ordered_result(self.ring, {e: -c for e, c in self._terms.items()})
+        return Polynomial._exact_result(self.ring, {e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other):
         q = self._coerce(other)
@@ -381,14 +381,13 @@ class Polynomial:
         return self._mul_term(exps, coeff)
 
     def _mul_term(self, exps: Exponents, coeff: Fraction) -> "Polynomial":
-        """Multiply by the term coeff * x^exps, coeff a nonzero Fraction.  A
-        one-term factor keeps the grevlex order of the terms, so they are not
-        re-sorted; a constant (exps all zero) only scales them."""
+        """Multiply by the term coeff * x^exps, coeff a nonzero Fraction; a
+        constant (exps all zero) only scales the terms."""
         if any(exps):
             terms = {tuple(map(add, e, exps)): c * coeff for e, c in self._terms.items()}
         else:
             terms = {e: c * coeff for e, c in self._terms.items()}
-        return Polynomial._ordered_result(self.ring, terms)
+        return Polynomial._exact_result(self.ring, terms)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -401,7 +400,7 @@ class Polynomial:
         # a constant equals its Fraction value, so it must hash like it
         if self.is_constant:
             return hash(self.constant_value())
-        return hash((self.ring, tuple(self._terms.items())))
+        return hash((self.ring, frozenset(self._terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -445,7 +444,7 @@ class Polynomial:
                     term = term * power(i, e)
             for m, c in term._terms.items():
                 out[m] = out[m] + c if m in out else c
-        return Polynomial._exact_result(target, out)
+        return Polynomial._exact_result(target, {e: c for e, c in out.items() if c})
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point."""
@@ -470,7 +469,7 @@ class Polynomial:
         if not self._terms:
             return "0"
         chunks: list[str] = []
-        for exps, coeff in self._terms.items():
+        for exps, coeff in self.terms():
             mono = "*".join(
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(self.ring.variables, exps)
@@ -498,12 +497,12 @@ def embed(p: Polynomial, ring: Ring) -> Polynomial:
     the same variables in another order), matching variables by name."""
     positions = [ring.index(name) for name in p.ring.variables]
     out: dict[Exponents, Fraction] = {}
-    for exps, coeff in p.terms():
+    for exps, coeff in p._terms.items():
         big = [0] * ring.arity
         for pos, e in zip(positions, exps):
             big[pos] = e
         out[tuple(big)] = coeff
-    return Polynomial(ring, out)
+    return Polynomial._exact_result(ring, out)
 
 
 def _divide(p: Polynomial, divisors: Sequence[Polynomial], key):

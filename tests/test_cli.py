@@ -751,6 +751,20 @@ def test_decimal_exponent_bound(text, value):
         assert cli._decimal(text) == value
 
 
+def test_task_rationals_group_digits_on_every_python(capsys):
+    lines = [
+        '{"ring": ["x", "y", "z"]}',
+        '{"map": {"name": "F", "components": ["x", "y"]}}',
+        '{"command": {"cmd": "fiber", "map": "F", "point": ["1_000", "-1_0/4"]}}',
+    ]
+    code, records, _ = run_cli_text(capsys, "\n".join(lines))
+    assert code == 0 and records[0]["command"]["point"] == ["1000", "-5/2"]
+    for bad in ("1__0", "_1", "1_"):
+        code, records, err = run_cli_text(capsys, "\n".join(lines[:2] + [lines[2].replace("1_000", bad)]))
+        assert code == 2 and records == []
+        assert err.startswith(f"gaql: line 3: malformed rational in point: {bad!r}")
+
+
 _INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 

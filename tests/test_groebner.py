@@ -390,6 +390,36 @@ def test_s_polynomial_cancels_leading_terms():
     assert all(e != lcm for e, _ in s.terms())
 
 
+def _scaling_s_polynomial(f, g, order):
+    """The S-polynomial as the difference of two monomial multiples: the
+    reference for the one built from the cached monic tails."""
+    fm, fc = leading_term(f, order)
+    gm, gc = leading_term(g, order)
+    lcm = tuple(map(max, fm, gm))
+    f_multiple = f.mul_monomial(tuple(a - b for a, b in zip(lcm, fm)), 1 / fc)
+    return f_multiple - g.mul_monomial(tuple(a - b for a, b in zip(lcm, gm)), 1 / gc)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)], ids=str)
+def test_s_polynomial_matches_scaled_difference_random(order):
+    # the divisors of a division case often share a leading monomial, so
+    # some pairs cancel beyond their leading terms, some down to zero
+    rng = random.Random(23)
+    zeros = 0
+    for _ in range(150):
+        p, divisors = rand_division_case(rng, order)
+        polys = divisors + [p, p * Fraction(-2, 3)] * (not p.is_zero)
+        for f, g in itertools.product(polys, repeat=2):
+            s = s_polynomial(f, g, order)
+            assert s == _scaling_s_polynomial(f, g, order)
+            zeros += s.is_zero
+    assert zeros > 150
+    with pytest.raises(ValueError, match="no leading term"):
+        s_polynomial(X, R3.zero(), order)
+    with pytest.raises(RingMismatchError):
+        s_polynomial(X, X4, order)
+
+
 def test_ring_mismatch():
     with pytest.raises(RingMismatchError):
         groebner_basis([X, X4])

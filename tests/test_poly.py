@@ -112,6 +112,17 @@ def test_decimal_exponent_is_bounded_at_every_entry_point(call):
     assert call("1e-4300") == call(Fraction(1, 10**4300))
 
 
+@pytest.mark.parametrize("call", _STRING_ENTRY_POINTS.values(), ids=_STRING_ENTRY_POINTS.keys())
+def test_digit_grouping_underscores_on_every_python(call):
+    # Fraction accepts "1_000" only from Python 3.11; the library's grammar
+    # takes `_` between two digits on every version and refuses it elsewhere
+    for text, value in (("1_000", 1000), ("-2.5E-4_3", Fraction(-25, 10**44)), ("1_0/2_0", Fraction(1, 2))):
+        assert call(text) == call(value)
+    for text in ("1__0", "_1", "1_", "1_.5", "1._5", "1_/2", "1e_5", "1_e5"):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            call(text)
+
+
 def test_constructor_stores_fractions():
     p = Polynomial(R3, {(1, 0, 0): 2, (0, 0, 0): Fraction(1, 2)})
     assert [type(c) for _, c in p.terms()] == [Fraction, Fraction]
@@ -415,8 +426,35 @@ def test_head_cache_is_per_order_key_random():
         p = rand_nonzero_poly(rng, R4, max_degree=4, max_terms=8)
         for _ in range(15):
             key = rng.choice(keys)
-            assert p._head(key) == _head_oracle(p, key)
+            # the tail is in no particular order: compare it as a mapping
+            lm, lc, tail = p._head(key)
+            want_lm, want_lc, want_tail = _head_oracle(p, key)
+            assert (lm, lc) == (want_lm, want_lc) and len(tail) == len(want_tail)
+            assert dict(tail) == dict(want_tail)
         assert leading_term(p, LEX) == _head_oracle(p, LEX.key)[:2]
+
+
+def test_value_does_not_depend_on_term_insertion_order_random():
+    # terms are stored unordered: one value built from shuffled dicts, and
+    # reached through arithmetic, must look the same to every observer
+    keys = [GREVLEX.key, LEX.key, block_order(1).key]
+    rng = random.Random(19)
+    for _ in range(100):
+        p = rand_nonzero_poly(rng, R4, max_degree=4, max_terms=8)
+        items = list(p._terms.items())
+        descending = sorted(items, key=lambda t: grevlex_key(t[0]), reverse=True)
+        twins = [p + X4 - X4, (p * 2) * Fraction(1, 2)]
+        for _ in range(3):
+            rng.shuffle(items)
+            twins.append(Polynomial(R4, dict(items)))
+        for q in twins:
+            assert q == p and hash(q) == hash(p) and str(q) == str(p)
+            assert list(q.terms()) == list(p.terms()) == descending
+            for key in keys:
+                lm, lc, tail = q._head(key)
+                want_lm, want_lc, want_tail = p._head(key)
+                assert (lm, lc, dict(tail)) == (want_lm, want_lc, dict(want_tail))
+    assert hash(R4.const(Fraction(3, 4))) == hash(Fraction(3, 4))
 
 
 def test_head_cache_leaves_value_unchanged():
