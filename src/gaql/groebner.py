@@ -5,6 +5,10 @@ pair-skipping criteria (coprime leading terms, chain criterion), followed by
 full interreduction.  The reduced basis is unique for a given monomial order,
 so identical inputs always produce identical bases.  Normal forms
 (`reduce`) come from `poly._divide`, the package's one multivariate division.
+Division, S-polynomials and interreduction run on integer numerators: each
+reads a polynomial's cached head, its monic form x^lm + tail/a with an
+integer tail over a positive integer a, and only the terms of a result
+become Fractions.
 
 Decision procedures built on top: ideal membership, unit-ideal test,
 elimination via block orders, combinatorial Krull dimension, radical
@@ -17,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -62,10 +67,10 @@ class MonomialOrder:
 
     def key(self, exponents: Sequence[int]):
         """Sort key: bigger key means bigger monomial."""
-        if self.kind == "lex":
-            return tuple(exponents)
         if self.kind == "grevlex":
             return grevlex_key(exponents)
+        if self.kind == "lex":
+            return tuple(exponents)
         k = self.front_size
         return (grevlex_key(exponents[:k]), grevlex_key(exponents[k:]))
 
@@ -95,8 +100,7 @@ def leading_term(p: Polynomial, order: MonomialOrder):
     """(exponents, coefficient) of the order-largest term; p must be nonzero."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no leading term")
-    lm, lc, _ = p._head(order.key)
-    return lm, lc
+    return p._head(order.key)[:2]
 
 
 def poly_sort_key(p: Polynomial, order: MonomialOrder):
@@ -121,19 +125,22 @@ def reduce(p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     """lcm/lt(f) * f - lcm/lt(g) * g, lcm the leading monomials' lcm: the
-    two leading terms cancel, so it is built from the cached monic tails."""
+    two leading terms cancel, so it is built from the cached integer monic
+    tails over the lcm of their denominators."""
     if f.ring != g.ring:
         raise RingMismatchError("S-polynomial of polynomials over different rings")
     if f.is_zero or g.is_zero:
         raise ValueError("the zero polynomial has no leading term")
-    (fm, _, f_tail), (gm, _, g_tail) = f._head(order.key), g._head(order.key)
-    lcm = _monomial_lcm(fm, gm)
-    f_shift, g_shift = tuple(map(sub, lcm, fm)), tuple(map(sub, lcm, gm))
-    out = {tuple(map(add, e, f_shift)): c for e, c in f_tail}
+    (fm, _, fa, f_tail), (gm, _, ga, g_tail) = f._head(order.key), g._head(order.key)
+    m = _monomial_lcm(fm, gm)
+    f_shift, g_shift = tuple(map(sub, m, fm)), tuple(map(sub, m, gm))
+    den = lcm(fa, ga)
+    f_scale, g_scale = den // fa, den // ga
+    out = {tuple(map(add, e, f_shift)): c * f_scale for e, c in f_tail}
     for e, c in g_tail:
         e = tuple(map(add, e, g_shift))
-        out[e] = out[e] - c if e in out else -c
-    return Polynomial._exact_result(f.ring, {e: c for e, c in out.items() if c})
+        out[e] = out.get(e, 0) - c * g_scale
+    return Polynomial._exact_result(f.ring, {e: Fraction(c, den) for e, c in out.items() if c})
 
 
 @dataclass(frozen=True)
@@ -188,11 +195,9 @@ def _interreduce(polys: list[Polynomial], order: MonomialOrder) -> tuple[Polynom
     minimal: list[Polynomial] = []
     lms = []
     heads = sorted((p._head(order.key) for p in polys), key=lambda head: order.key(head[0]))
-    for lm, _, tail in heads:
+    for lm, _, a, tail in heads:
         if not any(_monomial_divides(m, lm) for m in lms):
-            monic = dict(tail)  # lm -> 1 plus the monic tail
-            monic[lm] = Fraction(1)
-            minimal.append(Polynomial._exact_result(polys[0].ring, monic))
+            minimal.append(Polynomial._monic_from_head(polys[0].ring, order.key, lm, a, tail))
             lms.append(lm)
     # No other leading monomial divides an element's own, so reducing it
     # against the others keeps its monic leading term; the leading monomials

@@ -13,14 +13,16 @@ one-term polynomial, constant or not, takes one other path, `_mul_term`
 (which `mul_monomial` also calls): it shifts and scales each term, so
 nothing is packed.
 
-Division lives in one routine, `_divide`, which works on one exponent ->
-Fraction dict: `groebner.reduce` takes its remainder and the determinant
-its exact quotient.
+Division lives in one routine, `_divide`, which runs on integer numerators
+over one common denominator: `groebner.reduce` takes its remainder and the
+determinant its exact quotient, and only those terms become Fractions.
 
 All operations are pure, and the ring and terms of a value never change
 after construction.  The one other slot, the head cache of `_head`, holds
 derived data: per monomial order key, the leading monomial, its coefficient
-and the monic tail, written once on first use for that key and read after.
+and the monic tail as integers over one positive denominator, written once
+(on first use for that key, or by `_monic_from_head` for a polynomial built
+from a known head) and read after.
 It is left out of `==`, `hash` and pickles, and a thread that fills it
 concurrently with another writes the same value.
 """
@@ -30,8 +32,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import add, le, lshift, sub
+from math import gcd, lcm
+from operator import add, le, lshift, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -91,7 +93,7 @@ def _exact(value) -> Fraction:
 
 def grevlex_key(exponents: Sequence[int]):
     """Sort key realizing grevlex: higher key means bigger monomial."""
-    return (sum(exponents), tuple(-e for e in reversed(exponents)))
+    return (sum(exponents), tuple(map(neg, reversed(exponents))))
 
 
 def _grevlex_descending(term):
@@ -182,7 +184,7 @@ class Ring:
 class Polynomial:
     """Immutable sparse polynomial over a Ring with Fraction coefficients."""
 
-    # _heads is filled by _head on first use, never by a constructor
+    # _heads is filled by _head on first use, or by _monic_from_head
     __slots__ = ("ring", "_terms", "_heads")
 
     def __init__(self, ring: Ring, terms: Mapping[Exponents, Fraction]):
@@ -210,6 +212,16 @@ class Polynomial:
         object.__setattr__(p, "_terms", terms)
         return p
 
+    @classmethod
+    def _monic_from_head(cls, ring: Ring, key, lm: Exponents, a: int, tail) -> "Polynomial":
+        """The monic polynomial x^lm + tail/a of a head (lm, lc, a, tail)
+        under `key`, with that head already cached: lc = 1, same a and tail."""
+        terms = {e: Fraction(c, a) for e, c in tail}
+        terms[lm] = Fraction(1)
+        p = cls._exact_result(ring, terms)
+        object.__setattr__(p, "_heads", {key: (lm, terms[lm], a, tail)})
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
@@ -218,9 +230,11 @@ class Polynomial:
         return Polynomial, (self.ring, self._terms)
 
     def _head(self, key):
-        """(lm, lc, tail) for the order with sort key `key`: the largest
-        monomial, its coefficient, and the other terms divided by it, in no
-        particular order.  Computed once per key; self is nonzero."""
+        """(lm, lc, a, tail) for the order with sort key `key`: the largest
+        monomial lm, its coefficient lc, and the monic polynomial
+        x^lm + tail/a on integers: a is a positive int, and tail lists the
+        other monomials with int coefficients, in no particular order, whose
+        gcd is coprime to a.  Computed once per key; self is nonzero."""
         try:
             heads = self._heads
         except AttributeError:
@@ -231,7 +245,12 @@ class Polynomial:
             terms = self._terms
             lm = max(terms, key=key)
             lc = terms[lm]
-            head = heads[key] = (lm, lc, [(e, c / lc) for e, c in terms.items() if e != lm])
+            d, nums = _common_denominator(list(terms.values()))
+            # dividing by the content signed like lc leaves a = lead/g > 0
+            lead = lc.numerator * (d // lc.denominator)
+            g = gcd(*nums) if lead > 0 else -gcd(*nums)
+            tail = [(e, n // g) for e, n in zip(terms, nums) if e != lm]
+            head = heads[key] = (lm, lc, lead // g, tail)
         return head
 
     # -- inspection ---------------------------------------------------------
@@ -510,19 +529,33 @@ def _divide(p: Polynomial, divisors: Sequence[Polynomial], key):
     and Algorithms, 2.3): each step divides the leading term (largest under
     `key`) by the first divisor whose leading monomial divides it, or moves
     it to the remainder r.  Returns each divisor's quotient q_i as an
-    exponent -> Fraction dict, and r: p = sum(q_i * divisors[i]) + r."""
+    exponent -> Fraction dict, and r: p = sum(q_i * divisors[i]) + r.
+
+    The working polynomial is integer numerators h over one denominator den,
+    and a step by a divisor with head (lm, lc, a, tail) sets
+    h <- (a/g)*h - (hc/g)*x^shift*tail, g = gcd(a, hc), fraction-free
+    (Greuel and Pfister, A Singular Introduction to Commutative Algebra,
+    1.6); only quotient and remainder terms become Fractions."""
     heads = [d._head(key) for d in divisors]
     quotients: list[dict[Exponents, Fraction]] = [{} for _ in divisors]
     remainder: dict[Exponents, Fraction] = {}
-    h = dict(p._terms)  # the working polynomial; no zero is stored
+    den, nums = _common_denominator(list(p._terms.values()))
+    h = dict(zip(p._terms, nums))  # p = h/den; no zero is stored
     keys = {e: key(e) for e in h}  # every monomial h has held, with its key
     while h:
         hm = max(h, key=keys.__getitem__)
         hc = h.pop(hm)
-        for (lm, lc, tail), quotient in zip(heads, quotients):
+        for (lm, lc, a, tail), quotient in zip(heads, quotients):
             if all(map(le, lm, hm)):
                 shift = tuple(map(sub, hm, lm))
-                quotient[shift] = hc / lc  # hm falls each step, so no shift repeats
+                # hm falls each step, so no shift repeats
+                quotient[shift] = Fraction(hc * lc.denominator, den * lc.numerator)
+                g = gcd(a, hc)
+                if g != a:
+                    scale = a // g
+                    h = {e: c * scale for e, c in h.items()}
+                    den *= scale
+                hc //= g
                 for te, tc in tail:
                     e = tuple(map(add, te, shift))
                     c = h.pop(e, 0) - hc * tc
@@ -532,7 +565,7 @@ def _divide(p: Polynomial, divisors: Sequence[Polynomial], key):
                             keys[e] = key(e)
                 break
         else:
-            remainder[hm] = hc
+            remainder[hm] = Fraction(hc, den)
     return quotients, Polynomial._exact_result(p.ring, remainder)
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -427,10 +428,10 @@ def test_head_cache_is_per_order_key_random():
         for _ in range(15):
             key = rng.choice(keys)
             # the tail is in no particular order: compare it as a mapping
-            lm, lc, tail = p._head(key)
+            lm, lc, a, tail = p._head(key)
             want_lm, want_lc, want_tail = _head_oracle(p, key)
             assert (lm, lc) == (want_lm, want_lc) and len(tail) == len(want_tail)
-            assert dict(tail) == dict(want_tail)
+            assert {e: Fraction(t, a) for e, t in tail} == dict(want_tail)
         assert leading_term(p, LEX) == _head_oracle(p, LEX.key)[:2]
 
 
@@ -451,10 +452,55 @@ def test_value_does_not_depend_on_term_insertion_order_random():
             assert q == p and hash(q) == hash(p) and str(q) == str(p)
             assert list(q.terms()) == list(p.terms()) == descending
             for key in keys:
-                lm, lc, tail = q._head(key)
-                want_lm, want_lc, want_tail = p._head(key)
-                assert (lm, lc, dict(tail)) == (want_lm, want_lc, dict(want_tail))
+                lm, lc, a, tail = q._head(key)
+                want_lm, want_lc, want_a, want_tail = p._head(key)
+                assert len(tail) == len(want_tail)
+                assert (lm, lc, a, dict(tail)) == (want_lm, want_lc, want_a, dict(want_tail))
     assert hash(R4.const(Fraction(3, 4))) == hash(Fraction(3, 4))
+
+
+def _distinct_primes(rng, count):
+    """count distinct random primes below 10**6, so pairwise coprime."""
+    primes = set()
+    while len(primes) < count:
+        n = rng.randrange(1000, 10**6)
+        if all(n % k for k in range(2, int(n**0.5) + 1)):
+            primes.add(n)
+    return list(primes)
+
+
+def _rand_big_poly(rng, ring, primes, **kw):
+    """A random nonzero polynomial whose coefficients have numerators up to
+    10**30, either sign, each over its own prime taken from primes."""
+    shape = rand_nonzero_poly(rng, ring, **kw)
+    return Polynomial(
+        ring,
+        {e: Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**30), primes.pop()) for e, _ in shape.terms()},
+    )
+
+
+def test_head_is_an_integer_monic_form_random():
+    # (lm, lc, a, tail): p = lc * (x^lm + tail/a), a > 0, tail integers
+    # whose content is coprime to a, for every order key
+    keys = [GREVLEX.key, LEX.key, block_order(1).key, block_order(2).key, grevlex_key]
+    rng = random.Random(20)
+    for _ in range(60):
+        primes = _distinct_primes(rng, 8)
+        p = _rand_big_poly(rng, R4, primes, max_degree=4, max_terms=8)
+        for key in keys:
+            lm, lc, a, tail = p._head(key)
+            assert type(a) is int and a > 0 and all(type(t) is int for _, t in tail)
+            assert gcd(a, *(t for _, t in tail)) == 1
+            monic = Polynomial(R4, {lm: 1, **{e: Fraction(t, a) for e, t in tail}})
+            assert monic * lc == p
+
+
+def test_grevlex_key_matches_the_generator_formula_random():
+    rng = random.Random(21)
+    for _ in range(500):
+        exps = tuple(rng.randint(0, 9) for _ in range(rng.randint(1, 6)))
+        want = (sum(exps), tuple(-e for e in reversed(exps)))
+        assert grevlex_key(exps) == want and GREVLEX.key(exps) == want
 
 
 def test_head_cache_leaves_value_unchanged():
@@ -501,9 +547,10 @@ def test_scalar_negated_and_monomial_products_keep_grevlex_order_random():
 
 
 def _divide_oracle(p, divisors, key, events):
-    """The division as it was before the head cache: each call rebuilds the
-    divisors' heads and each step calls key on every working monomial.
-    events counts monomials cancelled to zero and later created again."""
+    """The division on Fractions, as it was before the head cache and the
+    integer numerators: each call rebuilds the divisors' heads and each step
+    calls key on every working monomial.  events counts monomials cancelled
+    to zero and later created again."""
     heads = []
     for d in divisors:
         lm = max(d._terms, key=key)
@@ -551,3 +598,37 @@ def test_divide_matches_uncached_division_random(order):
         # a second call reads the heads cached by the first
         assert _divide(p, divisors, order.key) == _divide_oracle(p, divisors, order.key, events)
     assert events["recreated"] > 0
+
+
+@pytest.mark.parametrize("order", DIVISION_ORDERS, ids=str)
+def test_divide_matches_fraction_division_with_large_coefficients_random(order):
+    # coprime prime denominators and 30-digit numerators give most divisors a
+    # monic denominator a > 1 and keep the integers from cancelling
+    from collections import Counter
+
+    rng = random.Random(22)
+    seen = Counter()
+    for _ in range(40):
+        primes = _distinct_primes(rng, 30)
+        ring = Ring(("x", "y", "z", "w")[: rng.randint(1, 4)])
+        divisors = [_rand_big_poly(rng, ring, primes, max_degree=2) for _ in range(rng.randint(1, 3))]
+        p = _rand_big_poly(rng, ring, primes, max_degree=4)
+        for d in divisors:
+            p = p + _rand_big_poly(rng, ring, primes, max_degree=2, max_terms=3) * d
+            _, lc, a, _ = d._head(order.key)
+            seen["negative lc"] += lc < 0
+            seen["a > 1"] += a > 1
+        assert _divide(p, divisors, order.key) == _divide_oracle(p, divisors, order.key, Counter())
+    assert seen["negative lc"] > 0 and seen["a > 1"] > 0
+
+
+def test_det_of_large_fractional_entries_matches_cofactor_oracle_random():
+    # Bareiss divides exactly by the previous pivot, whose coefficients are
+    # large fractions, so every quotient term comes out of the integer path
+    rng = random.Random(23)
+    for n in (2, 3, 4):
+        ring = Ring(("x", "y", "z")[: rng.randint(1, 3)])
+        for _ in range(6):
+            primes = _distinct_primes(rng, 3 * n * n)
+            rows = [[_rand_big_poly(rng, ring, primes, max_degree=1, max_terms=3) for _ in range(n)] for _ in range(n)]
+            assert det(rows) == cofactor_det(rows)
