@@ -2,10 +2,12 @@
 nilpotent derivations.
 
 The flow of a certified derivation D is the polynomial map with components
-sum_k t^k D^k(x_i) / k!, a finite sum thanks to the certificate.  Both
-action axioms, identity at t = 0 and the one-parameter group law, are
-verified symbolically at construction time so that exponentiation bugs
-surface immediately.
+sum_k t^k D^k(x_i) / k!, a finite sum thanks to the certificate.  Each flow
+is verified at construction time by phi(0; x) = x and d(phi)/dt = D(phi).
+Coefficient by coefficient in t, these force phi = exp(tD)(x); as exp(tD)
+is a ring homomorphism, exp(sD) exp(tD) = exp((s + t)D) gives the group law
+phi(s; phi(t; x)) = phi(s + t; x) (van den Essen, Polynomial Automorphisms,
+2000; Freudenburg, Algebraic Theory of Locally Nilpotent Derivations, 2017).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .derivation import Derivation, NilpotencyCertificate
+from .derivation import Derivation, NilpotencyCertificate, apply
 from .poly import NEG_INF, Polynomial, Ring, RingMismatchError, embed, fresh_names
 
 
@@ -24,7 +26,8 @@ class UncertifiedDerivationError(ValueError):
 
 @dataclass(frozen=True)
 class GaAction:
-    """A polynomial flow phi(t; x) with phi(0; x) = x and the group law."""
+    """The flow phi(t; x) = exp(tD)(x) of a certified derivation D, verified by
+    phi(0; x) = x and d(phi)/dt = D(phi), which imply the group law."""
 
     ring: Ring  # the x-variables
     parameter: str
@@ -80,36 +83,26 @@ def exponentiate(
         components=tuple(components),
         certificate=cert,
     )
-    _verify_identity_at_zero(action)
-    _verify_group_law(action)
+    _verify_flow(action)
     return action
 
 
-def _verify_identity_at_zero(action: GaAction):
+def _verify_flow(action: GaAction):
+    """phi(0; x) = x and d(phi)/dt = D(phi): for phi_i = sum_k t^k c_k with c_k
+    in the base ring, c_0 = x_i and D(c_k) = (k + 1) c_(k+1), D(c_last) = 0."""
     ring = action.ring
-    images = list(ring.gens()) + [ring.zero()]
     for i, comp in enumerate(action.components):
-        if comp.compose(images) != ring.var(i):
-            raise RuntimeError(
-                f"flow does not restrict to the identity at {action.parameter} = 0"
-            )
-
-
-def _verify_group_law(action: GaAction):
-    """Check phi(a; phi(b; x)) = phi(a + b; x) as a polynomial identity."""
-    ring = action.ring
-    n = ring.arity
-    p1, p2 = fresh_names((action.parameter + "1", action.parameter + "2"), ring.variables)
-    big = ring.extended((p1, p2))
-    a = big.var(n)
-    b = big.var(n + 1)
-    x_images = [big.var(i) for i in range(n)]
-    inner = [comp.compose(x_images + [b]) for comp in action.components]
-    for i, comp in enumerate(action.components):
-        lhs = comp.compose(inner + [a])
-        rhs = comp.compose(x_images + [a + b])
-        if lhs != rhs:
-            raise RuntimeError("group law fails for the constructed flow")
+        by_power: dict[int, dict] = {}
+        for exps, coeff in comp.terms():  # the parameter is the last variable
+            by_power.setdefault(exps[-1], {})[exps[:-1]] = coeff
+        coeffs = [ring.from_terms(by_power.get(k, {})) for k in range(max(by_power, default=0) + 1)]
+        if coeffs[0] != ring.var(i):
+            raise RuntimeError(f"flow does not restrict to the identity at {action.parameter} = 0")
+        # one application of D cannot blow up: the degree cap guards iterates,
+        # and the certificate may have been issued under a higher one
+        for k, (c, nxt) in enumerate(zip(coeffs, coeffs[1:] + [ring.zero()])):
+            if apply(action.derivation, c, degree_cap=math.inf) != nxt * (k + 1):
+                raise RuntimeError(f"flow does not satisfy d(phi)/d{action.parameter} = D(phi)")
 
 
 def act(action: GaAction, p: Polynomial) -> Polynomial:
@@ -122,9 +115,10 @@ def act(action: GaAction, p: Polynomial) -> Polynomial:
 def is_invariant(action: GaAction, p: Polynomial) -> bool:
     """True iff p is unchanged along the flow.
 
-    Exact with one pullback: exponentiate verified phi(0; x) = x, so
-    p(phi(t; x)) at t = 0 is p, and p(phi(t; x)) equals p exactly when it
-    has no t, that is when its t-degree is 0 (or NEG_INF, for p = 0).
+    Exact with one pullback: exponentiate verified phi(0; x) = x (with
+    d(phi)/dt = D(phi), which makes phi the flow exp(tD)), so p(phi(t; x))
+    at t = 0 is p, and p(phi(t; x)) equals p exactly when it has no t, that
+    is when its t-degree is 0 (or NEG_INF, for p = 0).
     """
     return deg_function(action, p) <= 0
 

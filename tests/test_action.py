@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -7,13 +8,14 @@ import pytest
 from conftest import rand_poly
 from gaql.action import (
     UncertifiedDerivationError,
+    _verify_flow,
     act,
     deg_function,
     exponentiate,
     is_invariant,
 )
-from gaql.derivation import Derivation, certify_locally_nilpotent
-from gaql.poly import NEG_INF, Ring, embed
+from gaql.derivation import DEFAULT_DEGREE_CAP, Derivation, certify_locally_nilpotent
+from gaql.poly import NEG_INF, Ring, embed, fresh_names
 
 R3 = Ring(("x1", "x2", "x3"))
 R4 = Ring(("x", "y", "u", "v"))
@@ -121,13 +123,103 @@ def test_deg_function(rotor):
     assert deg_function(rotor, U4 * V4) == 2
 
 
+def flow_slice_actions():
+    """The flows D, N and T of the benchmark's flow-slice workload."""
+    ring = Ring(("a", "b", "c", "d", "e"))
+    a, b, c, d, _ = ring.gens()
+    zero = ring.zero()
+    f = 2 * a * c - b**2
+    r = a * c + b**2
+    D = Derivation(ring, (zero,) + tuple(v * f**2 for v in (a, b, c, d)))
+    N = Derivation(ring, (-2 * b * r**3, c * r**3, zero, zero, zero))
+    T = Derivation(ring, (zero, a, b**2, c**2, d))
+    return [exp_of(E) for E in (D, N, T)]
+
+
+def _identity_at_zero_holds(A):
+    """Oracle: phi(0; x) = x, by substituting 0 for the parameter."""
+    ring = A.ring
+    zero_subst = list(ring.gens()) + [ring.zero()]
+    return all(comp.compose(zero_subst) == ring.var(i) for i, comp in enumerate(A.components))
+
+
+def _group_law_holds(A):
+    """Oracle: phi(a; phi(b; x)) = phi(a + b; x) as a polynomial identity, by
+    composing the flow with itself in a ring with two more parameters."""
+    ring = A.ring
+    n = ring.arity
+    p1, p2 = fresh_names((A.parameter + "1", A.parameter + "2"), ring.variables)
+    big = ring.extended((p1, p2))
+    a, b = big.var(n), big.var(n + 1)
+    x_images = [big.var(i) for i in range(n)]
+    inner = [comp.compose(x_images + [b]) for comp in A.components]
+    return all(
+        comp.compose(inner + [a]) == comp.compose(x_images + [a + b]) for comp in A.components
+    )
+
+
 def test_group_law_and_identity_for_corpus():
-    """Construction-time checks hold for every certified flow we build."""
-    for A in action_corpus():
-        ring = A.ring
-        zero_subst = list(ring.gens()) + [ring.zero()]
-        for i, comp in enumerate(A.components):
-            assert comp.compose(zero_subst) == ring.var(i)
+    """Every flow exponentiate accepts passes the compose-based oracle."""
+    for A in action_corpus() + flow_slice_actions():
+        assert _identity_at_zero_holds(A), A
+        assert _group_law_holds(A), A
+
+
+BASIC4 = Ring(("a", "b", "c", "d"))
+
+
+def _basic4_last_component(coefficients, shifts=(0, 0, 0, 0)):
+    """d + sum_k t^(k + shifts[k]) coefficients[k] D^k(d) for D = (0, a, b, c),
+    whose chain on d is c, b, a, 0."""
+    ext = BASIC4.extended(("t",))
+    a, b, c, d, t = ext.gens()
+    terms = zip(coefficients, (d, c, b, a), shifts)
+    return sum((q * v * t ** (k + s) for k, (q, v, s) in enumerate(terms)), ext.zero())
+
+
+@pytest.mark.parametrize(
+    "component",
+    [
+        pytest.param(
+            _basic4_last_component((1, 1, Fraction(1, 2), Fraction(1, 6))) + 1, id="t0-constant-coefficient"
+        ),
+        pytest.param(_basic4_last_component((1, 1, 1, Fraction(1, 6))), id="t2-coefficient"),
+        pytest.param(_basic4_last_component((1, 1, 0, Fraction(1, 6))), id="dropped-chain-term"),
+        pytest.param(_basic4_last_component((1, 1, Fraction(1, 2), 0)), id="dropped-last-chain-term"),
+        pytest.param(
+            _basic4_last_component((1, 1, Fraction(1, 2), Fraction(1, 6)), (0, 0, 1, 0)),
+            id="t2-moved-to-t3",
+        ),
+        pytest.param(
+            _basic4_last_component([Fraction(1, max(k, 1)) for k in range(4)]), id="one-over-k-not-over-k-factorial"
+        ),
+    ],
+)
+def test_mutated_flow_fails_the_check_and_the_oracle(component):
+    a, b, c, _ = BASIC4.gens()
+    A = exp_of(Derivation(BASIC4, (BASIC4.zero(), a, b, c)))
+    assert A.components[3] == _basic4_last_component([Fraction(1, math.factorial(k)) for k in range(4)])
+    mutated = dataclasses.replace(A, components=A.components[:3] + (component,))
+    with pytest.raises(RuntimeError):
+        _verify_flow(mutated)
+    assert not (_identity_at_zero_holds(mutated) and _group_law_holds(mutated))
+
+
+def test_exponentiate_rejects_a_certificate_with_a_wrong_chain():
+    a, b, c, _ = BASIC4.gens()
+    D = Derivation(BASIC4, (BASIC4.zero(), a, b, c))
+    cert = certify_locally_nilpotent(D)
+    chains = cert.chains[:3] + ((c, 2 * b, a, BASIC4.zero()),)
+    with pytest.raises(RuntimeError):
+        exponentiate(D, dataclasses.replace(cert, chains=chains))
+
+
+def test_exponentiate_accepts_a_certificate_issued_under_a_higher_degree_cap():
+    ring = Ring(("x", "y"))
+    D = Derivation(ring, (ring.zero(), ring.var(0) ** (DEFAULT_DEGREE_CAP + 1)))
+    A = exponentiate(D, certify_locally_nilpotent(D, degree_cap=DEFAULT_DEGREE_CAP + 1))
+    ext = A.extended_ring
+    assert A.components[1] == ext.var(1) + ext.var(2) * ext.var(0) ** (DEFAULT_DEGREE_CAP + 1)
 
 
 def test_degree_subadditivity_random():
