@@ -14,8 +14,9 @@ one-term polynomial, constant or not, takes one other path, `_mul_term`
 nothing is packed.
 
 Division lives in one routine, `_divide`, which runs on integer numerators
-over one common denominator: `groebner.reduce` takes its remainder and the
-determinant its exact quotient, and only those terms become Fractions.
+over one common denominator: `groebner.reduce` takes its remainder, whose
+terms become Fractions, and `det` its exact quotient, made of integer pairs
+that only `det` turns into Fractions.
 
 All operations are pure, and the ring and terms of a value never change
 after construction.  The one other slot, the head cache of `_head`, holds
@@ -528,16 +529,18 @@ def _divide(p: Polynomial, divisors: Sequence[Polynomial], key):
     """Divide p by nonzero divisors (Cox, Little, O'Shea, Ideals, Varieties,
     and Algorithms, 2.3): each step divides the leading term (largest under
     `key`) by the first divisor whose leading monomial divides it, or moves
-    it to the remainder r.  Returns each divisor's quotient q_i as an
-    exponent -> Fraction dict, and r: p = sum(q_i * divisors[i]) + r.
+    it to the remainder r.  Returns each divisor's quotient q_i, and r:
+    p = sum(q_i * divisors[i]) + r.  A quotient is an exponent -> (num, den)
+    dict of integer pairs, coefficient num/den, left unreduced because
+    `groebner.reduce` drops the quotients and only `det` reads one.
 
     The working polynomial is integer numerators h over one denominator den,
     and a step by a divisor with head (lm, lc, a, tail) sets
     h <- (a/g)*h - (hc/g)*x^shift*tail, g = gcd(a, hc), fraction-free
     (Greuel and Pfister, A Singular Introduction to Commutative Algebra,
-    1.6); only quotient and remainder terms become Fractions."""
+    1.6); only remainder terms become Fractions."""
     heads = [d._head(key) for d in divisors]
-    quotients: list[dict[Exponents, Fraction]] = [{} for _ in divisors]
+    quotients: list[dict[Exponents, tuple[int, int]]] = [{} for _ in divisors]
     remainder: dict[Exponents, Fraction] = {}
     den, nums = _common_denominator(list(p._terms.values()))
     h = dict(zip(p._terms, nums))  # p = h/den; no zero is stored
@@ -549,7 +552,7 @@ def _divide(p: Polynomial, divisors: Sequence[Polynomial], key):
             if all(map(le, lm, hm)):
                 shift = tuple(map(sub, hm, lm))
                 # hm falls each step, so no shift repeats
-                quotient[shift] = Fraction(hc * lc.denominator, den * lc.numerator)
+                quotient[shift] = (hc * lc.denominator, den * lc.numerator)
                 g = gcd(a, hc)
                 if g != a:
                     scale = a // g
@@ -599,7 +602,9 @@ def det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
                 (quotient,), rem = _divide(num, [prev], grevlex_key)
                 if rem:
                     raise ValueError("inexact polynomial division")
-                m[i][j] = Polynomial._exact_result(ring, quotient)
+                m[i][j] = Polynomial._exact_result(
+                    ring, {e: Fraction(n, d) for e, (n, d) in quotient.items()}
+                )
             m[i][k] = ring.zero()
         prev = m[k][k]
     result = m[n - 1][n - 1]

@@ -7,14 +7,21 @@ For a map F = (f_1, .., f_{n-1}) on an n-variable ring, the associated
 derivation sends R to the Jacobian determinant of (R, f_1, .., f_{n-1}).
 Every component of F is annihilated (a repeated row), so when the
 derivation is certified locally nilpotent its flow leaves F invariant.
+
+The slice search puts the candidate monomials' images under D^2 in echelon
+form one at a time, as sparse vectors, and stops at the first certificate.
+That is exact: a free column's nullspace vector is fixed once the search
+reaches it, so this is the slice a scan of the whole nullspace finds.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
+from operator import itemgetter
 
 from .action import GaAction, is_invariant
 from .derivation import Derivation, apply, kernel_check
@@ -79,46 +86,12 @@ def _monomials_upto(ring: Ring, degree: int):
     return sorted(monomials, key=lambda e: (sum(e), e[::-1]))
 
 
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the exact nullspace via reduced row echelon form.
-
-    One basis vector per free column, in column order, each with entry 1 at
-    its free column.  The elimination is fraction-free: each row is scaled
-    to integers and kept primitive, so it stays a nonzero multiple of the
-    matching row of the (unique) reduced echelon form, whose entries are the
-    ratios read off at the end.
-    """
-    m = [_common_denominator(row)[1] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        p = m[r]
-        a = p[col]
-        for i in range(len(m)):
-            f = m[i][col]
-            if i != r and f != 0:
-                row = [a * x - f * y for x, y in zip(m[i], p)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    basis = []
-    pivot_set = set(pivots)
-    for col in range(ncols):
-        if col in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[col] = Fraction(1)
-        for row_idx, pcol in enumerate(pivots):
-            vec[pcol] = -Fraction(m[row_idx][col], m[row_idx][pcol])
-        basis.append(vec)
-    return basis
+def _subtract_multiple(target: dict, c: int, row: dict):
+    """target -= c * row in place, for sparse vectors; no zero is kept."""
+    for e, v in row.items():
+        t = target.pop(e, 0) - c * v
+        if t:
+            target[e] = t
 
 
 def _integral_normalize(p: Polynomial) -> Polynomial:
@@ -139,33 +112,54 @@ def find_local_slice(
     """Search polynomials of bounded degree for f with D(f) != 0, D^2(f) = 0.
 
     The second condition is linear in the coefficients of f, so the search
-    solves one exact linear system and scans the nullspace basis.  Linearity
-    makes the basis scan complete: if no basis vector has a nonzero image
-    under D, neither does any combination.
+    is an exact sparse echelon over the candidate monomials, in
+    `_monomials_upto` order.  Each candidate's image D^2(m) is reduced
+    against the pivots so far, tracking the combination of candidates whose
+    image it is, and becomes a pivot unless it reduces to zero.  If it does,
+    the combination f has D^2(f) = 0 and lives on this candidate and the
+    earlier pivot candidates, whose images are independent: f is a multiple
+    of the reduced-echelon nullspace vector of this free column.  That
+    vector is fixed once its column is reached, so the first f with
+    D(f) != 0 is the one a scan of the whole nullspace basis in column order
+    finds, and the search stops there.  Linearity makes the scan complete:
+    if no basis vector has a nonzero image under D, neither does any
+    combination.
     """
     if D.is_zero:
         raise ValueError("the zero derivation admits no slice")
     if degree_bound < 1:
         raise ValueError("degree bound must be at least 1")
     ring = D.ring
-    candidates = _monomials_upto(ring, degree_bound)
-    images = []  # D^2 of each candidate monomial
-    row_monomials: dict = {}
-    for exps in candidates:
-        q = apply(D, Polynomial(ring, {exps: Fraction(1)}), 2)
-        images.append(q)
-        for e, _ in q.terms():
-            row_monomials.setdefault(e, len(row_monomials))
-    rows = [[Fraction(0)] * len(candidates) for _ in range(len(row_monomials))]
-    for col, q in enumerate(images):
-        for e, c in q.terms():
-            rows[row_monomials[e]][col] = c
-    for vec in _nullspace(rows, len(candidates)):
-        f = Polynomial(
-            ring, {exps: vec[i] for i, exps in enumerate(candidates) if vec[i]}
-        )
-        c = apply(D, f)
-        if not c.is_zero:
+    # (lead, image, combination): primitive integer vectors with image equal
+    # to D^2 of the combination, lead the largest exponent tuple of the image
+    # and image[lead] > 0, kept in ascending order of lead; reducing by the
+    # largest lead first never brings back a lead already cleared
+    pivots: list[tuple] = []
+    for exps in _monomials_upto(ring, degree_bound):
+        q = apply(D, Polynomial(ring, {exps: Fraction(1)}), 2)._terms
+        den, nums = _common_denominator(list(q.values()))
+        image, combination = dict(zip(q, nums)), {exps: den}
+        for lead, row, row_combination in reversed(pivots):
+            c = image.get(lead)
+            if c:
+                # fraction-free: image <- (a/g)*image - (c/g)*row, g = gcd(a, c)
+                a = row[lead]
+                g = gcd(a, c)
+                if g != a:
+                    image = {e: v * (a // g) for e, v in image.items()}
+                    combination = {e: v * (a // g) for e, v in combination.items()}
+                _subtract_multiple(image, c // g, row)
+                _subtract_multiple(combination, c // g, row_combination)
+        if image:
+            lead = max(image)
+            g = gcd(*image.values(), *combination.values())
+            g = g if image[lead] > 0 else -g
+            image = {e: v // g for e, v in image.items()}
+            combination = {e: v // g for e, v in combination.items()}
+            insort(pivots, (lead, image, combination), key=itemgetter(0))
+            continue
+        f = Polynomial(ring, combination)
+        if not apply(D, f).is_zero:
             f = _integral_normalize(f)
             return LocalSlice(f=f, c=apply(D, f))
     return None

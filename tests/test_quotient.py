@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -9,7 +10,6 @@ from gaql.derivation import Derivation, apply, certify_locally_nilpotent
 from gaql.poly import PolyMap, Ring, grevlex_key, jacobian_det
 from gaql.quotient import (
     _monomials_upto,
-    _nullspace,
     check_map_invariant,
     find_local_slice,
     jacobian_derivation,
@@ -119,8 +119,8 @@ def test_find_local_slice_properties():
 
 
 def _fraction_rref_nullspace(rows, ncols):
-    """Gauss-Jordan on Fraction rows: the reference the integer elimination
-    of _nullspace must match vector for vector."""
+    """Gauss-Jordan on Fraction rows: the reduced-echelon nullspace basis,
+    one vector per free column, in column order."""
     m = [row[:] for row in rows]
     pivots = []
     r = 0
@@ -151,32 +151,105 @@ def _fraction_rref_nullspace(rows, ncols):
     return basis
 
 
-def test_nullspace_matches_fraction_rref_random():
-    rng = random.Random(10)
+def _dense_slice_scan(D, degree_bound):
+    """The local slice by the dense route: the whole D^2 matrix over the
+    candidate monomials, its nullspace basis by _fraction_rref_nullspace,
+    and the first basis vector in column order with D(f) != 0, scaled to
+    be monic and then to integers with content 1."""
+    ring = D.ring
+    candidates = _monomials_upto(ring, degree_bound)
+    images = [apply(D, ring.from_terms({e: 1}), 2) for e in candidates]
+    row_of = {}
+    for q in images:
+        for e, _ in q.terms():
+            row_of.setdefault(e, len(row_of))
+    rows = [[Fraction(0)] * len(candidates) for _ in row_of]
+    for col, q in enumerate(images):
+        for e, c in q.terms():
+            rows[row_of[e]][col] = c
+    for vec in _fraction_rref_nullspace(rows, len(candidates)):
+        f = ring.from_terms({e: v for e, v in zip(candidates, vec) if v})
+        if not apply(D, f).is_zero:
+            f = f * (1 / next(f.terms())[1])
+            return f * lcm(*(c.denominator for _, c in f.terms()))
+    return None
 
-    def rand_q():
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
 
-    matrices = [([[Fraction(0)] * 4 for _ in range(3)], 4), ([], 3)]
-    for _ in range(150):
-        nrows, ncols = rng.randint(1, 8), rng.randint(1, 10)
-        rank = rng.randint(0, min(nrows, ncols))
-        left = [[rand_q() for _ in range(rank)] for _ in range(nrows)]
-        right = [[rand_q() for _ in range(ncols)] for _ in range(rank)]
-        rows = [[sum((row[k] * right[k][j] for k in range(rank)), Fraction(0)) for j in range(ncols)]
-                for row in left]
-        if rng.random() < 0.3:
-            rows.insert(rng.randint(0, nrows), [Fraction(0)] * ncols)
-        matrices.append((rows, ncols))
-    for rows, ncols in matrices:
-        basis = _nullspace(rows, ncols)
-        assert basis == _fraction_rref_nullspace(rows, ncols)
-        # in reduced echelon form a free column's vector ends at that column
-        free = [max(i for i, v in enumerate(vec) if v) for vec in basis]
-        assert free == sorted(set(free))
-        for vec, col in zip(basis, free):
-            assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in rows)
-            assert [vec[c] for c in free] == [int(c == col) for c in free]
+def _random_triangular(rng, ring):
+    """A nonzero triangular derivation, D(x_0) = 0 and D(x_i) a random
+    polynomial in x_0, .., x_{i-1}, seen in coordinates changed by two
+    random substitutions x_k -> x_k + s*x_l, so that its slices are not
+    always single variables."""
+    images = [ring.zero()]
+    for i in range(1, ring.arity):
+        p = rand_poly(rng, ring, max_degree=2, max_terms=3, coeff_bound=2)
+        images.append(ring.from_terms({e: c for e, c in p.terms() if not any(e[i:])}))
+    gens = ring.gens()
+    for _ in range(2):
+        k, l = rng.sample(range(ring.arity), 2)
+        s = rng.choice([1, -1, 2, Fraction(1, 2)])
+        # D' = a D a^-1 for the automorphism a: x_k -> x_k + s*x_l
+        images[k] = images[k] - s * images[l]
+        images = [img.compose(gens[:k] + (gens[k] + s * gens[l],) + gens[k + 1 :]) for img in images]
+    D = Derivation(ring, tuple(images))
+    return _random_triangular(rng, ring) if D.is_zero else D
+
+
+def test_find_local_slice_matches_dense_nullspace_scan():
+    five = Ring(("a", "b", "c", "d", "e"))
+    a, b, c, d, e = five.gens()
+    f, r = 2 * a * c - b**2, a * c + b**2
+    zero = five.zero()
+    cases = [
+        # flow-slice's derivations B, D, N and T
+        (Derivation(five, (zero, a, b, c, d)), 5),
+        (Derivation(five, (zero, a * f**2, b * f**2, c * f**2, d * f**2)), 4),
+        (Derivation(five, (-2 * b * r**3, c * r**3, zero, zero, zero)), 4),
+        (Derivation(five, (zero, a, b**2, c**2, d)), 4),
+    ]
+    two = Ring(("x", "y"))
+    x, y = two.gens()
+    for bound in (1, 2, 3):
+        cases += [
+            (Derivation(R3, (R3.one(), R3.zero(), R3.zero())), bound),
+            (Derivation(R3, (R3.zero(), X, Y)), bound),
+            (Derivation(R4, (R4.zero(), R4.zero(), Y4, -X4)), bound),
+            (Derivation(R3, (R3.zero(), X**2, X + Y**2)), bound),
+            (Derivation(two, (x * y, two.zero())), bound),
+            (jacobian_derivation(F_BILINEAR), bound),
+            (jacobian_derivation(F_PARABOLIC), bound),
+        ]
+    # slices of degree 2 found after many pivots, which reduction by the
+    # largest pivot lead first must bring to zero exactly
+    cases += [
+        (Derivation(R3, (Fraction(2, 3) * X * Z - X, (X + 2) * Fraction(1, 4), R3.zero())), 3),
+        (Derivation(R4, ((2 * Y4 * V4 + 3 * V4**2) * Fraction(-1, 6), R4.zero(),
+                         (2 - X4) * Fraction(1, 3), V4 * Fraction(-1, 2))), 3),
+    ]
+    rng = random.Random(12)
+    for _ in range(16):
+        ring = (R3, R4)[rng.randint(0, 1)]
+        cases.append((_random_triangular(rng, ring), rng.randint(1, 3)))
+    # no slice within the bound: cyclic, Euler and rotation
+    absent = [
+        Derivation(five, (b, c, d, e, a)),
+        Derivation(five, (a, b, c, d, e)),
+        Derivation(five, (-b, a, -d, c, e)),
+    ]
+    cases += [(D, 3) for D in absent]
+    combinations = 0
+    for D, bound in cases:
+        want = _dense_slice_scan(D, bound)
+        slc = find_local_slice(D, bound)
+        if want is None:
+            assert slc is None, (D, bound)
+        else:
+            assert slc.f == want, (D, bound)
+            assert slc.c == apply(D, want)
+            combinations += want.num_terms() > 1
+    assert all(find_local_slice(D, 3) is None for D in absent)
+    # some slices combine several candidates, so the tracked combinations count
+    assert combinations > 0
 
 
 def test_find_local_slice_absent_within_bound():
