@@ -5,10 +5,9 @@ pair-skipping criteria (coprime leading terms, chain criterion), followed by
 full interreduction.  The reduced basis is unique for a given monomial order,
 so identical inputs always produce identical bases.  Normal forms
 (`reduce`) come from `poly._divide`, the package's one multivariate division.
-Division, S-polynomials and interreduction run on integer numerators: each
-reads a polynomial's cached head, its monic form x^lm + tail/a with an
-integer tail over a positive integer a, and only the terms of a result
-become Fractions.
+Division, S-polynomials and interreduction run on integers, reading each
+polynomial's cached head: its monic form x^lm + tail/a, an integer tail over
+a positive integer a.  Coefficients are read only through `poly`'s accessors.
 
 Decision procedures built on top: ideal membership, unit-ideal test,
 elimination via block orders, combinatorial Krull dimension, radical
@@ -19,7 +18,6 @@ variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import add, sub
@@ -100,14 +98,15 @@ def leading_term(p: Polynomial, order: MonomialOrder):
     """(exponents, coefficient) of the order-largest term; p must be nonzero."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no leading term")
-    return p._head(order.key)[:2]
+    lm = p._head(order.key)[0]
+    return lm, p.coefficient(lm)
 
 
 def poly_sort_key(p: Polynomial, order: MonomialOrder):
     """Canonical tie-breaking key: term list sorted descending by the order."""
     return tuple(
         (order.key(e), c)
-        for e, c in sorted(p._terms.items(), key=lambda kv: order.key(kv[0]), reverse=True)
+        for e, c in sorted(p.terms(), key=lambda kv: order.key(kv[0]), reverse=True)
     )
 
 
@@ -131,7 +130,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
         raise RingMismatchError("S-polynomial of polynomials over different rings")
     if f.is_zero or g.is_zero:
         raise ValueError("the zero polynomial has no leading term")
-    (fm, _, fa, f_tail), (gm, _, ga, g_tail) = f._head(order.key), g._head(order.key)
+    (fm, fa, f_tail), (gm, ga, g_tail) = f._head(order.key), g._head(order.key)
     m = _monomial_lcm(fm, gm)
     f_shift, g_shift = tuple(map(sub, m, fm)), tuple(map(sub, m, gm))
     den = lcm(fa, ga)
@@ -140,7 +139,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     for e, c in g_tail:
         e = tuple(map(add, e, g_shift))
         out[e] = out.get(e, 0) - c * g_scale
-    return Polynomial._exact_result(f.ring, {e: Fraction(c, den) for e, c in out.items() if c})
+    return Polynomial._from_integers(f.ring, {e: c for e, c in out.items() if c}, den)
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,7 @@ class GroebnerBasis:
         if not self.generators:
             raise ValueError("an ideal with no generators has no ring")
         n = self.generators[0].ring.arity
-        supports = [{i for i, e in enumerate(leading_term(p, self.order)[0]) if e} for p in self.basis]
+        supports = [{i for i, e in enumerate(p._head(self.order.key)[0]) if e} for p in self.basis]
         for size in range(n, 0, -1):
             for subset in map(set, combinations(range(n), size)):
                 if not any(s <= subset for s in supports):
@@ -195,7 +194,7 @@ def _interreduce(polys: list[Polynomial], order: MonomialOrder) -> tuple[Polynom
     minimal: list[Polynomial] = []
     lms = []
     heads = sorted((p._head(order.key) for p in polys), key=lambda head: order.key(head[0]))
-    for lm, _, a, tail in heads:
+    for lm, a, tail in heads:
         if not any(_monomial_divides(m, lm) for m in lms):
             minimal.append(Polynomial._monic_from_head(polys[0].ring, order.key, lm, a, tail))
             lms.append(lm)
@@ -227,7 +226,7 @@ def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -
     pairs = {}  # (i, j) -> (order key of the lcm, i, j, lcm), i < j
 
     def add(h: Polynomial):
-        lm = leading_term(h, order)[0]
+        lm = h._head(order.key)[0]
         new = len(basis)
         for k, km in enumerate(lms):
             lcm = _monomial_lcm(km, lm)
@@ -292,12 +291,9 @@ def eliminate(gens: Sequence[Polynomial], drop: Iterable[int]) -> tuple[Polynomi
     keep = [i for i in range(ring.arity) if i not in drop]
     permuted = Ring(tuple(ring.variables[i] for i in drop + keep))
     gb = groebner_basis([embed(g, permuted) for g in gens], block_order(len(drop)))
-    kept = [
-        embed(p, ring)
-        for p in gb.basis
-        if all(e[pos] == 0 for e in p._terms for pos in range(len(drop)))
-    ]
-    return tuple(kept)
+    return tuple(
+        embed(p, ring) for p in gb.basis if all(i >= len(drop) for i in p.support_variables())
+    )
 
 
 def radical_membership(p: Polynomial, gens: Sequence[Polynomial]) -> bool:
@@ -336,6 +332,6 @@ def subalgebra_membership(
     order = block_order(n)
     gb = groebner_basis(gens, order)
     nf = reduce(embed(g, big), gb.basis, order)
-    if any(any(e[i] for i in range(n)) for e in nf._terms):
+    if any(i < n for i in nf.support_variables()):
         return None
-    return Polynomial._exact_result(Ring(names), {e[n:]: c for e, c in nf._terms.items()})
+    return Ring(names).from_terms({e[n:]: c for e, c in nf.terms()})

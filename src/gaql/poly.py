@@ -1,29 +1,27 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial lives in a fixed ring Q[x_1, .., x_n] and is stored as an
-unordered map from exponent tuples to Fraction coefficients, with no zero
-coefficient stored.  Arithmetic never sorts: only `terms()` and printing put
-the terms in descending graded reverse lexicographic (grevlex) order, the
-canonical form, and equality and hashing do not depend on the order.
+A polynomial lives in a fixed ring Q[x_1, .., x_n] and is stored as integer
+numerators over one denominator, the layout of FLINT's fmpq_poly: `_den`, a
+positive int, and `_num`, an unordered map from exponent tuples to nonzero
+ints, with gcd(_den, content of _num) = 1.  That form is canonical with no
+term order, so equality and hashing read it as it is, and every kernel works
+on its integers.  Only the accessors that show values (`terms()`,
+`coefficient`, `constant_value`, `evaluate`) make Fractions, and only
+`terms()` and printing sort, into descending graded reverse lexicographic
+(grevlex) order.
 
-Products (and so compositions and powers) run on integer numerators over
-one common denominator per operand, with each exponent tuple packed into
-one int; only the output terms become Fractions again.  A product by a
-one-term polynomial, constant or not, takes one other path, `_mul_term`
-(which `mul_monomial` also calls): it shifts and scales each term, so
-nothing is packed.
+Products (and so compositions and powers) pack each exponent tuple into one
+int; a product by a one-term polynomial, constant or not, takes `_mul_term`
+(which `mul_monomial` also calls), which shifts and scales each term.
+Division lives in one routine, `_divide`: `groebner.reduce` takes its
+remainder, and `det` its exact quotient.
 
-Division lives in one routine, `_divide`, which runs on integer numerators
-over one common denominator: `groebner.reduce` takes its remainder, whose
-terms become Fractions, and `det` its exact quotient, made of integer pairs
-that only `det` turns into Fractions.
-
-All operations are pure, and the ring and terms of a value never change
-after construction.  The one other slot, the head cache of `_head`, holds
-derived data: per monomial order key, the leading monomial, its coefficient
-and the monic tail as integers over one positive denominator, written once
-(on first use for that key, or by `_monic_from_head` for a polynomial built
-from a known head) and read after.
+All operations are pure, and the ring and stored form of a value never
+change after construction.  The one other slot, the head cache of `_head`,
+holds derived data: per monomial order key, the leading monomial and the
+monic tail as integers over one positive int, written once (on first use
+for that key, or by `_monic_from_head` for a polynomial built from a known
+head) and read after.
 It is left out of `==`, `hash` and pickles, and a thread that fills it
 concurrently with another writes the same value.
 """
@@ -34,7 +32,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, le, lshift, neg, sub
+from functools import reduce
+from operator import add, le, lshift, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -104,11 +103,16 @@ def _grevlex_descending(term):
     return (-sum(exps), exps[::-1])
 
 
-def _common_denominator(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The lcm d of the denominators (1 for no coefficients) and each
-    coefficient times d, an integer."""
-    d = lcm(*(c.denominator for c in coeffs))
-    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+def _exponents(exps: Sequence[int], arity: int) -> Exponents:
+    """exps as a tuple of `arity` nonnegative ints, refusing anything else:
+    a float exponent such as 1.5 would print as x^1.5."""
+    exps = tuple(exps)
+    for e in exps:
+        if not isinstance(e, int):
+            raise TypeError(f"exponent {e!r} in {exps} is a {type(e).__name__}, not an int")
+    if len(exps) != arity or min(exps, default=0) < 0:
+        raise ValueError(f"invalid exponent tuple {exps} for arity {arity}")
+    return exps
 
 
 def fresh_names(bases: Sequence[str], avoid: Iterable[str]) -> tuple[str, ...]:
@@ -151,29 +155,28 @@ class Ring:
             raise KeyError(f"no variable {name!r} in ring {self.variables}") from None
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return Polynomial._from_integers(self, {}, 1)
 
     def one(self) -> "Polynomial":
         return self.const(1)
 
     def const(self, value) -> "Polynomial":
         c = _exact(value)
-        if c == 0:
-            return self.zero()
-        return Polynomial(self, {(0,) * self.arity: c})
+        num = {(0,) * self.arity: c.numerator} if c else {}
+        return Polynomial._from_integers(self, num, c.denominator)
 
     def var(self, i: int) -> "Polynomial":
         if not 0 <= i < self.arity:
             raise IndexError(f"variable index {i} out of range for arity {self.arity}")
         exps = [0] * self.arity
         exps[i] = 1
-        return Polynomial(self, {tuple(exps): Fraction(1)})
+        return Polynomial._from_integers(self, {tuple(exps): 1}, 1)
 
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.var(i) for i in range(self.arity))
 
     def from_terms(self, terms: Mapping[Sequence[int], object]) -> "Polynomial":
-        return Polynomial(self, {tuple(e): _exact(c) for e, c in terms.items()})
+        return Polynomial(self, terms)
 
     def extended(self, extra: Sequence[str]) -> "Ring":
         return Ring(self.variables + tuple(extra))
@@ -183,57 +186,56 @@ class Ring:
 
 
 class Polynomial:
-    """Immutable sparse polynomial over a Ring with Fraction coefficients."""
+    """Immutable sparse polynomial over a Ring with rational coefficients,
+    stored as sum(_num[e] * x^e) / _den (see the module docstring)."""
 
     # _heads is filled by _head on first use, or by _monic_from_head
-    __slots__ = ("ring", "_terms", "_heads")
+    __slots__ = ("ring", "_num", "_den", "_heads")
 
-    def __init__(self, ring: Ring, terms: Mapping[Exponents, Fraction]):
-        cleaned = {}
+    def __new__(cls, ring: Ring, terms: Mapping[Sequence[int], object]):
+        values = {}
         for exps, coeff in terms.items():
             coeff = _exact(coeff)
-            if coeff == 0:
-                continue
-            if len(exps) != ring.arity:
-                raise ValueError(
-                    f"exponent tuple {exps} does not match ring arity {ring.arity}"
-                )
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            cleaned[exps] = coeff
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", cleaned)
+            if coeff:
+                values[_exponents(exps, ring.arity)] = coeff
+        den = lcm(*(c.denominator for c in values.values()))
+        num = {e: c.numerator * (den // c.denominator) for e, c in values.items()}
+        return cls._from_integers(ring, num, den)
 
     @classmethod
-    def _exact_result(cls, ring: Ring, terms: dict[Exponents, Fraction]) -> "Polynomial":
-        """Polynomial from arithmetic on valid polynomials: the exponents are
-        valid and the coefficients nonzero Fractions, so nothing is checked."""
+    def _from_integers(cls, ring: Ring, num: dict[Exponents, int], den: int) -> "Polynomial":
+        """sum(num[e] * x^e) / den for valid exponents, nonzero int
+        numerators and a positive int den, so nothing is checked; only the
+        common factor of den and the numerators is divided out."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
         p = object.__new__(cls)
         object.__setattr__(p, "ring", ring)
-        object.__setattr__(p, "_terms", terms)
+        object.__setattr__(p, "_num", num)
+        object.__setattr__(p, "_den", den)
         return p
 
     @classmethod
     def _monic_from_head(cls, ring: Ring, key, lm: Exponents, a: int, tail) -> "Polynomial":
-        """The monic polynomial x^lm + tail/a of a head (lm, lc, a, tail)
-        under `key`, with that head already cached: lc = 1, same a and tail."""
-        terms = {e: Fraction(c, a) for e, c in tail}
-        terms[lm] = Fraction(1)
-        p = cls._exact_result(ring, terms)
-        object.__setattr__(p, "_heads", {key: (lm, terms[lm], a, tail)})
+        """The monic polynomial x^lm + tail/a of a head (lm, a, tail) under
+        `key`, with that head already cached."""
+        p = cls._from_integers(ring, {**dict(tail), lm: a}, a)
+        object.__setattr__(p, "_heads", {key: (lm, a, tail)})
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
-        # rebuilt from ring and terms alone, so a copy starts with no head cache
-        return Polynomial, (self.ring, self._terms)
+        # rebuilt from the stored form alone, so a copy starts with no head cache
+        return Polynomial._from_integers, (self.ring, self._num, self._den)
 
     def _head(self, key):
-        """(lm, lc, a, tail) for the order with sort key `key`: the largest
-        monomial lm, its coefficient lc, and the monic polynomial
-        x^lm + tail/a on integers: a is a positive int, and tail lists the
+        """(lm, a, tail) under the order with sort key `key`: the monic form
+        x^lm + tail/a, lm the largest monomial, a a positive int and tail the
         other monomials with int coefficients, in no particular order, whose
         gcd is coprime to a.  Computed once per key; self is nonzero."""
         try:
@@ -243,58 +245,60 @@ class Polynomial:
             object.__setattr__(self, "_heads", heads)
         head = heads.get(key)
         if head is None:
-            terms = self._terms
-            lm = max(terms, key=key)
-            lc = terms[lm]
-            d, nums = _common_denominator(list(terms.values()))
-            # dividing by the content signed like lc leaves a = lead/g > 0
-            lead = lc.numerator * (d // lc.denominator)
-            g = gcd(*nums) if lead > 0 else -gcd(*nums)
-            tail = [(e, n // g) for e, n in zip(terms, nums) if e != lm]
-            head = heads[key] = (lm, lc, lead // g, tail)
+            num = self._num
+            lm = max(num, key=key)
+            lead = num[lm]
+            # dividing by the content signed like the lead leaves a = lead/g > 0
+            g = gcd(*num.values()) if lead > 0 else -gcd(*num.values())
+            head = heads[key] = (lm, lead // g, [(e, c // g) for e, c in num.items() if e != lm])
         return head
 
     # -- inspection ---------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[Exponents, Fraction]]:
         """Iterate (exponents, coefficient) pairs in descending grevlex order."""
-        return iter(sorted(self._terms.items(), key=_grevlex_descending))
+        den = self._den
+        return ((e, Fraction(c, den)) for e, c in sorted(self._num.items(), key=_grevlex_descending))
+
+    def integer_form(self) -> tuple[int, dict[Exponents, int]]:
+        """(den, num), a copy of the stored form: self = sum(num[e] * x^e) / den."""
+        return self._den, dict(self._num)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def num_terms(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+        return Fraction(self._num.get(tuple(exps), 0), self._den)
 
     def constant_value(self) -> Fraction:
-        return self._terms.get((0,) * self.ring.arity, Fraction(0))
+        return self.coefficient((0,) * self.ring.arity)
 
     @property
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self._terms)
+        return not any(map(any, self._num))
 
     def total_degree(self):
         """Total degree; NEG_INF for the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             return NEG_INF
-        return max(sum(exps) for exps in self._terms)
+        return max(sum(exps) for exps in self._num)
 
     def degree_in(self, i: int):
         """Degree in variable i; NEG_INF for the zero polynomial."""
         if not 0 <= i < self.ring.arity:
             raise IndexError(f"variable index {i} out of range")
-        if not self._terms:
+        if not self._num:
             return NEG_INF
-        return max(exps[i] for exps in self._terms)
+        return max(exps[i] for exps in self._num)
 
     def support_variables(self) -> set[int]:
         """Indices of variables actually occurring."""
         seen: set[int] = set()
-        for exps in self._terms:
+        for exps in self._num:
             seen.update(i for i, e in enumerate(exps) if e)
         return seen
 
@@ -311,51 +315,53 @@ class Polynomial:
             return self.ring.const(other)
         return None
 
+    def _plus(self, q: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * q, over the lcm of the two denominators."""
+        den = lcm(self._den, q._den)
+        a, b = den // self._den, sign * (den // q._den)
+        out = dict(self._num) if a == 1 else {e: c * a for e, c in self._num.items()}
+        get = out.get
+        for e, c in q._num.items():
+            c = get(e, 0) + c * b
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return Polynomial._from_integers(self.ring, out, den)
+
     def __add__(self, other):
         q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for exps, coeff in q._terms.items():
-            out[exps] = out[exps] + coeff if exps in out else coeff
-        return Polynomial._exact_result(self.ring, {e: c for e, c in out.items() if c})
+        return NotImplemented if q is None else self._plus(q, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for exps, coeff in q._terms.items():
-            out[exps] = out[exps] - coeff if exps in out else -coeff
-        return Polynomial._exact_result(self.ring, {e: c for e, c in out.items() if c})
+        return NotImplemented if q is None else self._plus(q, -1)
 
     def __rsub__(self, other):
         q = self._coerce(other)
         return NotImplemented if q is None else q - self
 
     def __neg__(self):
-        return Polynomial._exact_result(self.ring, {e: -c for e, c in self._terms.items()})
+        return Polynomial._from_integers(self.ring, {e: -c for e, c in self._num.items()}, self._den)
 
     def __mul__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        if not self._terms or not q._terms:
+        if not self._num or not q._num:
             return self.ring.zero()
         for a, b in ((self, q), (q, self)):
-            if len(b._terms) == 1:
-                ((e, c),) = b._terms.items()
-                return a._mul_term(e, c)
+            if len(b._num) == 1:
+                ((e, c),) = b._num.items()
+                return a._mul_term(e, c, b._den)
         # An exponent of the product is at most the sum of the operands'
         # total degrees, so fields this wide never carry into each other.
-        width = (max(map(sum, self._terms)) + max(map(sum, q._terms))).bit_length() or 1
+        width = (max(map(sum, self._num)) + max(map(sum, q._num))).bit_length() or 1
         shifts = range(0, width * self.ring.arity, width)
-        da, na = _common_denominator(list(self._terms.values()))
-        db, nb = _common_denominator(list(q._terms.values()))
-        pa = [(sum(map(lshift, e, shifts)), c) for e, c in zip(self._terms, na)]
-        pb = [(sum(map(lshift, e, shifts)), c) for e, c in zip(q._terms, nb)]
+        pa = [(sum(map(lshift, e, shifts)), c) for e, c in self._num.items()]
+        pb = [(sum(map(lshift, e, shifts)), c) for e, c in q._num.items()]
         acc: dict[int, int] = {}
         get = acc.get
         for ka, ca in pa:
@@ -363,17 +369,10 @@ class Polynomial:
                 k = ka + kb
                 acc[k] = get(k, 0) + ca * cb
         mask = (1 << width) - 1
-        denom = da * db
-        return Polynomial._exact_result(
+        return Polynomial._from_integers(
             self.ring,
-            {
-                # Fraction(v) skips the gcd that Fraction(v, 1) would take
-                tuple([k >> s & mask for s in shifts]): (
-                    Fraction(v, denom) if denom > 1 else Fraction(v)
-                )
-                for k, v in acc.items()
-                if v
-            },
+            {tuple([k >> s & mask for s in shifts]): v for k, v in acc.items() if v},
+            self._den * q._den,
         )
 
     __rmul__ = __mul__
@@ -392,38 +391,36 @@ class Polynomial:
 
     def mul_monomial(self, exps: Sequence[int], coeff: Fraction) -> "Polynomial":
         """Multiply by coeff * x^exps in one pass."""
-        exps = tuple(exps)
+        exps = _exponents(exps, self.ring.arity)
         coeff = _exact(coeff)
-        if len(exps) != self.ring.arity or min(exps) < 0:
-            raise ValueError(f"invalid exponent tuple {exps} for arity {self.ring.arity}")
         if coeff == 0:
             return self.ring.zero()
-        return self._mul_term(exps, coeff)
+        return self._mul_term(exps, coeff.numerator, coeff.denominator)
 
-    def _mul_term(self, exps: Exponents, coeff: Fraction) -> "Polynomial":
-        """Multiply by the term coeff * x^exps, coeff a nonzero Fraction; a
-        constant (exps all zero) only scales the terms."""
+    def _mul_term(self, exps: Exponents, num: int, den: int) -> "Polynomial":
+        """Multiply by the term (num/den) * x^exps, num a nonzero int and den
+        a positive int; a constant (exps all zero) only scales the terms."""
         if any(exps):
-            terms = {tuple(map(add, e, exps)): c * coeff for e, c in self._terms.items()}
+            out = {tuple(map(add, e, exps)): c * num for e, c in self._num.items()}
         else:
-            terms = {e: c * coeff for e, c in self._terms.items()}
-        return Polynomial._exact_result(self.ring, terms)
+            out = {e: c * num for e, c in self._num.items()}
+        return Polynomial._from_integers(self.ring, out, self._den * den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self._terms == other._terms
+        return self.ring == other.ring and self._den == other._den and self._num == other._num
 
     def __hash__(self):
         # a constant equals its Fraction value, so it must hash like it
         if self.is_constant:
             return hash(self.constant_value())
-        return hash((self.ring, frozenset(self._terms.items())))
+        return hash((self.ring, self._den, frozenset(self._num.items())))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     # -- calculus and substitution ------------------------------------------
 
@@ -431,12 +428,12 @@ class Polynomial:
         """Formal partial derivative with respect to variable i."""
         if not 0 <= i < self.ring.arity:
             raise IndexError(f"variable index {i} out of range")
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self._terms.items():
+        out: dict[Exponents, int] = {}
+        for exps, c in self._num.items():
             e = exps[i]
             if e:
-                out[exps[:i] + (e - 1,) + exps[i + 1 :]] = coeff * e
-        return Polynomial._exact_result(self.ring, out)
+                out[exps[:i] + (e - 1,) + exps[i + 1 :]] = c * e
+        return Polynomial._from_integers(self.ring, out, self._den)
 
     def compose(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute images[i] for variable i; images share one target ring."""
@@ -456,15 +453,17 @@ class Polynomial:
                 power_cache[key] = images[i] ** e
             return power_cache[key]
 
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self._terms.items():
-            term = target.const(coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(i, e)
-            for m, c in term._terms.items():
-                out[m] = out[m] + c if m in out else c
-        return Polynomial._exact_result(target, {e: c for e, c in out.items() if c})
+        products = []  # (numerator of the coefficient, product of the powers)
+        for exps, c in self._num.items():
+            factors = [power(i, e) for i, e in enumerate(exps) if e]
+            products.append((c, reduce(mul, factors) if factors else target.one()))
+        den = lcm(*(term._den for _, term in products))
+        out: dict[Exponents, int] = {}
+        for c, term in products:
+            scale = c * (den // term._den)
+            for m, v in term._num.items():
+                out[m] = out.get(m, 0) + scale * v
+        return Polynomial._from_integers(target, {m: v for m, v in out.items() if v}, den * self._den)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point."""
@@ -473,39 +472,42 @@ class Polynomial:
                 f"expected {self.ring.arity} coordinates, got {len(point)}"
             )
         values = [_exact(v) for v in point]
-        total = Fraction(0)
-        for exps, coeff in self._terms.items():
-            term = coeff
+        total = 0
+        for exps, term in self._num.items():
             for v, e in zip(values, exps):
                 if e:
                     term *= v**e
             total += term
-        return total
+        return Fraction(total, self._den)
 
     # -- printing -----------------------------------------------------------
 
     def __str__(self) -> str:
         """Canonical form: descending grevlex terms, explicit '*' and '^'."""
-        if not self._terms:
+        if not self._num:
             return "0"
+        den = self._den
         chunks: list[str] = []
-        for exps, coeff in self.terms():
+        for exps, c in sorted(self._num.items(), key=_grevlex_descending):
             mono = "*".join(
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(self.ring.variables, exps)
                 if e
             )
-            mag = abs(coeff)
+            # |c|/den in lowest terms, written as Fraction writes it
+            g = gcd(c, den)
+            n, d = abs(c) // g, den // g
+            mag = str(n) if d == 1 else f"{n}/{d}"
             if not mono:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif n == d:
                 body = mono
             else:
                 body = f"{mag}*{mono}"
             if not chunks:
-                chunks.append(body if coeff > 0 else f"-{body}")
+                chunks.append(body if c > 0 else f"-{body}")
             else:
-                chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
+                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(chunks)
 
     def __repr__(self) -> str:
@@ -516,13 +518,13 @@ def embed(p: Polynomial, ring: Ring) -> Polynomial:
     """Reinterpret p in a ring holding all its variables (a larger ring, or
     the same variables in another order), matching variables by name."""
     positions = [ring.index(name) for name in p.ring.variables]
-    out: dict[Exponents, Fraction] = {}
-    for exps, coeff in p._terms.items():
+    out: dict[Exponents, int] = {}
+    for exps, c in p._num.items():
         big = [0] * ring.arity
         for pos, e in zip(positions, exps):
             big[pos] = e
-        out[tuple(big)] = coeff
-    return Polynomial._exact_result(ring, out)
+        out[tuple(big)] = c
+    return Polynomial._from_integers(ring, out, p._den)
 
 
 def _divide(p: Polynomial, divisors: Sequence[Polynomial], key):
@@ -532,27 +534,29 @@ def _divide(p: Polynomial, divisors: Sequence[Polynomial], key):
     it to the remainder r.  Returns each divisor's quotient q_i, and r:
     p = sum(q_i * divisors[i]) + r.  A quotient is an exponent -> (num, den)
     dict of integer pairs, coefficient num/den, left unreduced because
-    `groebner.reduce` drops the quotients and only `det` reads one.
+    `groebner.reduce` drops the quotients and only `det` reads one; the
+    remainder is kept the same way until `_from_pairs` makes it.
 
     The working polynomial is integer numerators h over one denominator den,
-    and a step by a divisor with head (lm, lc, a, tail) sets
-    h <- (a/g)*h - (hc/g)*x^shift*tail, g = gcd(a, hc), fraction-free
-    (Greuel and Pfister, A Singular Introduction to Commutative Algebra,
-    1.6); only remainder terms become Fractions."""
+    starting from p's stored form, and a step by a divisor with head
+    (lm, a, tail) sets h <- (a/g)*h - (hc/g)*x^shift*tail, g = gcd(a, hc),
+    fraction-free (Greuel and Pfister, A Singular Introduction to
+    Commutative Algebra, 1.6)."""
     heads = [d._head(key) for d in divisors]
     quotients: list[dict[Exponents, tuple[int, int]]] = [{} for _ in divisors]
-    remainder: dict[Exponents, Fraction] = {}
-    den, nums = _common_denominator(list(p._terms.values()))
-    h = dict(zip(p._terms, nums))  # p = h/den; no zero is stored
+    remainder: dict[Exponents, tuple[int, int]] = {}
+    den = p._den
+    h = dict(p._num)  # p = h/den; no zero is stored
     keys = {e: key(e) for e in h}  # every monomial h has held, with its key
     while h:
         hm = max(h, key=keys.__getitem__)
         hc = h.pop(hm)
-        for (lm, lc, a, tail), quotient in zip(heads, quotients):
+        for (lm, a, tail), d, quotient in zip(heads, divisors, quotients):
             if all(map(le, lm, hm)):
                 shift = tuple(map(sub, hm, lm))
-                # hm falls each step, so no shift repeats
-                quotient[shift] = (hc * lc.denominator, den * lc.numerator)
+                # hm falls each step, so no shift repeats; d's leading
+                # coefficient is d._num[lm] / d._den
+                quotient[shift] = (hc * d._den, den * d._num[lm])
                 g = gcd(a, hc)
                 if g != a:
                     scale = a // g
@@ -568,8 +572,16 @@ def _divide(p: Polynomial, divisors: Sequence[Polynomial], key):
                             keys[e] = key(e)
                 break
         else:
-            remainder[hm] = Fraction(hc, den)
-    return quotients, Polynomial._exact_result(p.ring, remainder)
+            remainder[hm] = (hc, den)
+    return quotients, _from_pairs(p.ring, remainder)
+
+
+def _from_pairs(ring: Ring, pairs: dict[Exponents, tuple[int, int]]) -> Polynomial:
+    """The polynomial with coefficients n/d from an exponent -> (n, d) dict of
+    nonzero ints: over the lcm L of the d, L // d is exact and keeps d's sign."""
+    common = lcm(*(d for _, d in pairs.values()))
+    num = {e: n * (common // d) for e, (n, d) in pairs.items()}
+    return Polynomial._from_integers(ring, num, common)
 
 
 def det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
@@ -602,9 +614,7 @@ def det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
                 (quotient,), rem = _divide(num, [prev], grevlex_key)
                 if rem:
                     raise ValueError("inexact polynomial division")
-                m[i][j] = Polynomial._exact_result(
-                    ring, {e: Fraction(n, d) for e, (n, d) in quotient.items()}
-                )
+                m[i][j] = _from_pairs(ring, quotient)
             m[i][k] = ring.zero()
         prev = m[k][k]
     result = m[n - 1][n - 1]

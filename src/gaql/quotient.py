@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
 from operator import itemgetter
@@ -31,8 +30,8 @@ from .poly import (
     Polynomial,
     Ring,
     RingMismatchError,
-    _common_denominator,
     fresh_names,
+    grevlex_key,
 )
 
 DEFAULT_SLICE_DEGREE_BOUND = 3
@@ -95,15 +94,10 @@ def _subtract_multiple(target: dict, c: int, row: dict):
 
 
 def _integral_normalize(p: Polynomial) -> Polynomial:
-    """Scale to integer coefficients with content 1 and positive lead."""
-    coeffs = [c for _, c in p.terms()]
-    if not coeffs:
-        return p
-    denom, nums = _common_denominator(coeffs)
-    scale = Fraction(denom, gcd(*nums))
-    if coeffs[0] < 0:
-        scale = -scale
-    return p * scale
+    """Scale nonzero p to integer coefficients with content 1 and positive
+    grevlex-leading coefficient: a times its monic form x^lm + tail/a."""
+    lm, a, tail = p._head(grevlex_key)
+    return Polynomial(p.ring, {lm: a, **dict(tail)})
 
 
 def find_local_slice(
@@ -136,9 +130,8 @@ def find_local_slice(
     # largest lead first never brings back a lead already cleared
     pivots: list[tuple] = []
     for exps in _monomials_upto(ring, degree_bound):
-        q = apply(D, Polynomial(ring, {exps: Fraction(1)}), 2)._terms
-        den, nums = _common_denominator(list(q.values()))
-        image, combination = dict(zip(q, nums)), {exps: den}
+        den, image = apply(D, Polynomial(ring, {exps: 1}), 2).integer_form()
+        combination = {exps: den}
         for lead, row, row_combination in reversed(pivots):
             c = image.get(lead)
             if c:

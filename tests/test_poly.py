@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -85,8 +86,21 @@ def test_only_zero_is_falsy():
         lambda: PolyMap(R3, (X, Y)).evaluate([0, 0.5, 0]),
         lambda: Polynomial(R3, {(1, 0, 0): 0.5}),
         lambda: X.mul_monomial((1, 0, 0), 0.25),
+        lambda: R3.from_terms({(1.5, 0, 0): 1}),
+        lambda: Polynomial(R3, {(1.0, 0, 0): 1}) * (X + 1),
+        lambda: Y.mul_monomial((0.5, 0, 0), 1),
     ],
-    ids=["const", "from_terms", "evaluate", "polymap_evaluate", "constructor", "mul_monomial"],
+    ids=[
+        "const",
+        "from_terms",
+        "evaluate",
+        "polymap_evaluate",
+        "constructor",
+        "mul_monomial",
+        "from_terms_exponent",
+        "constructor_exponent",
+        "mul_monomial_exponent",
+    ],
 )
 def test_floats_are_rejected(call):
     with pytest.raises(TypeError, match="float"):
@@ -434,35 +448,52 @@ def test_head_cache_is_per_order_key_random():
         for _ in range(15):
             key = rng.choice(keys)
             # the tail is in no particular order: compare it as a mapping
-            lm, lc, a, tail = p._head(key)
-            want_lm, want_lc, want_tail = _head_oracle(p, key)
-            assert (lm, lc) == (want_lm, want_lc) and len(tail) == len(want_tail)
+            lm, a, tail = p._head(key)
+            want_lm, _, want_tail = _head_oracle(p, key)
+            assert lm == want_lm and len(tail) == len(want_tail)
             assert {e: Fraction(t, a) for e, t in tail} == dict(want_tail)
         assert leading_term(p, LEX) == _head_oracle(p, LEX.key)[:2]
 
 
 def test_value_does_not_depend_on_term_insertion_order_random():
-    # terms are stored unordered: one value built from shuffled dicts, and
-    # reached through arithmetic, must look the same to every observer
+    # one value built from shuffled dicts or unreduced coefficients, and
+    # reached through arithmetic whose denominators cancel, must look the
+    # same to every observer, and values with other terms must differ
     keys = [GREVLEX.key, LEX.key, block_order(1).key]
     rng = random.Random(19)
+    previous = R4.zero()
     for _ in range(100):
         p = rand_nonzero_poly(rng, R4, max_degree=4, max_terms=8)
-        items = list(p._terms.items())
-        descending = sorted(items, key=lambda t: grevlex_key(t[0]), reverse=True)
-        twins = [p + X4 - X4, (p * 2) * Fraction(1, 2)]
+        items = list(p.terms())
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        lm, a, tail = p._head(LEX.key)
+        twins = [
+            p + X4 - X4,
+            (p * 2) * Fraction(1, 2),
+            (p * Fraction(2, 3)) * Fraction(3, 2),
+            p + c - c,
+            Polynomial(R4, {e: f"{2 * v.numerator}/{2 * v.denominator}" for e, v in items}),
+            pickle.loads(pickle.dumps(p)),
+            Polynomial._monic_from_head(R4, LEX.key, lm, a, tail) * p.coefficient(lm),
+        ]
         for _ in range(3):
             rng.shuffle(items)
             twins.append(Polynomial(R4, dict(items)))
+        descending = sorted(items, key=lambda t: grevlex_key(t[0]), reverse=True)
         for q in twins:
             assert q == p and hash(q) == hash(p) and str(q) == str(p)
             assert list(q.terms()) == list(p.terms()) == descending
             for key in keys:
-                lm, lc, a, tail = q._head(key)
-                want_lm, want_lc, want_a, want_tail = p._head(key)
+                lm, a, tail = q._head(key)
+                want_lm, want_a, want_tail = p._head(key)
                 assert len(tail) == len(want_tail)
-                assert (lm, lc, a, dict(tail)) == (want_lm, want_lc, want_a, dict(want_tail))
-    assert hash(R4.const(Fraction(3, 4))) == hash(Fraction(3, 4))
+                assert (lm, a, dict(tail)) == (want_lm, want_a, dict(want_tail))
+        if list(p.terms()) != list(previous.terms()):
+            assert p != previous and previous != p
+        previous = p
+    for _ in range(200):
+        c = Fraction(rng.randint(-60, 60), rng.randint(1, 30))
+        assert R4.const(c) == c and hash(R4.const(c)) == hash(c)
 
 
 def _distinct_primes(rng, count):
@@ -494,11 +525,11 @@ def test_head_is_an_integer_monic_form_random():
         primes = _distinct_primes(rng, 8)
         p = _rand_big_poly(rng, R4, primes, max_degree=4, max_terms=8)
         for key in keys:
-            lm, lc, a, tail = p._head(key)
+            lm, a, tail = p._head(key)
             assert type(a) is int and a > 0 and all(type(t) is int for _, t in tail)
             assert gcd(a, *(t for _, t in tail)) == 1
             monic = Polynomial(R4, {lm: 1, **{e: Fraction(t, a) for e, t in tail}})
-            assert monic * lc == p
+            assert monic * p.coefficient(lm) == p
 
 
 def test_grevlex_key_matches_the_generator_formula_random():
@@ -557,14 +588,10 @@ def _divide_oracle(p, divisors, key, events):
     integer numerators: each call rebuilds the divisors' heads and each step
     calls key on every working monomial.  events counts monomials cancelled
     to zero and later created again."""
-    heads = []
-    for d in divisors:
-        lm = max(d._terms, key=key)
-        lc = d._terms[lm]
-        heads.append((lm, lc, [(e, c / lc) for e, c in d._terms.items() if e != lm]))
+    heads = [_head_oracle(d, key) for d in divisors]
     quotients = [{} for _ in divisors]
     remainder = {}
-    h = dict(p._terms)
+    h = dict(p.terms())
     cancelled = set()
     while h:
         hm = max(h, key=key)
@@ -621,7 +648,7 @@ def test_divide_matches_fraction_division_with_large_coefficients_random(order):
         p = _rand_big_poly(rng, ring, primes, max_degree=4)
         for d in divisors:
             p = p + _rand_big_poly(rng, ring, primes, max_degree=2, max_terms=3) * d
-            _, lc, a, _ = d._head(order.key)
+            lc, a = leading_term(d, order)[1], d._head(order.key)[1]
             seen["negative lc"] += lc < 0
             seen["a > 1"] += a > 1
         assert divide_fractions(p, divisors, order.key) == _divide_oracle(p, divisors, order.key, Counter())
