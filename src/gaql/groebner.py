@@ -1,9 +1,10 @@
 """Reduced Groebner bases and the ideal-theoretic decision procedures.
 
-Plain Buchberger with the normal selection strategy and the two classical
-pair-skipping criteria (coprime leading terms, chain criterion), followed by
-full interreduction.  The reduced basis is unique for a given monomial order,
-so identical inputs always produce identical bases.  Normal forms
+Buchberger's algorithm with the normal selection strategy, the pending pairs
+on a heap, and the Gebauer-Moeller pair update (the product criterion and
+the chain criteria M, F and B), followed by full interreduction.  The
+reduced basis is unique for a given monomial order, so identical inputs
+always produce identical bases.  Normal forms
 (`reduce`) come from `poly._divide`, the package's one multivariate division.
 Division, S-polynomials and interreduction run on integers, reading each
 polynomial's cached head: its monic form x^lm + tail/a, an integer tail over
@@ -18,9 +19,10 @@ variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from heapq import heapify, heappop, heappush
+from itertools import chain, combinations
 from math import lcm
-from operator import add, sub
+from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -87,11 +89,15 @@ def block_order(front_size: int) -> MonomialOrder:
 
 
 def _monomial_divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
+
+
+def _coprime(a, b) -> bool:
+    return not any(map(min, a, b))
 
 
 def leading_term(p: Polynomial, order: MonomialOrder):
@@ -102,12 +108,31 @@ def leading_term(p: Polynomial, order: MonomialOrder):
     return lm, p.coefficient(lm)
 
 
-def poly_sort_key(p: Polynomial, order: MonomialOrder):
-    """Canonical tie-breaking key: term list sorted descending by the order."""
-    return tuple(
-        (order.key(e), c)
-        for e, c in sorted(p.terms(), key=lambda kv: order.key(kv[0]), reverse=True)
-    )
+class _SortKey:
+    """Compares like the tuple of (order key, coefficient) terms sorted
+    descending by the order: two coefficients n1/d1 and n2/d2 (d1, d2 > 0)
+    are compared as n1*d2 against n2*d1, and only where the keys tie."""
+
+    __slots__ = ("den", "terms")
+
+    def __init__(self, p: Polynomial, order: MonomialOrder):
+        self.den, num = p.integer_form()
+        self.terms = sorted(((order.key(e), c) for e, c in num.items()), reverse=True)
+
+    def __lt__(self, other: "_SortKey") -> bool:
+        for (k1, c1), (k2, c2) in zip(self.terms, other.terms):
+            if k1 != k2:
+                return k1 < k2
+            c1, c2 = c1 * other.den, c2 * self.den
+            if c1 != c2:
+                return c1 < c2
+        return len(self.terms) < len(other.terms)
+
+
+def poly_sort_key(p: Polynomial, order: MonomialOrder) -> _SortKey:
+    """Canonical tie-breaking key: the term list sorted descending by the
+    order, compared term by term, by monomial and then by coefficient."""
+    return _SortKey(p, order)
 
 
 def reduce(p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Polynomial:
@@ -208,12 +233,16 @@ def _interreduce(polys: list[Polynomial], order: MonomialOrder) -> tuple[Polynom
 def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
-    Buchberger's algorithm, normal selection (smallest lcm first); pairs with
-    coprime leading terms are skipped, as are pairs covered by the chain
-    criterion.  Each pair's lcm and order key are computed once, when the
-    pair is formed.  Deterministic: ties are broken by the canonical
-    polynomial sort key, and the final interreduction makes the output
-    unique anyway.
+    Buchberger's algorithm with normal selection: the pending pairs sit on a
+    heap keyed by the order key of their lcm, so the smallest lcm comes
+    first.  Each new element goes through the Gebauer-Moeller pair update
+    (Becker-Weispfenning, Groebner Bases, 1993, UPDATE on p. 230), which
+    keeps only the pairs that the product and chain criteria cannot skip
+    and drops the elements whose leading monomial the new one divides from
+    the set that S-polynomials are reduced against.  Each pair's lcm and
+    order key are computed once, when the pair is formed.  Deterministic:
+    generators enter in the order of the canonical polynomial sort key, and
+    the final interreduction makes the output unique anyway.
     """
     gens = tuple(gens)
     if gens:
@@ -221,41 +250,56 @@ def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -
         for g in gens:
             if g.ring != ring:
                 raise RingMismatchError("generators over different rings")
-    basis: list[Polynomial] = []
+    basis: list[Polynomial] = []  # every element added; pairs index into it
     lms = []
-    pairs = {}  # (i, j) -> (order key of the lcm, i, j, lcm), i < j
+    live: list[int] = []  # indices of the current basis G, ascending
+    pairs = []  # heap of (order key of the lcm, i, j, lcm), i < j
 
     def add(h: Polynomial):
         lm = h._head(order.key)[0]
         new = len(basis)
-        for k, km in enumerate(lms):
-            lcm = _monomial_lcm(km, lm)
-            pairs[k, new] = (order.key(lcm), k, new, lcm)
+        # criterion B: drop an old pair when lm divides its lcm and that lcm
+        # differs from both of its members' lcms with lm
+        if pairs:
+            old = [
+                pair
+                for pair in pairs
+                if not _monomial_divides(lm, pair[3])
+                or pair[3] == _monomial_lcm(lms[pair[1]], lm)
+                or pair[3] == _monomial_lcm(lms[pair[2]], lm)
+            ]
+            if len(old) < len(pairs):
+                pairs[:] = old
+                heapify(pairs)
+        # criteria M and F: drop a new pair (g, h) whose lcm is a multiple of
+        # the lcm of a new pair still to be looked at or already kept; a
+        # coprime pair is kept here, so that it can cover the others, and
+        # only then dropped by the product criterion
+        candidates = [(_monomial_lcm(lms[k], lm), k) for k in live]
+        kept = []
+        for n, (m, k) in enumerate(candidates):
+            coprime = _coprime(lms[k], lm)
+            if coprime or not any(
+                _monomial_divides(c[0], m) for c in chain(kept, candidates[n + 1 :])
+            ):
+                kept.append((m, k, coprime))
+        for m, k, coprime in kept:
+            if not coprime:
+                heappush(pairs, (order.key(m), k, new, m))
+        live[:] = [k for k in live if not _monomial_divides(lm, lms[k])]
+        live.append(new)
         basis.append(h)
         lms.append(lm)
 
     for g in sorted((g for g in gens if not g.is_zero), key=lambda p: poly_sort_key(p, order)):
         add(g)
     while pairs:
-        _, i, j, lcm = min(pairs.values())
-        del pairs[i, j]
-        if lcm == tuple(a + b for a, b in zip(lms[i], lms[j])):
-            continue  # coprime leading terms
-        chain = any(
-            k != i
-            and k != j
-            and _monomial_divides(lms[k], lcm)
-            and (min(i, k), max(i, k)) not in pairs
-            and (min(j, k), max(j, k)) not in pairs
-            for k in range(len(basis))
-        )
-        if chain:
-            continue
-        h = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
+        _, i, j, _ = heappop(pairs)
+        h = reduce(s_polynomial(basis[i], basis[j], order), [basis[k] for k in live], order)
         if not h.is_zero:
             add(h)
 
-    result = GroebnerBasis(order, gens, _interreduce(basis, order))
+    result = GroebnerBasis(order, gens, _interreduce([basis[k] for k in live], order))
     if _verify_bases and not buchberger_criterion_holds(result):
         raise AssertionError("computed basis fails the Buchberger criterion")
     return result

@@ -17,6 +17,7 @@ from gaql.groebner import (
     ideal_membership,
     is_unit_ideal,
     leading_term,
+    poly_sort_key,
     radical_membership,
     reduce,
     s_polynomial,
@@ -135,6 +136,23 @@ def test_interreduce_matches_scaling_by_the_leading_coefficient_random(order):
         assert got == want
         assert [list(p.terms()) for p in got] == [list(p.terms()) for p in want]
         assert all(leading_term(p, order)[1] == 1 for p in got)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)], ids=str)
+def test_poly_sort_key_orders_like_the_fraction_term_tuple_random(order):
+    """The reference key is the term tuple with Fraction coefficients; half
+    of the pairs share their leading terms' monomials, so the coefficients
+    and the later terms decide."""
+    def reference(p):
+        terms = sorted(p.terms(), key=lambda t: order.key(t[0]), reverse=True)
+        return tuple((order.key(e), c) for e, c in terms)
+
+    rng = random.Random(29)
+    for _ in range(300):
+        _, polys = rand_division_case(rng, order)
+        polys.append(polys[0] * rng.choice((1, 2, Fraction(-1, 3))))
+        for p, q in itertools.product(polys, repeat=2):
+            assert (poly_sort_key(p, order) < poly_sort_key(q, order)) == (reference(p) < reference(q))
 
 
 def test_groebner_simple():
@@ -344,6 +362,59 @@ def test_buchberger_criterion_on_assorted_ideals():
             assert buchberger_criterion_holds(gb)
             for g in gens:
                 assert gb.contains(g)
+
+
+def _criterion_free_basis(gens, order):
+    """Buchberger with no pair criteria and no pair order: every pair of the
+    growing list, in the order formed, is reduced against the whole list,
+    and the list is interreduced by the scaling reference at the end.  The
+    oracle for groebner_basis's pair heap and pair update."""
+    basis = [g for g in gens if not g.is_zero]
+    pending = list(itertools.combinations(range(len(basis)), 2))
+    for i, j in pending:  # grows while it is iterated
+        h = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
+        if not h.is_zero:
+            pending.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(h)
+    return _scaling_interreduce(basis, order)
+
+
+RA = Ring(("a", "b", "c", "d"))
+A, B, C, D = RA.gens()
+# the C4 and K3 systems of bench/workloads.py's gb-stress, at the point whose
+# last coordinate is 1
+CYCLIC_4 = [A + B + C + D, A * B + B * C + C * D + D * A,
+            A * B * C + B * C * D + C * D * A + D * A * B, A * B * C * D - 1]
+KATSURA_3 = [D * D + C * C + B * B + A * A + B * B + C * C + D * D - A,
+             C * D + B * C + A * B + B * A + C * B + D * C - B,
+             B * D + A * C + B * B + C * A + D * B - C,
+             A + 2 * B + 2 * C + 2 * D - 1]
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)], ids=str)
+def test_groebner_basis_matches_the_criterion_free_oracle(order):
+    """The pair update skips only pairs whose S-polynomials the oracle
+    reduces to zero, so both give the same reduced basis.  The cases: ideals
+    whose first S-polynomial has a leading monomial dividing both
+    generators' (x^2*y - 1, x*y^2 - 1 gives x - y in grevlex), so that the
+    basis reduced against drops earlier elements; the cyclic-4 and
+    katsura-3 systems; random ideals; rand_division_case's generators,
+    about half of which repeat an earlier generator's leading monomial, so
+    that an equal leading monomial drops the earlier element and new pairs
+    share an lcm (criterion F); and pairs of multiples of one linear
+    polynomial plus low-degree terms."""
+    rng = random.Random(23)
+    cases = [[X**2 * Y - 1, X * Y**2 - 1], [X**2 * Y - Z, X * Y**2 - Z, Y * Z**2 - X],
+             [X**3 - Y * Z, X**2 * Y - 1, Y**2 - X], CYCLIC_4, KATSURA_3]
+    for _ in range(25):
+        ring = Ring(("x", "y", "z")[: rng.randint(2, 3)])
+        cases.append([rand_nonzero_poly(rng, ring, max_degree=3) for _ in range(rng.randint(2, 3))])
+        cases.append(rand_division_case(rng, order)[1])
+        f = rand_nonzero_poly(rng, ring, max_degree=1)
+        cases.append([f * rand_nonzero_poly(rng, ring, max_degree=2) + rand_poly(rng, ring, max_degree=1)
+                      for _ in range(2)])
+    for gens in cases:
+        assert groebner_basis(gens, order).basis == _criterion_free_basis(gens, order), (gens, order)
 
 
 def test_determinism_identical_inputs():
