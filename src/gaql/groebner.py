@@ -2,13 +2,14 @@
 
 Buchberger's algorithm with the normal selection strategy, the pending pairs
 on a heap, and the Gebauer-Moeller pair update (the product criterion and
-the chain criteria M, F and B), followed by full interreduction.  The
-reduced basis is unique for a given monomial order, so identical inputs
-always produce identical bases.  Normal forms
-(`reduce`) come from `poly._divide`, the package's one multivariate division.
-Division, S-polynomials and interreduction run on integers, reading each
-polynomial's cached head: its monic form x^lm + tail/a, an integer tail over
-a positive integer a.  Coefficients are read only through `poly`'s accessors.
+the chain criteria M, F and B), followed by full interreduction.  Generators
+enter ascending by leading monomial, ties in input order; the reduced basis
+is unique for the monomial order, so the entry order does not change it.
+Normal forms (`reduce`) come from `poly._divide`, the package's one
+multivariate division.  Division, S-polynomials and interreduction run on
+integers, reading each polynomial's cached head: its monic form
+x^lm + tail/a, an integer tail over a positive integer a.  Coefficients are
+read only through `poly`'s accessors.
 
 Decision procedures built on top: ideal membership, unit-ideal test,
 elimination via block orders, combinatorial Krull dimension, radical
@@ -18,12 +19,13 @@ variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations
 from math import lcm
 from operator import add, le, sub
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .poly import (
     PolyMap,
@@ -45,34 +47,38 @@ def set_basis_verification(flag: bool):
     _verify_bases = bool(flag)
 
 
+def _block_key(front_size: int, exponents: Sequence[int]):
+    return (grevlex_key(exponents[:front_size]), grevlex_key(exponents[front_size:]))
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """A monomial order: lex, grevlex, or a block order.
 
     The block order compares the first `front_size` exponents (grevlex)
     before the rest (grevlex), so it eliminates the front variables.
+    `key` is its sort key, chosen once: a bigger key means a bigger monomial.
     """
 
     kind: str
     front_size: int | None = None
+    key: Callable[[Sequence[int]], object] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("lex", "grevlex", "block"):
             raise ValueError(f"unknown monomial order kind: {self.kind!r}")
         if self.kind == "block":
-            if self.front_size is None or self.front_size < 1:
+            k = self.front_size
+            if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
+                raise TypeError(f"block order front_size {k!r} is a {type(k).__name__}, not an int")
+            if k is None or k < 1:
                 raise ValueError("block order needs front_size >= 1")
+            key = partial(_block_key, k)
         elif self.front_size is not None:
             raise ValueError(f"{self.kind} order takes no front_size")
-
-    def key(self, exponents: Sequence[int]):
-        """Sort key: bigger key means bigger monomial."""
-        if self.kind == "grevlex":
-            return grevlex_key(exponents)
-        if self.kind == "lex":
-            return tuple(exponents)
-        k = self.front_size
-        return (grevlex_key(exponents[:k]), grevlex_key(exponents[k:]))
+        else:
+            key = grevlex_key if self.kind == "grevlex" else tuple
+        object.__setattr__(self, "key", key)
 
     def __str__(self):
         if self.kind == "block":
@@ -106,33 +112,6 @@ def leading_term(p: Polynomial, order: MonomialOrder):
         raise ValueError("the zero polynomial has no leading term")
     lm = p._head(order.key)[0]
     return lm, p.coefficient(lm)
-
-
-class _SortKey:
-    """Compares like the tuple of (order key, coefficient) terms sorted
-    descending by the order: two coefficients n1/d1 and n2/d2 (d1, d2 > 0)
-    are compared as n1*d2 against n2*d1, and only where the keys tie."""
-
-    __slots__ = ("den", "terms")
-
-    def __init__(self, p: Polynomial, order: MonomialOrder):
-        self.den, num = p.integer_form()
-        self.terms = sorted(((order.key(e), c) for e, c in num.items()), reverse=True)
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        for (k1, c1), (k2, c2) in zip(self.terms, other.terms):
-            if k1 != k2:
-                return k1 < k2
-            c1, c2 = c1 * other.den, c2 * self.den
-            if c1 != c2:
-                return c1 < c2
-        return len(self.terms) < len(other.terms)
-
-
-def poly_sort_key(p: Polynomial, order: MonomialOrder) -> _SortKey:
-    """Canonical tie-breaking key: the term list sorted descending by the
-    order, compared term by term, by monomial and then by coefficient."""
-    return _SortKey(p, order)
 
 
 def reduce(p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Polynomial:
@@ -240,9 +219,9 @@ def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -
     keeps only the pairs that the product and chain criteria cannot skip
     and drops the elements whose leading monomial the new one divides from
     the set that S-polynomials are reduced against.  Each pair's lcm and
-    order key are computed once, when the pair is formed.  Deterministic:
-    generators enter in the order of the canonical polynomial sort key, and
-    the final interreduction makes the output unique anyway.
+    order key are computed once, when the pair is formed.  Generators enter
+    ascending by leading monomial, ties in input order; the final
+    interreduction makes the output unique whatever that order.
     """
     gens = tuple(gens)
     if gens:
@@ -254,9 +233,10 @@ def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -
     lms = []
     live: list[int] = []  # indices of the current basis G, ascending
     pairs = []  # heap of (order key of the lcm, i, j, lcm), i < j
+    key = order.key
 
     def add(h: Polynomial):
-        lm = h._head(order.key)[0]
+        lm = h._head(key)[0]
         new = len(basis)
         # criterion B: drop an old pair when lm divides its lcm and that lcm
         # differs from both of its members' lcms with lm
@@ -285,13 +265,13 @@ def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -
                 kept.append((m, k, coprime))
         for m, k, coprime in kept:
             if not coprime:
-                heappush(pairs, (order.key(m), k, new, m))
+                heappush(pairs, (key(m), k, new, m))
         live[:] = [k for k in live if not _monomial_divides(lm, lms[k])]
         live.append(new)
         basis.append(h)
         lms.append(lm)
 
-    for g in sorted((g for g in gens if not g.is_zero), key=lambda p: poly_sort_key(p, order)):
+    for g in sorted((g for g in gens if not g.is_zero), key=lambda g: key(g._head(key)[0])):
         add(g)
     while pairs:
         _, i, j, _ = heappop(pairs)

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -17,13 +19,12 @@ from gaql.groebner import (
     ideal_membership,
     is_unit_ideal,
     leading_term,
-    poly_sort_key,
     radical_membership,
     reduce,
     s_polynomial,
     subalgebra_membership,
 )
-from gaql.poly import Polynomial, Ring, RingMismatchError
+from gaql.poly import Polynomial, Ring, RingMismatchError, grevlex_key
 
 R2 = Ring(("x", "y"))
 R3 = Ring(("x", "y", "z"))
@@ -39,6 +40,35 @@ def test_order_validation():
         MonomialOrder("block")
     with pytest.raises(ValueError):
         MonomialOrder("lex", front_size=1)
+    with pytest.raises(ValueError):
+        block_order(0)
+    for bad in (1.5, True):
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            block_order(bad)
+
+
+def test_order_key_is_chosen_once():
+    assert GREVLEX.key is grevlex_key
+    assert LEX.key is tuple
+    assert block_order(2) == block_order(2) and hash(block_order(2)) == hash(block_order(2))
+    assert block_order(2) != block_order(1) and block_order(2) != GREVLEX
+    assert str(block_order(2)) == "block(2)"
+    assert repr(GREVLEX) == "MonomialOrder(kind='grevlex', front_size=None)"
+
+
+@pytest.mark.parametrize("order", [LEX, GREVLEX, block_order(2)], ids=str)
+def test_order_copies_and_pickles(order):
+    rng = random.Random(31)
+    monomials = [tuple(rng.randint(0, 4) for _ in range(4)) for _ in range(50)]
+    for twin in (copy.deepcopy(order), pickle.loads(pickle.dumps(order))):
+        assert twin == order and hash(twin) == hash(order) and str(twin) == str(order)
+        assert [twin.key(m) for m in monomials] == [order.key(m) for m in monomials]
+
+
+def test_one_grevlex_head_cache_entry():
+    p = X**2 * Y - 3 * Z**3 + Fraction(1, 2)
+    assert p._head(GREVLEX.key) is p._head(grevlex_key)
+    assert len(p._heads) == 1
 
 
 def test_order_axioms_random():
@@ -136,23 +166,6 @@ def test_interreduce_matches_scaling_by_the_leading_coefficient_random(order):
         assert got == want
         assert [list(p.terms()) for p in got] == [list(p.terms()) for p in want]
         assert all(leading_term(p, order)[1] == 1 for p in got)
-
-
-@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)], ids=str)
-def test_poly_sort_key_orders_like_the_fraction_term_tuple_random(order):
-    """The reference key is the term tuple with Fraction coefficients; half
-    of the pairs share their leading terms' monomials, so the coefficients
-    and the later terms decide."""
-    def reference(p):
-        terms = sorted(p.terms(), key=lambda t: order.key(t[0]), reverse=True)
-        return tuple((order.key(e), c) for e, c in terms)
-
-    rng = random.Random(29)
-    for _ in range(300):
-        _, polys = rand_division_case(rng, order)
-        polys.append(polys[0] * rng.choice((1, 2, Fraction(-1, 3))))
-        for p, q in itertools.product(polys, repeat=2):
-            assert (poly_sort_key(p, order) < poly_sort_key(q, order)) == (reference(p) < reference(q))
 
 
 def test_groebner_simple():

@@ -441,7 +441,7 @@ def _head_oracle(p, key):
 def test_head_cache_is_per_order_key_random():
     # one object queried under five keys in a random interleaving; a cache
     # that ignored the key would answer with the first key's head
-    keys = [GREVLEX.key, LEX.key, block_order(1).key, block_order(2).key, grevlex_key]
+    keys = [GREVLEX.key, LEX.key, block_order(1).key, block_order(2).key, block_order(3).key]
     rng = random.Random(16)
     for _ in range(60):
         p = rand_nonzero_poly(rng, R4, max_degree=4, max_terms=8)
@@ -519,7 +519,7 @@ def _rand_big_poly(rng, ring, primes, **kw):
 def test_head_is_an_integer_monic_form_random():
     # (lm, lc, a, tail): p = lc * (x^lm + tail/a), a > 0, tail integers
     # whose content is coprime to a, for every order key
-    keys = [GREVLEX.key, LEX.key, block_order(1).key, block_order(2).key, grevlex_key]
+    keys = [GREVLEX.key, LEX.key, block_order(1).key, block_order(2).key, block_order(3).key]
     rng = random.Random(20)
     for _ in range(60):
         primes = _distinct_primes(rng, 8)
