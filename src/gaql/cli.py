@@ -563,9 +563,46 @@ def _record_value(value):
     raise TypeError(f"a record cannot hold {type(value).__name__}")
 
 
-def _emit(record: dict, started: float, out):
+_CHUNK_DIGITS = 1000
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _digits(n: int) -> str:
+    """str(n), converted in pieces of at most _CHUNK_DIGITS digits, so that
+    the interpreter's limit on int string conversion does not apply."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    high, low = divmod(abs(n), _CHUNK)
+    return ("-" if n < 0 else "") + _digits(high) + str(low).zfill(_CHUNK_DIGITS)
+
+
+def _echo_value(value):
+    """A rational in a record's echo, whose size the task's literals bound:
+    str(value), for any number of digits."""
+    if isinstance(value, Fraction):
+        text = _digits(value.numerator)
+        return text if value.denominator == 1 else f"{text}/{_digits(value.denominator)}"
+    raise TypeError(f"a record cannot hold {type(value).__name__}")
+
+
+def _emit(record: dict, started: float, out) -> bool:
+    """Print a record; False if it had to become an output-too-large error
+    record instead.  A number past the interpreter's limit on int string
+    conversion (sys.get_int_max_str_digits()) cannot be printed: that limit
+    keeps a huge result from taking quadratic time to write out.  The error
+    record echoes the command in full, since the decimal exponent bound on
+    the task's literals bounds the echo's numbers."""
     record["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
-    print(json.dumps(record, sort_keys=True, separators=(",", ":"), default=_record_value), file=out)
+    try:
+        text = json.dumps(record, sort_keys=True, separators=(",", ":"), default=_record_value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        error = {"code": "output-too-large", "message": f"the record holds a number of more than {limit} digits"}
+        record = {"command": record["command"], "status": "error", "error": error, "timing": record["timing"]}
+        print(json.dumps(record, sort_keys=True, separators=(",", ":"), default=_echo_value), file=out)
+        return False
+    print(text, file=out)
+    return True
 
 
 def run_steps(state: TaskState, steps, out) -> int:
@@ -581,8 +618,8 @@ def run_steps(state: TaskState, steps, out) -> int:
                 return EXIT_COMMAND_ERROR
             failed = True
             continue
-        if kind == "command":
-            _emit({"command": echo, "status": "ok", "payload": payload}, started, out)
+        if kind == "command" and not _emit({"command": echo, "status": "ok", "payload": payload}, started, out):
+            failed = True
     return EXIT_COMMAND_ERROR if failed else EXIT_OK
 
 

@@ -9,7 +9,9 @@
 Multiplication is always explicit ("x*y"; "xy" is a single identifier) and
 '/' occurs only inside rational literals.  The canonical printer emits terms
 in descending grevlex order with explicit '*' and '^', which the parser
-round-trips exactly.
+round-trips exactly.  The parser recurses once per level of parentheses, so
+it refuses nesting deeper than MAX_NESTING with a positioned error before
+the interpreter's recursion limit is reached.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ class _Token:
     line: int
     col: int
 
+
+MAX_NESTING = 100
 
 _DIGITS = "0123456789"  # str.isdigit also accepts superscripts and other scripts' digits
 
@@ -87,6 +91,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.ring = ring
+        self.depth = 0  # parentheses open at the current position
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -144,9 +149,15 @@ class _Parser:
                 ) from None
             return self.ring.var(index)
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise PolyParseError(
+                    f"parentheses nested more than {MAX_NESTING} deep", tok.line, tok.col
+                )
             self.take("(")
+            self.depth += 1
             inner = self.expr()
             self.take(")")
+            self.depth -= 1
             return inner
         raise PolyParseError(
             f"expected a value, found {tok.text or 'end of input'!r}",

@@ -5,11 +5,22 @@ on a heap, and the Gebauer-Moeller pair update (the product criterion and
 the chain criteria M, F and B), followed by full interreduction.  Generators
 enter ascending by leading monomial, ties in input order; the reduced basis
 is unique for the monomial order, so the entry order does not change it.
-Normal forms (`reduce`) come from `poly._divide`, the package's one
-multivariate division.  Division, S-polynomials and interreduction run on
-integers, reading each polynomial's cached head: its monic form
-x^lm + tail/a, an integer tail over a positive integer a.  Coefficients are
-read only through `poly`'s accessors.
+
+The whole computation runs on packed monomials (see `poly`'s docstring;
+Monagan and Pearce, CASC 2007): one int per monomial, whose integer order is
+the monomial order, so that a product of monomials is an addition and a
+divisibility test one subtraction and one mask.  Each basis element is a
+packed monic head (lm, a, tail, top) from the moment it enters: the monic
+form x^lm + tail/a with an integer tail.  S-polynomials are built from the
+heads, the pair heap is keyed by the packed lcm, each remainder of
+`poly._reduce_packed` becomes a head directly, and interreduction runs
+packed; only the Gebauer-Moeller criteria read exponent tuples, one unpack
+per new element.  Each output polynomial is made once, with its head under
+the order already cached.  A field that outgrows its width (8 bits at
+first) raises `poly._Overflow`, and the computation starts again at double
+the width; the basis does not depend on it.  Public `reduce` and
+`s_polynomial` pack on entry and unpack once.  Coefficients are read only
+through `poly`'s accessors.
 
 Decision procedures built on top: ideal membership, unit-ideal test,
 elimination via block orders, combinatorial Krull dimension, radical
@@ -19,23 +30,27 @@ variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations
-from math import lcm
-from operator import add, le, sub
-from typing import Callable, Iterable, Sequence
+from math import gcd, lcm
+from operator import itemgetter, le
+from typing import Iterable, Sequence
 
-from .poly import (
+from .poly import (  # the orders are re-exported from here
+    GREVLEX,
+    LEX,
+    MonomialOrder,
     PolyMap,
     Polynomial,
     Ring,
     RingMismatchError,
+    _Overflow,
     _divide,
+    _packed,
+    _reduce_packed,
     embed,
     fresh_names,
-    grevlex_key,
 )
 
 _verify_bases = False
@@ -45,49 +60,6 @@ def set_basis_verification(flag: bool):
     """Toggle checking the Buchberger criterion on every computed basis."""
     global _verify_bases
     _verify_bases = bool(flag)
-
-
-def _block_key(front_size: int, exponents: Sequence[int]):
-    return (grevlex_key(exponents[:front_size]), grevlex_key(exponents[front_size:]))
-
-
-@dataclass(frozen=True)
-class MonomialOrder:
-    """A monomial order: lex, grevlex, or a block order.
-
-    The block order compares the first `front_size` exponents (grevlex)
-    before the rest (grevlex), so it eliminates the front variables.
-    `key` is its sort key, chosen once: a bigger key means a bigger monomial.
-    """
-
-    kind: str
-    front_size: int | None = None
-    key: Callable[[Sequence[int]], object] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in ("lex", "grevlex", "block"):
-            raise ValueError(f"unknown monomial order kind: {self.kind!r}")
-        if self.kind == "block":
-            k = self.front_size
-            if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
-                raise TypeError(f"block order front_size {k!r} is a {type(k).__name__}, not an int")
-            if k is None or k < 1:
-                raise ValueError("block order needs front_size >= 1")
-            key = partial(_block_key, k)
-        elif self.front_size is not None:
-            raise ValueError(f"{self.kind} order takes no front_size")
-        else:
-            key = grevlex_key if self.kind == "grevlex" else tuple
-        object.__setattr__(self, "key", key)
-
-    def __str__(self):
-        if self.kind == "block":
-            return f"block({self.front_size})"
-        return self.kind
-
-
-LEX = MonomialOrder("lex")
-GREVLEX = MonomialOrder("grevlex")
 
 
 def block_order(front_size: int) -> MonomialOrder:
@@ -123,27 +95,49 @@ def reduce(p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
     if any(b.ring != p.ring for b in basis):
         raise RingMismatchError("basis polynomial over a different ring")
     divisors = [b for b in basis if not b.is_zero]
-    return _divide(p, divisors, order.key)[1] if divisors else p
+    return _divide(p, divisors, order)[1] if divisors else p
+
+
+def _s_polynomial(f, g, plcm: int, guard: int) -> tuple[dict[int, int], int]:
+    """(s, den): the S-polynomial of the packed heads f and g, whose leading
+    monomials have the packed lcm plcm, as packed int numerators s over den.
+    The two leading terms cancel, so it is built from the monic tails over
+    the lcm of their denominators."""
+    fm, fa, f_tail, f_top = f
+    gm, ga, g_tail, g_top = g
+    f_shift, g_shift = plcm - fm, plcm - gm
+    if (f_top + f_shift) & guard or (g_top + g_shift) & guard:
+        raise _Overflow
+    den = lcm(fa, ga)
+    f_scale, g_scale = den // fa, den // ga
+    out = {e + f_shift: c * f_scale for e, c in f_tail}
+    get = out.get
+    for e, c in g_tail:
+        e += g_shift
+        out[e] = get(e, 0) - c * g_scale
+    return {e: c for e, c in out.items() if c}, den
+
+
+def _s_remainder(f, g, plcm: int, divisors, guard: int) -> dict[int, int]:
+    """Packed int numerators of the S-polynomial of the packed heads f and g
+    reduced by the packed heads `divisors`, up to a positive factor."""
+    return _reduce_packed(_s_polynomial(f, g, plcm, guard)[0], 1, divisors, guard)[0]
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    """lcm/lt(f) * f - lcm/lt(g) * g, lcm the leading monomials' lcm: the
-    two leading terms cancel, so it is built from the cached integer monic
-    tails over the lcm of their denominators."""
+    """lcm/lt(f) * f - lcm/lt(g) * g, lcm the leading monomials' lcm."""
     if f.ring != g.ring:
         raise RingMismatchError("S-polynomial of polynomials over different rings")
     if f.is_zero or g.is_zero:
         raise ValueError("the zero polynomial has no leading term")
-    (fm, fa, f_tail), (gm, ga, g_tail) = f._head(order.key), g._head(order.key)
-    m = _monomial_lcm(fm, gm)
-    f_shift, g_shift = tuple(map(sub, m, fm)), tuple(map(sub, m, gm))
-    den = lcm(fa, ga)
-    f_scale, g_scale = den // fa, den // ga
-    out = {tuple(map(add, e, f_shift)): c * f_scale for e, c in f_tail}
-    for e, c in g_tail:
-        e = tuple(map(add, e, g_shift))
-        out[e] = out.get(e, 0) - c * g_scale
-    return Polynomial._from_integers(f.ring, {e: c for e, c in out.items() if c}, den)
+
+    def run(layout):
+        fh, gh = layout.head_of(f), layout.head_of(g)
+        plcm = layout.pack(_monomial_lcm(layout.unpack(fh[0]), layout.unpack(gh[0])))
+        s, den = _s_polynomial(fh, gh, plcm, layout.guard)
+        return {layout.unpack(e): c for e, c in s.items()}, den
+
+    return Polynomial._from_integers(f.ring, *_packed(order, f.ring.arity, run))
 
 
 @dataclass(frozen=True)
@@ -185,59 +179,53 @@ class GroebnerBasis:
 def buchberger_criterion_holds(gb: GroebnerBasis) -> bool:
     """Every S-polynomial of basis pairs reduces to zero against the basis."""
     basis = gb.basis
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            s = s_polynomial(basis[i], basis[j], gb.order)
-            if not reduce(s, basis, gb.order).is_zero:
-                return False
-    return True
+    if len(basis) < 2:
+        return True
+
+    def run(layout):
+        heads = [layout.head_of(p) for p in basis]
+        lms = [layout.unpack(head[0]) for head in heads]
+        return not any(
+            _s_remainder(heads[i], heads[j], layout.pack(_monomial_lcm(lms[i], lms[j])), heads, layout.guard)
+            for i, j in combinations(range(len(heads)), 2)
+        )
+
+    return _packed(gb.order, basis[0].ring.arity, run)
 
 
-def _interreduce(polys: list[Polynomial], order: MonomialOrder) -> tuple[Polynomial, ...]:
-    """Minimalize and fully reduce nonzero polys, yielding the unique reduced basis."""
-    minimal: list[Polynomial] = []
-    lms = []
-    heads = sorted((p._head(order.key) for p in polys), key=lambda head: order.key(head[0]))
-    for lm, a, tail in heads:
-        if not any(_monomial_divides(m, lm) for m in lms):
-            minimal.append(Polynomial._monic_from_head(polys[0].ring, order.key, lm, a, tail))
-            lms.append(lm)
+def _interreduce(heads, layout, ring: Ring, order: MonomialOrder) -> tuple[Polynomial, ...]:
+    """Minimalize the packed monic heads of nonzero polynomials and reduce
+    each minimal element by the others: for a Groebner basis, the unique
+    reduced basis."""
+    guard, unpack = layout.guard, layout.unpack
+    minimal = []
+    for head in sorted(heads, key=itemgetter(0)):
+        if all((head[0] - m[0]) & guard for m in minimal):
+            minimal.append(head)
     # No other leading monomial divides an element's own, so reducing it
-    # against the others keeps its monic leading term; the leading monomials
-    # stay distinct and ascending, and reversed they descend.
-    reduced = [reduce(p, minimal[:i] + minimal[i + 1 :], order) for i, p in enumerate(minimal)]
-    return tuple(reversed(reduced))
+    # against the others keeps its monic leading term lm: r[lm] = den.  The
+    # leading monomials stay distinct and ascending, and reversed they descend.
+    out = []
+    for i, (lm, a, tail, _) in enumerate(minimal):
+        r, den = _reduce_packed({lm: a, **dict(tail)}, a, minimal[:i] + minimal[i + 1 :], guard)
+        g = gcd(*r.values())
+        del r[lm]
+        tail = [(unpack(e), c // g) for e, c in r.items()]
+        out.append(Polynomial._monic_from_head(ring, order.key, unpack(lm), den // g, tail))
+    return tuple(reversed(out))
 
 
-def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens.
-
-    Buchberger's algorithm with normal selection: the pending pairs sit on a
-    heap keyed by the order key of their lcm, so the smallest lcm comes
-    first.  Each new element goes through the Gebauer-Moeller pair update
-    (Becker-Weispfenning, Groebner Bases, 1993, UPDATE on p. 230), which
-    keeps only the pairs that the product and chain criteria cannot skip
-    and drops the elements whose leading monomial the new one divides from
-    the set that S-polynomials are reduced against.  Each pair's lcm and
-    order key are computed once, when the pair is formed.  Generators enter
-    ascending by leading monomial, ties in input order; the final
-    interreduction makes the output unique whatever that order.
-    """
-    gens = tuple(gens)
-    if gens:
-        ring = gens[0].ring
-        for g in gens:
-            if g.ring != ring:
-                raise RingMismatchError("generators over different rings")
-    basis: list[Polynomial] = []  # every element added; pairs index into it
-    lms = []
+def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder, layout) -> tuple[Polynomial, ...]:
+    """The reduced basis of nonzero gens, on packed monomials of `layout`."""
+    guard = layout.guard
+    heads = []  # every element added, as a packed head; pairs index into it
+    lms = []  # their leading monomials as exponent tuples
     live: list[int] = []  # indices of the current basis G, ascending
-    pairs = []  # heap of (order key of the lcm, i, j, lcm), i < j
-    key = order.key
+    pairs = []  # heap of (packed lcm, i, j, lcm), i < j
 
-    def add(h: Polynomial):
-        lm = h._head(key)[0]
-        new = len(basis)
+    def add(head):
+        lm = layout.unpack(head[0])
+        new = len(heads)
         # criterion B: drop an old pair when lm divides its lcm and that lcm
         # differs from both of its members' lcms with lm
         if pairs:
@@ -265,21 +253,46 @@ def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -
                 kept.append((m, k, coprime))
         for m, k, coprime in kept:
             if not coprime:
-                heappush(pairs, (key(m), k, new, m))
+                heappush(pairs, (layout.pack(m), k, new, m))
         live[:] = [k for k in live if not _monomial_divides(lm, lms[k])]
         live.append(new)
-        basis.append(h)
+        heads.append(head)
         lms.append(lm)
 
-    for g in sorted((g for g in gens if not g.is_zero), key=lambda g: key(g._head(key)[0])):
-        add(g)
+    # sorted is stable, so equal leading monomials keep the input order
+    for head in sorted(map(layout.head_of, gens), key=itemgetter(0)):
+        add(head)
     while pairs:
-        _, i, j, _ = heappop(pairs)
-        h = reduce(s_polynomial(basis[i], basis[j], order), [basis[k] for k in live], order)
-        if not h.is_zero:
-            add(h)
+        plcm, i, j, _ = heappop(pairs)
+        r = _s_remainder(heads[i], heads[j], plcm, [heads[k] for k in live], guard)
+        if r:
+            add(layout.head(r))
+    return _interreduce([heads[k] for k in live], layout, gens[0].ring, order)
 
-    result = GroebnerBasis(order, gens, _interreduce([basis[k] for k in live], order))
+
+def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by gens.
+
+    Buchberger's algorithm with normal selection: the pending pairs sit on a
+    heap keyed by their packed lcm, so the smallest lcm comes first.  Each
+    new element goes through the Gebauer-Moeller pair update
+    (Becker-Weispfenning, Groebner Bases, 1993, UPDATE on p. 230), which
+    keeps only the pairs that the product and chain criteria cannot skip
+    and drops the elements whose leading monomial the new one divides from
+    the set that S-polynomials are reduced against.  Each pair's lcm and
+    packed lcm are computed once, when the pair is formed.  Generators enter
+    ascending by leading monomial, ties in input order; the final
+    interreduction makes the output unique whatever that order.
+    """
+    gens = tuple(gens)
+    if gens:
+        ring = gens[0].ring
+        for g in gens:
+            if g.ring != ring:
+                raise RingMismatchError("generators over different rings")
+    nonzero = [g for g in gens if not g.is_zero]
+    basis = _packed(order, ring.arity, lambda layout: _buchberger(nonzero, order, layout)) if nonzero else ()
+    result = GroebnerBasis(order, gens, basis)
     if _verify_bases and not buchberger_criterion_holds(result):
         raise AssertionError("computed basis fails the Buchberger criterion")
     return result

@@ -13,8 +13,31 @@ on its integers.  Only the accessors that show values (`terms()`,
 Products (and so compositions and powers) pack each exponent tuple into one
 int; a product by a one-term polynomial, constant or not, takes `_mul_term`
 (which `mul_monomial` also calls), which shifts and scales each term.
-Division lives in one routine, `_divide`: `groebner.reduce` takes its
-remainder, and `det` its exact quotient.
+
+Division runs on packed monomials ordered like the monomial order
+(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007).  A `MonomialOrder` owns rows, linear
+forms in the exponents: none for lex; for grevlex the degree, then the
+prefix sums e_1 + .. + e_j for j = n - 1 down to 1; for block(k) the grevlex
+rows of the first k variables, then those of the rest.  A packed monomial
+holds, in fields of one width from the most significant down, the rows
+applied to e and then e_1, .., e_n themselves.  While every field stays
+below half its range:
+
+- comparing two packed ints is comparing the monomials in the order;
+- x^a * x^b packs to pa + pb;
+- x^a divides x^b iff (pb - pa) & guard == 0, guard holding the top bit of
+  every field;
+- the low n fields unpack back to the exponent tuple.
+
+Every field of a monomial is at most its total degree, so packing checks
+the degree; a sum is checked by its guard bits.  Either check failing
+raises `_Overflow`, and `_packed` runs the whole computation again at
+double the width, starting from 8 bits: the result does not depend on the
+width.  `_reduce_packed` is the package's one division kernel; `_divide`
+packs for it and unpacks once, for `groebner.reduce` (the remainder) and
+`det` (an exact quotient), and `groebner.groebner_basis` keeps its basis
+packed throughout.
 
 All operations are pure, and the ring and stored form of a value never
 change after construction.  The one other slot, the head cache of `_head`,
@@ -29,12 +52,12 @@ concurrently with another writes the same value.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from functools import reduce
-from operator import add, le, lshift, mul, neg, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import partial, reduce
+from operator import add, lshift, mul, neg
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -101,6 +124,148 @@ def _grevlex_descending(term):
     grevlex_key negated field by field."""
     exps = term[0]
     return (-sum(exps), exps[::-1])
+
+
+def _block_key(front_size: int, exponents: Sequence[int]):
+    return (grevlex_key(exponents[:front_size]), grevlex_key(exponents[front_size:]))
+
+
+def _grevlex_rows(start: int, stop: int, arity: int) -> list[tuple[int, ...]]:
+    """The grevlex rows of the variables start .. stop - 1 in a ring of
+    `arity` variables: their degree, then their prefix sums, longest first."""
+    return [tuple(int(start <= i < start + j) for i in range(arity)) for j in range(stop - start, 0, -1)]
+
+
+class _Overflow(Exception):
+    """A packed field reached its guard bit (see the module docstring)."""
+
+
+class _Layout:
+    """Packed monomials of one arity at one field width, under one order's
+    rows (see the module docstring)."""
+
+    __slots__ = ("cols", "shifts", "mask", "guard", "limit")
+
+    def __init__(self, rows: Sequence[Sequence[int]], arity: int, width: int):
+        fields = len(rows) + arity
+        # field f (counting from the least significant) starts at bit f * width;
+        # e_1 .. e_n take the low n fields, e_n lowest, and the rows sit above
+        self.shifts = tuple(range((arity - 1) * width, -1, -width))
+        row_shifts = range((fields - 1) * width, arity * width - 1, -width)
+        # x_i packs to cols[i], so e packs to sum(e_i * cols[i])
+        self.cols = tuple(
+            sum(row[i] << s for row, s in zip(rows, row_shifts)) + (1 << self.shifts[i])
+            for i in range(arity)
+        )
+        self.mask = (1 << width) - 1
+        self.guard = sum(1 << (f * width + width - 1) for f in range(fields))
+        self.limit = width - 1  # every field stays below 1 << limit
+
+    def pack(self, exps: Exponents) -> int:
+        if sum(exps) >> self.limit:
+            raise _Overflow
+        return sum(map(mul, exps, self.cols))
+
+    def pack_all(self, num: Mapping[Exponents, int]) -> dict[int, int]:
+        if max(map(sum, num), default=0) >> self.limit:
+            raise _Overflow
+        cols = self.cols
+        return {sum(map(mul, e, cols)): c for e, c in num.items()}
+
+    def unpack(self, packed: int) -> Exponents:
+        mask = self.mask
+        return tuple([packed >> s & mask for s in self.shifts])
+
+    def head_of(self, p: "Polynomial"):
+        """`head` of nonzero p packed."""
+        return self.head(self.pack_all(p._num))
+
+    def head(self, h: Mapping[int, int]):
+        """(lm, a, tail, top) of a nonzero packed polynomial h: the monic form
+        x^lm + tail/a as in `Polynomial._head`, on packed monomials, and top
+        the fieldwise maximum of the tail's monomials (0 for no tail), so
+        that a shift s keeps every shifted tail monomial in range iff
+        top + s sets no guard bit."""
+        lm = max(h)
+        lead = h[lm]
+        g = gcd(*h.values()) if lead > 0 else -gcd(*h.values())
+        tail = [(e, c // g) for e, c in h.items() if e != lm]
+        guard, limit, top = self.guard, self.limit, 0
+        for e, _ in tail:
+            # the guard bit of a field survives where top's field >= e's
+            t = ((top | guard) - e) & guard
+            keep = t - (t >> limit)
+            top = top & keep | e & ~keep
+        return lm, lead // g, tail, top
+
+
+@dataclass(frozen=True)
+class MonomialOrder:
+    """A monomial order: lex, grevlex, or a block order.
+
+    The block order compares the first `front_size` exponents (grevlex)
+    before the rest (grevlex), so it eliminates the front variables.
+    `key` is its sort key, chosen once: a bigger key means a bigger monomial.
+    The order's packed layouts (see the module docstring) are built once per
+    arity and width, on first use, and left out of copies and pickles.
+    """
+
+    kind: str
+    front_size: int | None = None
+    key: Callable[[Sequence[int]], object] = field(init=False, compare=False, repr=False)
+    _layouts: dict = field(init=False, compare=False, repr=False, default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in ("lex", "grevlex", "block"):
+            raise ValueError(f"unknown monomial order kind: {self.kind!r}")
+        if self.kind == "block":
+            k = self.front_size
+            if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
+                raise TypeError(f"block order front_size {k!r} is a {type(k).__name__}, not an int")
+            if k is None or k < 1:
+                raise ValueError("block order needs front_size >= 1")
+            key = partial(_block_key, k)
+        elif self.front_size is not None:
+            raise ValueError(f"{self.kind} order takes no front_size")
+        else:
+            key = grevlex_key if self.kind == "grevlex" else tuple
+        object.__setattr__(self, "key", key)
+
+    def __reduce__(self):
+        return MonomialOrder, (self.kind, self.front_size)
+
+    def _layout(self, arity: int, width: int) -> _Layout:
+        layout = self._layouts.get((arity, width))
+        if layout is None:
+            if self.kind == "lex":
+                rows = []
+            elif self.kind == "grevlex":
+                rows = _grevlex_rows(0, arity, arity)
+            else:
+                k = min(self.front_size, arity)
+                rows = _grevlex_rows(0, k, arity) + _grevlex_rows(k, arity, arity)
+            layout = self._layouts[arity, width] = _Layout(rows, arity, width)
+        return layout
+
+    def __str__(self):
+        if self.kind == "block":
+            return f"block({self.front_size})"
+        return self.kind
+
+
+LEX = MonomialOrder("lex")
+GREVLEX = MonomialOrder("grevlex")
+
+
+def _packed(order: MonomialOrder, arity: int, run):
+    """run(layout) under the order's layout for `arity`, from 8 bits per
+    field up, doubling the width each time run raises _Overflow."""
+    width = 8
+    while True:
+        try:
+            return run(order._layout(arity, width))
+        except _Overflow:
+            width *= 2
 
 
 def _exponents(exps: Sequence[int], arity: int) -> Exponents:
@@ -527,53 +692,74 @@ def embed(p: Polynomial, ring: Ring) -> Polynomial:
     return Polynomial._from_integers(ring, out, p._den)
 
 
-def _divide(p: Polynomial, divisors: Sequence[Polynomial], key):
-    """Divide p by nonzero divisors (Cox, Little, O'Shea, Ideals, Varieties,
-    and Algorithms, 2.3): each step divides the leading term (largest under
-    `key`) by the first divisor whose leading monomial divides it, or moves
-    it to the remainder r.  Returns each divisor's quotient q_i, and r:
-    p = sum(q_i * divisors[i]) + r.  A quotient is an exponent -> (num, den)
-    dict of integer pairs, coefficient num/den, left unreduced because
-    `groebner.reduce` drops the quotients and only `det` reads one; the
-    remainder is kept the same way until `_from_pairs` makes it.
+def _reduce_packed(h: dict[int, int], den: int, heads, guard: int, quotients=None):
+    """Divide h/den, a packed polynomial with int numerators, by the monic
+    packed heads (lm, a, tail, top) of `_Layout.head` (Cox, Little, O'Shea,
+    Ideals, Varieties, and Algorithms, 2.3): each step divides the leading
+    term (the largest packed monomial) by the first head whose lm divides
+    it, or moves it to the remainder.  Returns (r, den'), the remainder
+    r/den' with int numerators; h is consumed.  With `quotients`, one dict
+    per head, each step records quotient[shift] = (hc, den) for the monic
+    quotient term (hc/den) * x^shift, leaving the fraction unreduced.
 
-    The working polynomial is integer numerators h over one denominator den,
-    starting from p's stored form, and a step by a divisor with head
-    (lm, a, tail) sets h <- (a/g)*h - (hc/g)*x^shift*tail, g = gcd(a, hc),
-    fraction-free (Greuel and Pfister, A Singular Introduction to
-    Commutative Algebra, 1.6)."""
-    heads = [d._head(key) for d in divisors]
-    quotients: list[dict[Exponents, tuple[int, int]]] = [{} for _ in divisors]
-    remainder: dict[Exponents, tuple[int, int]] = {}
-    den = p._den
-    h = dict(p._num)  # p = h/den; no zero is stored
-    keys = {e: key(e) for e in h}  # every monomial h has held, with its key
+    A step by the head (lm, a, tail) sets h <- (a/g)*h - (hc/g)*x^shift*tail,
+    g = gcd(a, hc), fraction-free (Greuel and Pfister, A Singular
+    Introduction to Commutative Algebra, 1.6).  It raises _Overflow when
+    top + shift sets a guard bit."""
+    remainder = {}
     while h:
-        hm = max(h, key=keys.__getitem__)
-        hc = h.pop(hm)
-        for (lm, a, tail), d, quotient in zip(heads, divisors, quotients):
-            if all(map(le, lm, hm)):
-                shift = tuple(map(sub, hm, lm))
-                # hm falls each step, so no shift repeats; d's leading
-                # coefficient is d._num[lm] / d._den
-                quotient[shift] = (hc * d._den, den * d._num[lm])
-                g = gcd(a, hc)
-                if g != a:
-                    scale = a // g
-                    h = {e: c * scale for e, c in h.items()}
-                    den *= scale
-                hc //= g
-                for te, tc in tail:
-                    e = tuple(map(add, te, shift))
-                    c = h.pop(e, 0) - hc * tc
-                    if c:
-                        h[e] = c
-                        if e not in keys:
-                            keys[e] = key(e)
+        hm = max(h)
+        for head in heads:
+            shift = hm - head[0]
+            if not shift & guard:
                 break
         else:
-            remainder[hm] = (hc, den)
-    return quotients, _from_pairs(p.ring, remainder)
+            remainder[hm] = (h.pop(hm), den)
+            continue
+        _, a, tail, top = head
+        if (top + shift) & guard:
+            raise _Overflow
+        hc = h.pop(hm)
+        if quotients is not None:
+            # hm falls each step, so no shift repeats
+            quotients[heads.index(head)][shift] = (hc, den)
+        g = gcd(a, hc)
+        if g != a:
+            scale = a // g
+            h = {e: c * scale for e, c in h.items()}
+            den *= scale
+        hc //= g
+        for te, tc in tail:
+            e = te + shift
+            c = h.pop(e, 0) - hc * tc
+            if c:
+                h[e] = c
+    # den only grows by factors, so every earlier den divides the last one
+    return {e: n * (den // d) for e, (n, d) in remainder.items()}, den
+
+
+def _divide(p: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder):
+    """Divide p by nonzero divisors under `order` with `_reduce_packed`,
+    packing on entry and unpacking once.  Returns each divisor's quotient
+    q_i and the remainder r: p = sum(q_i * divisors[i]) + r.  A quotient is
+    an exponent -> (num, den) dict of integer pairs, coefficient num/den,
+    left unreduced because `groebner.reduce` drops the quotients and only
+    `det` reads one."""
+
+    def run(layout):
+        heads = [layout.head_of(d) for d in divisors]
+        quotients = [{} for _ in divisors]
+        r, den = _reduce_packed(layout.pack_all(p._num), p._den, heads, layout.guard, quotients)
+        return layout, heads, quotients, r, den
+
+    layout, heads, quotients, r, den = _packed(order, p.ring.arity, run)
+    unpack = layout.unpack
+    out = []
+    for d, head, quotient in zip(divisors, heads, quotients):
+        # the monic quotient over d's leading coefficient d._num[lm] / d._den
+        lead = d._num[unpack(head[0])]
+        out.append({unpack(s): (n * d._den, dn * lead) for s, (n, dn) in quotient.items()})
+    return out, Polynomial._from_integers(p.ring, {unpack(e): c for e, c in r.items()}, den)
 
 
 def _from_pairs(ring: Ring, pairs: dict[Exponents, tuple[int, int]]) -> Polynomial:
@@ -611,7 +797,7 @@ def det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                (quotient,), rem = _divide(num, [prev], grevlex_key)
+                (quotient,), rem = _divide(num, [prev], GREVLEX)
                 if rem:
                     raise ValueError("inexact polynomial division")
                 m[i][j] = _from_pairs(ring, quotient)

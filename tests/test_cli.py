@@ -779,3 +779,68 @@ def test_task_integer_past_the_digit_limit_is_load_error(capsys):
     code, records, err = run_cli_text(capsys, "\n".join(lines))
     assert code == 2 and records == []
     assert err.startswith("gaql: line 3: Exceeds the limit")
+
+
+@pytest.mark.skipif(not _INT_DIGIT_LIMIT, reason="no limit on integer string conversion")
+def test_result_past_the_digit_limit_is_an_error_record_and_the_stream_continues(capsys):
+    code, records, _ = run_cli(capsys, ["poly", "--ring", "x", "--expr", "10000000000^500*x"])
+    assert code == 1 and len(records) == 1
+    assert records[0]["status"] == "error"
+    assert records[0]["error"] == {
+        "code": "output-too-large",
+        "message": f"the record holds a number of more than {_INT_DIGIT_LIMIT} digits",
+    }
+    assert records[0]["command"] == {"cmd": "poly", "poly": "10000000000^500*x"}
+    lines = [
+        '{"ring": ["x", "y"]}',
+        '{"map": {"name": "F", "components": ["x", "y"]}}',
+        '{"command": {"cmd": "poly", "poly": "x"}}',
+        '{"command": {"cmd": "poly", "poly": "10000000000^500*x"}}',
+        '{"command": {"cmd": "fiber", "map": "F", "point": ["1e4300", "1"]}}',
+        '{"command": {"cmd": "poly", "poly": "y"}}',
+    ]
+    code, records, _ = run_cli_text(capsys, "\n".join(lines))
+    assert code == 1
+    assert [r["status"] for r in records] == ["ok", "error", "error", "ok"]
+    assert [r.get("error", {}).get("code") for r in records[1:3]] == ["output-too-large"] * 2
+    # the echo holds the point as resolved: 10^4300, all 4301 digits of it
+    assert records[2]["command"]["point"] == ["1" + "0" * 4300, "1"]
+    assert records[3]["payload"] == {"canonical": "y"}
+
+
+def test_echo_digits_match_str():
+    # every n here is below the conversion limit, so str(n) is the reference
+    for n in (0, 7, -7, 10**999, 10**1000 - 1, 10**1000, -(10**1000), 10**2500 + 12345, 3**9000, -(3**9000)):
+        assert cli._digits(n) == str(n)
+    assert cli._echo_value(Fraction(-(10**5000), 3)) == "-1" + "0" * 5000 + "/3"
+
+
+@pytest.mark.parametrize("depth", [300, 10_000])
+def test_deep_parentheses_are_a_positioned_load_error(tmp_path, depth):
+    import os
+    import subprocess
+
+    import gaql
+
+    expr = "(" * depth + "x" + ")" * depth
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gaql.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    task = tmp_path / "task.jsonl"
+    task.write_text('{"ring": ["x", "y"]}\n{"poly": {"name": "p", "expr": "y"}}\n'
+                    + json.dumps({"command": {"cmd": "poly", "poly": expr}}) + "\n")
+    want = "parentheses nested more than 100 deep (line 1, column 101)"
+    for argv, prefix in (
+        (["run", str(task)], f"gaql: line 3: in {expr!r}: "),
+        (["poly", "--ring", "x,y", "--expr", expr], f"gaql: in {expr!r}: "),
+        (["poly", "--ring", "x,y", "--expr", "((x"], "gaql: in '((x': "),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "gaql.cli", *argv], capture_output=True, text=True, timeout=30, env=env
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(prefix)
+        if argv[-1] != "((x":
+            assert done.stderr.rstrip().endswith(want)
+        else:
+            assert done.stderr.rstrip().endswith("expected ')', found 'end of input' (line 1, column 4)")

@@ -95,3 +95,15 @@ def test_round_trip_preserves_canonical_text():
         p = rand_poly(rng, R4, max_degree=3, max_terms=4)
         text = format_polynomial(p)
         assert format_polynomial(parse_polynomial(text, R4)) == text
+
+
+def test_nesting_bound():
+    from gaql.exprs import MAX_NESTING
+
+    deep = "(" * MAX_NESTING + "x + 1" + ")" * MAX_NESTING
+    assert parse_polynomial(f"2*{deep}^2", R3) == 2 * (X + 1) ** 2
+    for depth in (MAX_NESTING + 1, 300, 10_000):
+        src = "y + " + "(" * depth + "x" + ")" * depth
+        with pytest.raises(PolyParseError, match=f"nested more than {MAX_NESTING} deep") as info:
+            parse_polynomial(src, R3)
+        assert (info.value.line, info.value.col) == (1, 5 + MAX_NESTING)

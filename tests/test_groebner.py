@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_division_case, rand_nonzero_poly, rand_poly
+from gaql import groebner
 from gaql.groebner import (
     GREVLEX,
     LEX,
@@ -24,7 +26,7 @@ from gaql.groebner import (
     s_polynomial,
     subalgebra_membership,
 )
-from gaql.poly import Polynomial, Ring, RingMismatchError, grevlex_key
+from gaql.poly import Polynomial, Ring, RingMismatchError, _packed, grevlex_key
 
 R2 = Ring(("x", "y"))
 R3 = Ring(("x", "y", "z"))
@@ -162,7 +164,8 @@ def test_interreduce_matches_scaling_by_the_leading_coefficient_random(order):
     for _ in range(150):
         _, polys = rand_division_case(rng, order)
         want = _scaling_interreduce(polys, order)
-        got = _interreduce(polys, order)
+        got = _packed(order, polys[0].ring.arity,
+                      lambda layout: _interreduce(list(map(layout.head_of, polys)), layout, polys[0].ring, order))
         assert got == want
         assert [list(p.terms()) for p in got] == [list(p.terms()) for p in want]
         assert all(leading_term(p, order)[1] == 1 for p in got)
@@ -509,3 +512,66 @@ def test_ring_mismatch():
         groebner_basis([X, X4])
     with pytest.raises(RingMismatchError):
         reduce(X, [X4])
+
+
+R2 = Ring(("x", "y"))
+X2, Y2 = R2.gens()
+
+
+@pytest.mark.parametrize(
+    "kind, gens, want",
+    [
+        # y^130 overflows 8-bit fields when the generators are packed
+        ("lex", [X2 - Y2**130, Y2**2 - 1], [X2 - 1, Y2**2 - 1]),
+        # the S-polynomial x^2 - x*(x - y^100) = x*y^100 reduces to y^200
+        ("lex", [X2**2, X2 - Y2**100], [X2 - Y2**100, Y2**200]),
+        # the block order's second degree row outgrows 8 bits mid-reduction
+        (1, [X - Y**40 * Z**30, X**2 * Y**60 - Z], None),
+        ("grevlex", [X2**2**64 - Y2, Y2**2 - 1, X2 * Y2 - X2], None),
+    ],
+    ids=["lex-at-packing", "lex-in-reduction", "block", "exponent-2^64"],
+)
+def test_groebner_basis_restarts_at_double_width(kind, gens, want):
+    order = block_order(kind) if isinstance(kind, int) else MonomialOrder(kind)  # no layout built yet
+    basis = groebner_basis(gens, order).basis
+    assert basis == _criterion_free_basis(gens, order)
+    if want is not None:
+        assert basis == tuple(want)
+    assert max(width for _, width in order._layouts) > 8
+
+
+def _cyclic(xs):
+    n = len(xs)
+    comps = [sum(math.prod(xs[(i + j) % n] for j in range(k)) for i in range(n)) for k in range(1, n)]
+    return comps + [math.prod(xs)]
+
+
+def _katsura(xs):
+    n = len(xs) - 1
+    u = {k: xs[abs(k)] for k in range(-n, n + 1)}
+    comps = [sum(u[l] * u[m - l] for l in range(-n, n + 1) if m - l in u) - xs[m] for m in range(n)]
+    return comps + [xs[0] + 2 * sum(xs[1:])]
+
+
+def test_s_polynomial_reductions_of_the_gb_stress_systems(monkeypatch):
+    """The fibers of bench/workloads.py's gb-stress, seed 1: the reductions
+    that Buchberger runs are pinned, so a change to pair selection or to
+    the criteria shows here."""
+    calls = []
+    s_remainder = groebner._s_remainder
+    monkeypatch.setattr(groebner, "_s_remainder", lambda *args: calls.append(args) or s_remainder(*args))
+    monkeypatch.setattr(groebner, "_verify_bases", False)
+    R5 = Ring(("x1", "x2", "x3", "x4", "x5"))
+    xs = R5.gens()
+    cases = {
+        "C5": (_cyclic(xs), 1, GREVLEX),
+        "K4": (_katsura(xs), -1, GREVLEX),
+        "C4": (_cyclic(xs[:4]), -1, LEX),
+        "K3": (_katsura(xs[:4]), -1, LEX),
+    }
+    counts = {}
+    for name, (comps, constant, order) in cases.items():
+        calls.clear()
+        groebner_basis(comps[:-1] + [comps[-1] + constant], order)
+        counts[name] = len(calls)
+    assert counts == {"C5": 106, "K4": 28, "C4": 20, "K3": 43}

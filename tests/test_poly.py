@@ -1,7 +1,9 @@
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 import pytest
 
@@ -13,8 +15,10 @@ from gaql.poly import (
     PolyMap,
     Polynomial,
     Ring,
+    MonomialOrder,
     RingMismatchError,
     _divide,
+    _Overflow,
     det,
     embed,
     grevlex_key,
@@ -357,9 +361,9 @@ def test_maximal_minors_match_cofactor_oracle_random():
 DIVISION_ORDERS = [GREVLEX, LEX, block_order(1)]
 
 
-def divide_fractions(p, divisors, key):
+def divide_fractions(p, divisors, order):
     """_divide with each quotient's (num, den) pairs read as Fractions."""
-    quotients, r = _divide(p, divisors, key)
+    quotients, r = _divide(p, divisors, order)
     return [{e: Fraction(n, d) for e, (n, d) in q.items()} for q in quotients], r
 
 
@@ -368,7 +372,7 @@ def test_divide_rebuilds_p_with_an_irreducible_remainder_random(order):
     rng = random.Random(14)
     for _ in range(300):
         p, divisors = rand_division_case(rng, order)
-        quotients, r = divide_fractions(p, divisors, order.key)
+        quotients, r = divide_fractions(p, divisors, order)
         rebuilt = r
         for q, d in zip(quotients, divisors):
             rebuilt = rebuilt + Polynomial(p.ring, q) * d
@@ -384,15 +388,15 @@ def test_divide_exact_multiples_random(order):
     for _ in range(100):
         ring = Ring(("x", "y", "z", "w")[: rng.randint(1, 4)])
         p, q = rand_poly(rng, ring), rand_nonzero_poly(rng, ring, max_degree=2)
-        (quotient,), r = divide_fractions(p * q, [q], order.key)
+        (quotient,), r = divide_fractions(p * q, [q], order)
         assert Polynomial(ring, quotient) == p and r.is_zero
         if not q.is_constant:
-            assert not _divide(p * q + 1, [q], order.key)[1].is_zero
+            assert not _divide(p * q + 1, [q], order)[1].is_zero
 
 
 def test_det_refuses_an_inexact_division(monkeypatch):
     divide = poly._divide
-    monkeypatch.setattr(poly, "_divide", lambda p, divisors, key: divide(p + 1, divisors, key))
+    monkeypatch.setattr(poly, "_divide", lambda p, divisors, order: divide(p + 1, divisors, order))
     with pytest.raises(ValueError, match="inexact polynomial division"):
         det([[X, Y, Z], [Y, Z, X], [Z, X, Y]])
 
@@ -627,9 +631,9 @@ def test_divide_matches_uncached_division_random(order):
         p, divisors = rand_division_case(rng, order)
         for d in divisors:
             p = p + rand_poly(rng, p.ring, max_degree=2, max_terms=3) * d
-        assert divide_fractions(p, divisors, order.key) == _divide_oracle(p, divisors, order.key, events)
+        assert divide_fractions(p, divisors, order) == _divide_oracle(p, divisors, order.key, events)
         # a second call reads the heads cached by the first
-        assert divide_fractions(p, divisors, order.key) == _divide_oracle(p, divisors, order.key, events)
+        assert divide_fractions(p, divisors, order) == _divide_oracle(p, divisors, order.key, events)
     assert events["recreated"] > 0
 
 
@@ -651,7 +655,7 @@ def test_divide_matches_fraction_division_with_large_coefficients_random(order):
             lc, a = leading_term(d, order)[1], d._head(order.key)[1]
             seen["negative lc"] += lc < 0
             seen["a > 1"] += a > 1
-        assert divide_fractions(p, divisors, order.key) == _divide_oracle(p, divisors, order.key, Counter())
+        assert divide_fractions(p, divisors, order) == _divide_oracle(p, divisors, order.key, Counter())
     assert seen["negative lc"] > 0 and seen["a > 1"] > 0
 
 
@@ -665,3 +669,63 @@ def test_det_of_large_fractional_entries_matches_cofactor_oracle_random():
             primes = _distinct_primes(rng, 3 * n * n)
             rows = [[_rand_big_poly(rng, ring, primes, max_degree=1, max_terms=3) for _ in range(n)] for _ in range(n)]
             assert det(rows) == cofactor_det(rows)
+
+
+def test_packed_monomials_follow_the_order_random():
+    """For n = 1..5 and every order: integer comparison of packed monomials
+    is the order's, a product packs to the sum, divisibility is the
+    guard-bit test, and unpacking inverts packing."""
+    rng = random.Random(24)
+    for n in range(1, 6):
+        for order in [LEX, GREVLEX] + [block_order(k) for k in range(1, n)]:
+            layout = order._layout(n, 8)
+            monomials = [tuple(rng.randint(0, 12) for _ in range(n)) for _ in range(40)]
+            monomials += [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(20)]
+            for a in monomials:
+                pa = layout.pack(a)
+                assert layout.unpack(pa) == a
+                for b in rng.sample(monomials, 15):
+                    pb = layout.pack(b)
+                    assert (pa < pb) == (order.key(a) < order.key(b)), (order, a, b)
+                    assert (pa == pb) == (a == b)
+                    assert pa + pb == layout.pack(tuple(map(add, a, b)))
+                    assert (not (pb - pa) & layout.guard) == all(x <= y for x, y in zip(a, b)), (order, a, b)
+    assert order._layout(5, 8) is order._layout(5, 8)
+
+
+R2 = Ring(("x", "y"))
+X2, Y2 = R2.gens()
+N64 = 2**64
+
+
+def _widths(order, arity):
+    """The field widths the order has packed `arity` variables at."""
+    return sorted(width for a, width in order._layouts if a == arity)
+
+
+@pytest.mark.parametrize(
+    "kind, p, divisors, widths, overflow",
+    [
+        # y^130 needs more than 7 bits, so packing at 8 bits overflows
+        ("lex", X2 * Y2**130 + Y2**3, [X2 * Y2 - 1, Y2**2 + X2], [8, 16], "packing"),
+        # x^2 = (x + y^100)(x - y^100) + y^200, and y^200 appears mid-division
+        ("lex", X2**2, [X2 - Y2**100], [8, 16], "division"),
+        # the block order's second degree row reaches 130 mid-division
+        (1, X**2 * Y**60, [X - Y**40 * Z**30], [8, 16], "division"),
+        ("grevlex", X2**N64 * Y2 + Y2, [X2**N64 - Y2**2], [8, 16, 32, 64, 128], "packing"),
+    ],
+    ids=["lex-at-packing", "lex-in-division", "block", "exponent-2^64"],
+)
+def test_divide_restarts_at_double_width(kind, p, divisors, widths, overflow):
+    order = block_order(kind) if isinstance(kind, int) else MonomialOrder(kind)  # no layout built yet
+    got = divide_fractions(p, divisors, order)
+    assert got == _divide_oracle(p, divisors, order.key, Counter())
+    assert _widths(order, p.ring.arity) == widths
+    layout = order._layout(p.ring.arity, 8)
+    if overflow == "packing":
+        with pytest.raises(_Overflow):
+            [layout.pack_all(q._num) for q in [p] + divisors]
+    else:
+        [layout.pack_all(q._num) for q in [p] + divisors]
+    if p == X2**2:
+        assert got[1] == Y2**200 and Polynomial(R2, got[0][0]) == X2 + Y2**100
