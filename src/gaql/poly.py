@@ -721,7 +721,8 @@ def _reduce_packed(h: dict[int, int], den: int, heads, guard: int, quotients=Non
             raise _Overflow
         hc = h.pop(hm)
         if quotients is not None:
-            # hm falls each step, so no shift repeats
+            # hm falls each step, so no shift repeats; an equal head before
+            # this one would have divided first, so index finds this one
             quotients[heads.index(head)][shift] = (hc, den)
         g = gcd(a, hc)
         if g != a:
