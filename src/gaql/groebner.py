@@ -12,15 +12,20 @@ the monomial order, so that a product of monomials is an addition and a
 divisibility test one subtraction and one mask.  Each basis element is a
 packed monic head (lm, a, tail, top) from the moment it enters: the monic
 form x^lm + tail/a with an integer tail.  S-polynomials are built from the
-heads, the pair heap is keyed by the packed lcm, each remainder of
-`poly._reduce_packed` becomes a head directly, and interreduction runs
-packed; only the Gebauer-Moeller criteria read exponent tuples, one unpack
-per new element.  Each output polynomial is made once, with its head under
-the order already cached.  A field that outgrows its width (8 bits at
-first) raises `poly._Overflow`, and the computation starts again at double
-the width; the basis does not depend on it.  Public `reduce` and
-`s_polynomial` pack on entry and unpack once.  Coefficients are read only
-through `poly`'s accessors.
+heads, each remainder of `poly._reduce_packed` becomes a head directly,
+and interreduction runs packed.  The Gebauer-Moeller criteria run on
+packed ints too: a pair's lcm is the fieldwise maximum of the exponent
+fields of its two leading monomials (`_Layout.fieldwise_max`, the helper
+that also gives a head's `top`), divisibility is the guard-bit test, and
+two monomials are coprime iff their lcm is their product, whose fields are
+the sums.  Only a pair that the criteria keep gets the order's rows added
+to its lcm (`_Layout.with_rows`), for the key of the pair heap.  Each
+output polynomial is made once, with its head under the order already
+cached.  A field that outgrows its width (8 bits at first) raises
+`poly._Overflow`, and the computation starts again at double the width;
+the basis does not depend on it.  Public `reduce` and `s_polynomial` pack
+on entry and unpack once.  Coefficients are read only through `poly`'s
+accessors.
 
 Decision procedures built on top: ideal membership, unit-ideal test,
 elimination via block orders, combinatorial Krull dimension, radical
@@ -31,10 +36,11 @@ variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations
+from itertools import chain, combinations, compress, repeat
 from math import gcd, lcm
-from operator import itemgetter, le
+from operator import and_, itemgetter
 from typing import Iterable, Sequence
 
 from .poly import (  # the orders are re-exported from here
@@ -64,18 +70,6 @@ def set_basis_verification(flag: bool):
 
 def block_order(front_size: int) -> MonomialOrder:
     return MonomialOrder("block", front_size)
-
-
-def _monomial_divides(a, b) -> bool:
-    return all(map(le, a, b))
-
-
-def _monomial_lcm(a, b):
-    return tuple(map(max, a, b))
-
-
-def _coprime(a, b) -> bool:
-    return not any(map(min, a, b))
 
 
 def leading_term(p: Polynomial, order: MonomialOrder):
@@ -133,11 +127,18 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 
     def run(layout):
         fh, gh = layout.head_of(f), layout.head_of(g)
-        plcm = layout.pack(_monomial_lcm(layout.unpack(fh[0]), layout.unpack(gh[0])))
-        s, den = _s_polynomial(fh, gh, plcm, layout.guard)
+        s, den = _s_polynomial(fh, gh, layout.lcm(fh[0], gh[0]), layout.guard)
         return {layout.unpack(e): c for e, c in s.items()}, den
 
     return Polynomial._from_integers(f.ring, *_packed(order, f.ring.arity, run))
+
+
+@cache
+def _subset_masks(n: int, size: int) -> tuple[int, ...]:
+    """The bitmasks of the subsets of `size` of n variables, variable i at
+    bit i.  `GroebnerBasis.dimension` asks for a table only when its search
+    reaches that size, so a table is never larger than the search's walk."""
+    return tuple(map(sum, combinations([1 << i for i in range(n)], size)))
 
 
 @dataclass(frozen=True)
@@ -165,10 +166,14 @@ class GroebnerBasis:
         if not self.generators:
             raise ValueError("an ideal with no generators has no ring")
         n = self.generators[0].ring.arity
-        supports = [{i for i, e in enumerate(p._head(self.order.key)[0]) if e} for p in self.basis]
+        key = self.order.key
+        # each leading monomial's support as a bitmask, variable i at bit i
+        bits = _subset_masks(n, 1)
+        supports = [sum(compress(bits, p._head(key)[0])) for p in self.basis]
         for size in range(n, 0, -1):
-            for subset in map(set, combinations(range(n), size)):
-                if not any(s <= subset for s in supports):
+            # a subset holds no support iff every support meets its complement
+            for rest in _subset_masks(n, n - size):
+                if all(map(and_, supports, repeat(rest))):
                     return size
         return 0
 
@@ -184,10 +189,9 @@ def buchberger_criterion_holds(gb: GroebnerBasis) -> bool:
 
     def run(layout):
         heads = [layout.head_of(p) for p in basis]
-        lms = [layout.unpack(head[0]) for head in heads]
         return not any(
-            _s_remainder(heads[i], heads[j], layout.pack(_monomial_lcm(lms[i], lms[j])), heads, layout.guard)
-            for i, j in combinations(range(len(heads)), 2)
+            _s_remainder(f, g, layout.lcm(f[0], g[0]), heads, layout.guard)
+            for f, g in combinations(heads, 2)
         )
 
     return _packed(gb.order, basis[0].ring.arity, run)
@@ -217,14 +221,16 @@ def _interreduce(heads, layout, ring: Ring, order: MonomialOrder) -> tuple[Polyn
 
 def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder, layout) -> tuple[Polynomial, ...]:
     """The reduced basis of nonzero gens, on packed monomials of `layout`."""
-    guard = layout.guard
+    guard, exponents, fmax = layout.guard, layout.exponents, layout.fieldwise_max
     heads = []  # every element added, as a packed head; pairs index into it
-    lms = []  # their leading monomials as exponent tuples
     live: list[int] = []  # indices of the current basis G, ascending
-    pairs = []  # heap of (packed lcm, i, j, lcm), i < j
+    # heap of (packed lcm, i, j, lcm), i < j; the criteria read the lcm as
+    # its exponent fields alone (`_Layout.lcm` without the rows): equal
+    # fields are equal lcms, and the guard test divides as on packed ints
+    pairs = []
 
     def add(head):
-        lm = layout.unpack(head[0])
+        lm = head[0] & exponents  # the new leading monomial's exponent fields
         new = len(heads)
         # criterion B: drop an old pair when lm divides its lcm and that lcm
         # differs from both of its members' lcms with lm
@@ -232,9 +238,9 @@ def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder, layout) -> tup
             old = [
                 pair
                 for pair in pairs
-                if not _monomial_divides(lm, pair[3])
-                or pair[3] == _monomial_lcm(lms[pair[1]], lm)
-                or pair[3] == _monomial_lcm(lms[pair[2]], lm)
+                if (pair[3] - lm) & guard
+                or pair[3] == fmax(heads[pair[1]][0], lm) & exponents
+                or pair[3] == fmax(heads[pair[2]][0], lm) & exponents
             ]
             if len(old) < len(pairs):
                 pairs[:] = old
@@ -243,21 +249,19 @@ def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder, layout) -> tup
         # the lcm of a new pair still to be looked at or already kept; a
         # coprime pair is kept here, so that it can cover the others, and
         # only then dropped by the product criterion
-        candidates = [(_monomial_lcm(lms[k], lm), k) for k in live]
+        candidates = [(fmax(heads[k][0], lm) & exponents, k) for k in live]
         kept = []
         for n, (m, k) in enumerate(candidates):
-            coprime = _coprime(lms[k], lm)
-            if coprime or not any(
-                _monomial_divides(c[0], m) for c in chain(kept, candidates[n + 1 :])
-            ):
+            # coprime iff the lcm is the product, whose fields are the sums
+            coprime = m == (heads[k][0] + lm) & exponents
+            if coprime or all((m - c[0]) & guard for c in chain(kept, candidates[n + 1 :])):
                 kept.append((m, k, coprime))
         for m, k, coprime in kept:
             if not coprime:
-                heappush(pairs, (layout.pack(m), k, new, m))
-        live[:] = [k for k in live if not _monomial_divides(lm, lms[k])]
+                heappush(pairs, (layout.with_rows(m), k, new, m))
+        live[:] = [k for k in live if (heads[k][0] - lm) & guard]
         live.append(new)
         heads.append(head)
-        lms.append(lm)
 
     # sorted is stable, so equal leading monomials keep the input order
     for head in sorted(map(layout.head_of, gens), key=itemgetter(0)):
@@ -279,10 +283,11 @@ def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -
     (Becker-Weispfenning, Groebner Bases, 1993, UPDATE on p. 230), which
     keeps only the pairs that the product and chain criteria cannot skip
     and drops the elements whose leading monomial the new one divides from
-    the set that S-polynomials are reduced against.  Each pair's lcm and
-    packed lcm are computed once, when the pair is formed.  Generators enter
-    ascending by leading monomial, ties in input order; the final
-    interreduction makes the output unique whatever that order.
+    the set that S-polynomials are reduced against.  Each pair's lcm is
+    computed once, when the pair is formed, and packed with the order's rows
+    only if the pair is kept.  Generators enter ascending by leading
+    monomial, ties in input order; the final interreduction makes the output
+    unique whatever that order.
     """
     gens = tuple(gens)
     if gens:

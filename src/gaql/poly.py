@@ -28,16 +28,21 @@ below half its range:
 - x^a * x^b packs to pa + pb;
 - x^a divides x^b iff (pb - pa) & guard == 0, guard holding the top bit of
   every field;
+- the fieldwise maximum of two packed ints is a few masks on the guard bits
+  of (pa | guard) - pb (`_Layout.fieldwise_max`); on the low n fields it is
+  the exponent fields of lcm(x^a, x^b), which `_Layout.with_rows` packs by
+  adding the order's rows back;
 - the low n fields unpack back to the exponent tuple.
 
 Every field of a monomial is at most its total degree, so packing checks
-the degree; a sum is checked by its guard bits.  Either check failing
-raises `_Overflow`, and `_packed` runs the whole computation again at
-double the width, starting from 8 bits: the result does not depend on the
-width.  `_reduce_packed` is the package's one division kernel; `_divide`
-packs for it and unpacks once, for `groebner.reduce` (the remainder) and
-`det` (an exact quotient), and `groebner.groebner_basis` keeps its basis
-packed throughout.
+the degree; a sum, or the rows of an lcm, is checked by its guard bits.
+Either check failing raises `_Overflow`, and `_packed` runs the whole
+computation again at double the width, starting from 8 bits: the result
+does not depend on the width.  `_reduce_packed` is the package's one
+division kernel; `_divide` packs for it and unpacks once, for
+`groebner.reduce` (the remainder) and `det` (an exact quotient), and
+`groebner.groebner_basis` keeps its basis and its pair criteria packed
+throughout.
 
 All operations are pure, and the ring and stored form of a value never
 change after construction.  The one other slot, the head cache of `_head`,
@@ -46,7 +51,9 @@ monic tail as integers over one positive int, written once (on first use
 for that key, or by `_monic_from_head` for a polynomial built from a known
 head) and read after.
 It is left out of `==`, `hash` and pickles, and a thread that fills it
-concurrently with another writes the same value.
+concurrently with another writes the same value.  `__setattr__` refuses
+every write; construction and the head cache write through the slots' own
+setters (`_set_ring`, `_set_num`, `_set_den`, `_set_heads`).
 """
 
 from __future__ import annotations
@@ -144,7 +151,7 @@ class _Layout:
     """Packed monomials of one arity at one field width, under one order's
     rows (see the module docstring)."""
 
-    __slots__ = ("cols", "shifts", "mask", "guard", "limit")
+    __slots__ = ("cols", "shifts", "mask", "guard", "limit", "exponents", "row_cols")
 
     def __init__(self, rows: Sequence[Sequence[int]], arity: int, width: int):
         fields = len(rows) + arity
@@ -160,6 +167,9 @@ class _Layout:
         self.mask = (1 << width) - 1
         self.guard = sum(1 << (f * width + width - 1) for f in range(fields))
         self.limit = width - 1  # every field stays below 1 << limit
+        self.exponents = (1 << arity * width) - 1  # the low n fields
+        # (shift, rows of x_i) for each x_i with a nonzero row: lex has none
+        self.row_cols = tuple((s, c - (1 << s)) for s, c in zip(self.shifts, self.cols) if c != 1 << s)
 
     def pack(self, exps: Exponents) -> int:
         if sum(exps) >> self.limit:
@@ -176,6 +186,31 @@ class _Layout:
         mask = self.mask
         return tuple([packed >> s & mask for s in self.shifts])
 
+    def fieldwise_max(self, a: int, b: int) -> int:
+        """The int whose every field is the larger of a's and b's, for a and
+        b with every field below 1 << limit."""
+        guard = self.guard
+        # the guard bit of a field survives where a's field >= b's
+        t = ((a | guard) - b) & guard
+        keep = t - (t >> self.limit)
+        return a & keep | b & ~keep
+
+    def with_rows(self, e: int) -> int:
+        """The packed monomial whose exponents are the low n fields of e, the
+        rest of e being zero: e plus the order's rows of those exponents.
+        A row of an lcm is at most the sum of its members' rows, below
+        2 << limit, so it cannot carry past its field: a row out of range
+        sets its guard bit, and that raises _Overflow."""
+        mask = self.mask
+        packed = e + sum([(e >> s & mask) * c for s, c in self.row_cols])
+        if packed & self.guard:
+            raise _Overflow
+        return packed
+
+    def lcm(self, a: int, b: int) -> int:
+        """The packed lcm of the packed monomials a and b."""
+        return self.with_rows(self.fieldwise_max(a, b) & self.exponents)
+
     def head_of(self, p: "Polynomial"):
         """`head` of nonzero p packed."""
         return self.head(self.pack_all(p._num))
@@ -190,13 +225,7 @@ class _Layout:
         lead = h[lm]
         g = gcd(*h.values()) if lead > 0 else -gcd(*h.values())
         tail = [(e, c // g) for e, c in h.items() if e != lm]
-        guard, limit, top = self.guard, self.limit, 0
-        for e, _ in tail:
-            # the guard bit of a field survives where top's field >= e's
-            t = ((top | guard) - e) & guard
-            keep = t - (t >> limit)
-            top = top & keep | e & ~keep
-        return lm, lead // g, tail, top
+        return lm, lead // g, tail, reduce(self.fieldwise_max, [e for e, _ in tail], 0)
 
 
 @dataclass(frozen=True)
@@ -378,9 +407,9 @@ class Polynomial:
                 num = {e: c // g for e, c in num.items()}
                 den //= g
         p = object.__new__(cls)
-        object.__setattr__(p, "ring", ring)
-        object.__setattr__(p, "_num", num)
-        object.__setattr__(p, "_den", den)
+        _set_ring(p, ring)
+        _set_num(p, num)
+        _set_den(p, den)
         return p
 
     @classmethod
@@ -388,7 +417,7 @@ class Polynomial:
         """The monic polynomial x^lm + tail/a of a head (lm, a, tail) under
         `key`, with that head already cached."""
         p = cls._from_integers(ring, {**dict(tail), lm: a}, a)
-        object.__setattr__(p, "_heads", {key: (lm, a, tail)})
+        _set_heads(p, {key: (lm, a, tail)})
         return p
 
     def __setattr__(self, name, value):
@@ -407,7 +436,7 @@ class Polynomial:
             heads = self._heads
         except AttributeError:
             heads = {}
-            object.__setattr__(self, "_heads", heads)
+            _set_heads(self, heads)
         head = heads.get(key)
         if head is None:
             num = self._num
@@ -677,6 +706,13 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+# the slots' own setters, which the refusing __setattr__ does not reach
+_set_ring = Polynomial.ring.__set__
+_set_num = Polynomial._num.__set__
+_set_den = Polynomial._den.__set__
+_set_heads = Polynomial._heads.__set__
 
 
 def embed(p: Polynomial, ring: Ring) -> Polynomial:

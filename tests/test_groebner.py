@@ -4,6 +4,8 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import itemgetter
 
 import pytest
 
@@ -433,6 +435,91 @@ def test_groebner_basis_matches_the_criterion_free_oracle(order):
         assert groebner_basis(gens, order).basis == _criterion_free_basis(gens, order), (gens, order)
 
 
+def _monomial_divides(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _monomial_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def _coprime(a, b) -> bool:
+    return not any(map(min, a, b))
+
+
+def _tuple_update_buchberger(gens, order, layout):
+    """groebner._buchberger with the Gebauer-Moeller update run on exponent
+    tuples, one unpack per new element: the oracle for the update on packed
+    ints, which must form, skip and order the same pairs."""
+    guard = layout.guard
+    heads, lms, live, pairs = [], [], [], []
+
+    def add(head):
+        lm = layout.unpack(head[0])
+        new = len(heads)
+        if pairs:
+            old = [
+                pair
+                for pair in pairs
+                if not _monomial_divides(lm, pair[3])
+                or pair[3] == _monomial_lcm(lms[pair[1]], lm)
+                or pair[3] == _monomial_lcm(lms[pair[2]], lm)
+            ]
+            if len(old) < len(pairs):
+                pairs[:] = old
+                heapify(pairs)
+        candidates = [(_monomial_lcm(lms[k], lm), k) for k in live]
+        kept = []
+        for n, (m, k) in enumerate(candidates):
+            coprime = _coprime(lms[k], lm)
+            if coprime or not any(
+                _monomial_divides(c[0], m) for c in itertools.chain(kept, candidates[n + 1 :])
+            ):
+                kept.append((m, k, coprime))
+        for m, k, coprime in kept:
+            if not coprime:
+                heappush(pairs, (layout.pack(m), k, new, m))
+        live[:] = [k for k in live if not _monomial_divides(lm, lms[k])]
+        live.append(new)
+        heads.append(head)
+        lms.append(lm)
+
+    for head in sorted(map(layout.head_of, gens), key=itemgetter(0)):
+        add(head)
+    while pairs:
+        plcm, i, j, _ = heappop(pairs)
+        r = groebner._s_remainder(heads[i], heads[j], plcm, [heads[k] for k in live], guard)
+        if r:
+            add(layout.head(r))
+    return _interreduce([heads[k] for k in live], layout, gens[0].ring, order)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1), block_order(2)], ids=str)
+def test_packed_pair_update_matches_the_tuple_update_random(order, monkeypatch):
+    """The same S-polynomial reductions, in the same order with the same
+    arguments, and the same basis, on the hand-made cases of the
+    criterion-free test, cyclic-4, katsura-3 and random ideals, some with
+    generators sharing a leading monomial."""
+    calls = []
+    s_remainder = groebner._s_remainder
+    monkeypatch.setattr(groebner, "_s_remainder", lambda *args: calls.append(args) or s_remainder(*args))
+    monkeypatch.setattr(groebner, "_verify_bases", False)
+    rng = random.Random(29)
+    cases = [[X**2 * Y - 1, X * Y**2 - 1], [X**2 * Y - Z, X * Y**2 - Z, Y * Z**2 - X],
+             [X**3 - Y * Z, X**2 * Y - 1, Y**2 - X], CYCLIC_4, KATSURA_3]
+    for _ in range(40):
+        ring = Ring(("x", "y", "z", "w")[: rng.randint(2, 4)])
+        cases.append([rand_nonzero_poly(rng, ring, max_degree=3) for _ in range(rng.randint(2, 4))])
+        cases.append(rand_division_case(rng, order)[1])
+    for gens in cases:
+        calls.clear()
+        want = _packed(order, gens[0].ring.arity, lambda layout: _tuple_update_buchberger(gens, order, layout))
+        want_calls = calls[:]
+        calls.clear()
+        assert groebner_basis(gens, order).basis == want, (gens, order)
+        assert calls == want_calls, (gens, order)
+
+
 def test_determinism_identical_inputs():
     gens = [X**2 - Y, X * Y - Z, Y * Z - X]
     a = groebner_basis(gens)
@@ -528,8 +615,10 @@ X2, Y2 = R2.gens()
         # the block order's second degree row outgrows 8 bits mid-reduction
         (1, [X - Y**40 * Z**30, X**2 * Y**60 - Z], None),
         ("grevlex", [X2**2**64 - Y2, Y2**2 - 1, X2 * Y2 - X2], None),
+        # the generators fit 8-bit fields, their lcm x^100*y^100 does not
+        ("grevlex", [X2**100 * Y2 - 1, X2 * Y2**100 - 1], [Y2**199 - X2**98, X2 * Y2**100 - 1, X2**99 - Y2**99]),
     ],
-    ids=["lex-at-packing", "lex-in-reduction", "block", "exponent-2^64"],
+    ids=["lex-at-packing", "lex-in-reduction", "block", "exponent-2^64", "grevlex-pair-lcm"],
 )
 def test_groebner_basis_restarts_at_double_width(kind, gens, want):
     order = block_order(kind) if isinstance(kind, int) else MonomialOrder(kind)  # no layout built yet

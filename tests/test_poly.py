@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd
-from operator import add
+from operator import add, le, mul
 
 import pytest
 
@@ -691,6 +691,61 @@ def test_packed_monomials_follow_the_order_random():
                     assert pa + pb == layout.pack(tuple(map(add, a, b)))
                     assert (not (pb - pa) & layout.guard) == all(x <= y for x, y in zip(a, b)), (order, a, b)
     assert order._layout(5, 8) is order._layout(5, 8)
+
+
+def _split(rng, total, n):
+    """A random exponent tuple of n entries summing to total."""
+    cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_packed_lcm_divisibility_and_coprimality_match_tuples_random(width):
+    """The fieldwise maximum, the lcm with the order's rows, the guard-bit
+    divisibility test and coprimality as lcm == product, against exponent
+    tuples, with fields at and next to the top of their range, where a carry
+    or a borrow leaking into the next field would show."""
+    rng = random.Random(26)
+    for n in range(1, 5):
+        for order in [LEX, GREVLEX] + [block_order(k) for k in range(1, n)]:
+            layout = order._layout(n, width)
+            top = (1 << layout.limit) - 1
+            fields = layout.guard.bit_length() // width
+            guard, exponents = layout.guard, layout.exponents
+
+            def pack_fields(e):
+                return sum(x << s for x, s in zip(e, layout.shifts))
+
+            # exponent fields alone: any value up to top in every field
+            values = [0, 1, top - 1, top]
+            tuples = [tuple(rng.choice(values + [rng.randint(0, top)]) for _ in range(n)) for _ in range(30)]
+            for a in tuples:
+                for b in rng.sample(tuples, 10):
+                    ea, eb = pack_fields(a), pack_fields(b)
+                    m = layout.fieldwise_max(ea, eb)
+                    assert m == pack_fields(tuple(map(max, a, b))), (order, a, b)
+                    assert (not (eb - ea) & guard) == all(map(le, a, b)), (order, a, b)
+                    assert (m == ea + eb) == (not any(map(min, a, b))), (order, a, b)
+            # packed monomials: the degree, which bounds every field, below 1 << limit
+            monomials = [_split(rng, rng.choice(values + [rng.randint(0, top)]), n) for _ in range(30)]
+            for a in monomials:
+                pa = layout.pack(a)
+                for b in rng.sample(monomials, 10):
+                    pb = layout.pack(b)
+                    m = tuple(map(max, a, b))
+                    # m packed with no range check: every field below 2 << limit, so no carry
+                    packed = sum(map(mul, m, layout.cols))
+                    if any(packed >> f * width & layout.mask > top for f in range(fields)):
+                        with pytest.raises(_Overflow):
+                            layout.lcm(pa, pb)
+                    else:
+                        assert layout.lcm(pa, pb) == packed and layout.unpack(packed) == m, (order, a, b)
+                    assert layout.fieldwise_max(pa, pb) & exponents == pack_fields(m)
+                    divides = all(map(le, a, b))
+                    assert (not (pb - pa) & guard) == divides, (order, a, b)
+                    assert (not (pb - (pa & exponents)) & guard) == divides, (order, a, b)
+                    coprime = layout.fieldwise_max(pa, pb) & exponents == (pa + pb) & exponents
+                    assert coprime == (not any(map(min, a, b))), (order, a, b)
 
 
 R2 = Ring(("x", "y"))
