@@ -27,6 +27,15 @@ the basis does not depend on it.  Public `reduce` and `s_polynomial` pack
 on entry and unpack once.  Coefficients are read only through `poly`'s
 accessors.
 
+A lex basis starts from the reduced grevlex basis, which Buchberger finds
+far sooner.  When the ideal is zero-dimensional in the variables that the
+generators use, FGLM (Faugere, Gianni, Lazard and Mora, J. Symbolic
+Comput. 16, 1993) converts it: the lex basis is read off the linear
+dependencies among the grevlex normal forms of monomials taken in
+increasing lex order, in the finite-dimensional quotient ring.  Otherwise
+lex Buchberger runs from the grevlex basis instead of the generators; the
+two generate the same ideal, whose reduced basis is unique.
+
 Decision procedures built on top: ideal membership, unit-ideal test,
 elimination via block orders, combinatorial Krull dimension, radical
 membership (Rabinowitsch trick), and subalgebra membership via tag
@@ -36,11 +45,11 @@ variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce as _fold
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, compress, repeat
 from math import gcd, lcm
-from operator import and_, itemgetter
+from operator import and_, itemgetter, le
 from typing import Iterable, Sequence
 
 from .poly import (  # the orders are re-exported from here
@@ -274,6 +283,100 @@ def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder, layout) -> tup
     return _interreduce([heads[k] for k in live], layout, gens[0].ring, order)
 
 
+def _combine(x: dict, a: int, b: int, y: dict) -> dict:
+    """a * x - b * y for sparse integer vectors, with no zero entries; x is
+    consumed."""
+    if a != 1:
+        x = {k: c * a for k, c in x.items()}
+    for k, c in y.items():
+        c = x.pop(k, 0) - b * c
+        if c:
+            x[k] = c
+    return x
+
+
+def _fglm(basis, used: Sequence[int], layout, order: MonomialOrder) -> tuple[Polynomial, ...]:
+    """The reduced lex basis of the zero-dimensional ideal whose reduced
+    grevlex basis is `basis`, by FGLM (Faugere, Gianni, Lazard and Mora,
+    J. Symbolic Comput. 16, 1993), on packed grevlex monomials of `layout`.
+
+    The monomials in the variables `used` are walked in increasing lex
+    order from 1, skipping the multiples of the lex leading monomials found
+    so far, so each is x_j * s for a lex-standard s.  Its grevlex normal
+    form is the normal form of s shifted by x_j and reduced once more.  A
+    fraction-free echelon of the standard monomials' normal forms decides
+    whether it depends on them: if it does, m minus that combination is the
+    next basis element, else m is standard.  The ideal is zero-dimensional
+    in `used`, so the walk ends."""
+    guard, cols = layout.guard, layout.cols
+    heads = [layout.head_of(p) for p in basis]
+    one = (0,) * len(cols)
+    normal = {}  # lex-standard monomial -> (numerators, den, top) of its normal form
+    # pivot -> (row, comb): a grevlex vector whose largest monomial is the
+    # pivot, with a positive entry there, and the ints over lex-standard
+    # monomials k of which it is the combination sum(comb[k] * NF(k))
+    echelon = {}
+    leads, out = [], []
+    todo, seen = [(one, None, None)], {one}  # heap of (m, j, s), m = x_j * s
+    while todo:
+        m, j, s = heappop(todo)
+        if any(all(map(le, lead, m)) for lead in leads):
+            continue
+        if s is None:
+            h, den = {0: 1}, 1
+        else:
+            nf, den, top = normal[s]
+            if (top + cols[j]) & guard:
+                raise _Overflow
+            h = {e + cols[j]: c for e, c in nf.items()}
+        nf, den = _reduce_packed(h, den, heads, guard)
+        # v = sum(t[k] * NF(k)) throughout, starting from den * NF(m) = nf
+        v, t = dict(nf), {m: den}
+        while v:
+            pivot = max(v)
+            if pivot not in echelon:
+                break
+            row, comb = echelon[pivot]
+            g = gcd(row[pivot], v[pivot])
+            a, b = row[pivot] // g, v[pivot] // g
+            v, t = _combine(v, a, b, row), _combine(t, a, b, comb)
+        if v:
+            g = gcd(*v.values(), *t.values()) if v[pivot] > 0 else -gcd(*v.values(), *t.values())
+            echelon[pivot] = ({e: c // g for e, c in v.items()}, {k: c // g for k, c in t.items()})
+            normal[m] = nf, den, _fold(layout.fieldwise_max, nf, 0)
+            for j in used:
+                n = m[:j] + (m[j] + 1,) + m[j + 1 :]
+                if n not in seen:
+                    seen.add(n)
+                    heappush(todo, (n, j, m))
+        else:
+            # sum(t[k] * k) lies in the ideal, and t[m] is den times the
+            # row pivots' factors, not 0: m is a lex leading monomial
+            lead = t.pop(m)
+            g = gcd(lead, *t.values()) if lead > 0 else -gcd(lead, *t.values())
+            tail = [(k, c // g) for k, c in t.items()]
+            out.append(Polynomial._monic_from_head(basis[0].ring, order.key, m, lead // g, tail))
+            leads.append(m)
+    return tuple(reversed(out))
+
+
+def _lex_basis(gens: Sequence[Polynomial], order: MonomialOrder) -> tuple[Polynomial, ...]:
+    """The reduced lex basis of nonzero gens, from their reduced grevlex
+    basis: by FGLM when the ideal is zero-dimensional in the variables the
+    generators use, which is when each of them has a pure power among the
+    grevlex leading monomials; otherwise by lex Buchberger."""
+    arity = gens[0].ring.arity
+    basis = _packed(GREVLEX, arity, lambda layout: _buchberger(gens, GREVLEX, layout))
+    if basis[0].is_constant:  # the unit ideal, whose reduced basis is {1}
+        return basis
+    used = set().union(*(g.support_variables() for g in gens))
+    lms = [p._head(GREVLEX.key)[0] for p in basis]
+    # x_i^d is the leading monomial whose degree d is one of its exponents
+    if used <= {lm.index(sum(lm)) for lm in lms if sum(lm) in lm}:
+        return _packed(GREVLEX, arity, lambda layout: _fglm(basis, sorted(used), layout, order))
+    return _packed(order, arity, lambda layout: _buchberger(basis, order, layout))
+
+
 def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
@@ -288,6 +391,13 @@ def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -
     only if the pair is kept.  Generators enter ascending by leading
     monomial, ties in input order; the final interreduction makes the output
     unique whatever that order.
+
+    A lex basis starts from the grevlex basis.  If every variable that a
+    generator uses has a pure power among its leading monomials, the ideal
+    is zero-dimensional in those variables and FGLM converts it by linear
+    algebra (Faugere, Gianni, Lazard and Mora, J. Symbolic Comput. 16,
+    1993); otherwise lex Buchberger runs from it.  Block orders run
+    Buchberger from the generators.
     """
     gens = tuple(gens)
     if gens:
@@ -296,7 +406,12 @@ def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -
             if g.ring != ring:
                 raise RingMismatchError("generators over different rings")
     nonzero = [g for g in gens if not g.is_zero]
-    basis = _packed(order, ring.arity, lambda layout: _buchberger(nonzero, order, layout)) if nonzero else ()
+    if not nonzero:
+        basis = ()
+    elif order.kind == "lex":
+        basis = _lex_basis(nonzero, order)
+    else:
+        basis = _packed(order, ring.arity, lambda layout: _buchberger(nonzero, order, layout))
     result = GroebnerBasis(order, gens, basis)
     if _verify_bases and not buchberger_criterion_holds(result):
         raise AssertionError("computed basis fails the Buchberger criterion")

@@ -34,8 +34,10 @@ below half its range:
   adding the order's rows back;
 - the low n fields unpack back to the exponent tuple.
 
-Every field of a monomial is at most its total degree, so packing checks
-the degree; a sum, or the rows of an lcm, is checked by its guard bits.
+Packing checks a monomial's largest field: its largest exponent under lex,
+its degree under grevlex, the larger block degree under block(k), each of
+which bounds every other field; a sum, or the rows of an lcm, is checked by
+its guard bits.
 Either check failing raises `_Overflow`, and `_packed` runs the whole
 computation again at double the width, starting from 8 bits: the result
 does not depend on the width.  `_reduce_packed` is the package's one
@@ -137,6 +139,11 @@ def _block_key(front_size: int, exponents: Sequence[int]):
     return (grevlex_key(exponents[:front_size]), grevlex_key(exponents[front_size:]))
 
 
+def _block_degree(front_size: int, exponents: Sequence[int]) -> int:
+    """The larger of the two block degrees: a block order's largest row."""
+    return max(sum(exponents[:front_size]), sum(exponents[front_size:]))
+
+
 def _grevlex_rows(start: int, stop: int, arity: int) -> list[tuple[int, ...]]:
     """The grevlex rows of the variables start .. stop - 1 in a ring of
     `arity` variables: their degree, then their prefix sums, longest first."""
@@ -151,9 +158,11 @@ class _Layout:
     """Packed monomials of one arity at one field width, under one order's
     rows (see the module docstring)."""
 
-    __slots__ = ("cols", "shifts", "mask", "guard", "limit", "exponents", "row_cols")
+    __slots__ = ("cols", "shifts", "mask", "guard", "limit", "exponents", "row_cols", "largest")
 
-    def __init__(self, rows: Sequence[Sequence[int]], arity: int, width: int):
+    def __init__(self, rows: Sequence[Sequence[int]], arity: int, width: int, largest):
+        # largest(e) is the largest field of e packed: its largest row or exponent
+        self.largest = largest
         fields = len(rows) + arity
         # field f (counting from the least significant) starts at bit f * width;
         # e_1 .. e_n take the low n fields, e_n lowest, and the rows sit above
@@ -172,12 +181,12 @@ class _Layout:
         self.row_cols = tuple((s, c - (1 << s)) for s, c in zip(self.shifts, self.cols) if c != 1 << s)
 
     def pack(self, exps: Exponents) -> int:
-        if sum(exps) >> self.limit:
+        if self.largest(exps) >> self.limit:
             raise _Overflow
         return sum(map(mul, exps, self.cols))
 
     def pack_all(self, num: Mapping[Exponents, int]) -> dict[int, int]:
-        if max(map(sum, num), default=0) >> self.limit:
+        if max(map(self.largest, num), default=0) >> self.limit:
             raise _Overflow
         cols = self.cols
         return {sum(map(mul, e, cols)): c for e, c in num.items()}
@@ -266,14 +275,16 @@ class MonomialOrder:
     def _layout(self, arity: int, width: int) -> _Layout:
         layout = self._layouts.get((arity, width))
         if layout is None:
+            # a degree row is at least every other row and exponent it covers
             if self.kind == "lex":
-                rows = []
+                rows, largest = [], max
             elif self.kind == "grevlex":
-                rows = _grevlex_rows(0, arity, arity)
+                rows, largest = _grevlex_rows(0, arity, arity), sum
             else:
                 k = min(self.front_size, arity)
                 rows = _grevlex_rows(0, k, arity) + _grevlex_rows(k, arity, arity)
-            layout = self._layouts[arity, width] = _Layout(rows, arity, width)
+                largest = partial(_block_degree, k)
+            layout = self._layouts[arity, width] = _Layout(rows, arity, width, largest)
         return layout
 
     def __str__(self):

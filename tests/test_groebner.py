@@ -15,6 +15,7 @@ from gaql.groebner import (
     GREVLEX,
     LEX,
     MonomialOrder,
+    _buchberger,
     _interreduce,
     block_order,
     buchberger_criterion_holds,
@@ -499,7 +500,8 @@ def test_packed_pair_update_matches_the_tuple_update_random(order, monkeypatch):
     """The same S-polynomial reductions, in the same order with the same
     arguments, and the same basis, on the hand-made cases of the
     criterion-free test, cyclic-4, katsura-3 and random ideals, some with
-    generators sharing a leading monomial."""
+    generators sharing a leading monomial.  Buchberger is called directly,
+    because groebner_basis computes a lex basis from the grevlex one."""
     calls = []
     s_remainder = groebner._s_remainder
     monkeypatch.setattr(groebner, "_s_remainder", lambda *args: calls.append(args) or s_remainder(*args))
@@ -516,7 +518,10 @@ def test_packed_pair_update_matches_the_tuple_update_random(order, monkeypatch):
         want = _packed(order, gens[0].ring.arity, lambda layout: _tuple_update_buchberger(gens, order, layout))
         want_calls = calls[:]
         calls.clear()
-        assert groebner_basis(gens, order).basis == want, (gens, order)
+        assert _packed(order, gens[0].ring.arity, lambda layout: _buchberger(gens, order, layout)) == want, (
+            gens,
+            order,
+        )
         assert calls == want_calls, (gens, order)
 
 
@@ -621,12 +626,58 @@ X2, Y2 = R2.gens()
     ids=["lex-at-packing", "lex-in-reduction", "block", "exponent-2^64", "grevlex-pair-lcm"],
 )
 def test_groebner_basis_restarts_at_double_width(kind, gens, want):
+    """Both lex ideals are zero-dimensional, so groebner_basis takes their
+    lex bases from the grevlex ones by FGLM; lex Buchberger runs on its own
+    here to show that it restarts too."""
     order = block_order(kind) if isinstance(kind, int) else MonomialOrder(kind)  # no layout built yet
     basis = groebner_basis(gens, order).basis
+    if kind == "lex":
+        order = MonomialOrder("lex")
+        assert _packed(order, 2, lambda layout: _buchberger(gens, order, layout)) == basis
+    assert max(width for _, width in order._layouts) > 8
     assert basis == _criterion_free_basis(gens, order)
     if want is not None:
         assert basis == tuple(want)
-    assert max(width for _, width in order._layouts) > 8
+
+
+def test_lex_basis_by_fglm_matches_the_oracles(monkeypatch):
+    """A zero-dimensional ideal's lex basis comes from its grevlex basis by
+    FGLM, and equals both the criterion-free oracle's and lex Buchberger's
+    on the generators.  The cases: katsura-3; gb-stress's K3 fiber, in a
+    ring with a fifth variable that no generator uses; a fiber with a
+    two-element lex basis; a non-radical ideal; random ideals made
+    zero-dimensional by x_i^d plus lower terms for each variable; and two
+    ideals that overflow 8-bit fields: y^130 when Buchberger packs the
+    generators, and x^2*y^126 in FGLM's own shift of x*y^125 by y, after a
+    grevlex run that fits 8 bits.  FGLM packs under grevlex only, so a
+    fresh lex order builds no layout, while cyclic-4, of dimension 1, runs
+    lex Buchberger from the grevlex basis."""
+    monkeypatch.setattr(groebner, "_verify_bases", False)  # it packs under lex
+    rng = random.Random(31)
+    R5 = Ring(("x1", "x2", "x3", "x4", "x5"))
+    k3 = _katsura(R5.gens()[:4])
+    wide = [[X2 - Y2**130, Y2**2 - 1], [Y2**126 - X2, X2**3 - 1]]
+    cases = [KATSURA_3, k3[:-1] + [k3[-1] - 1], [X2**2 - Y2**3, X2 * Y2 - 1],
+             [(X - Y) ** 2, (Y - 1) ** 3, Z**2 - X * Y]] + wide
+    for _ in range(15):
+        ring = Ring(("x", "y", "z")[: rng.randint(2, 3)])
+        gens = [v ** rng.randint(2, 3) + rand_poly(rng, ring, max_degree=1) for v in ring.gens()]
+        cases.append(gens + [rand_poly(rng, ring, max_degree=2) for _ in range(rng.randint(0, 1))])
+    for gens in cases:
+        grevlex, order = MonomialOrder("grevlex"), MonomialOrder("lex")
+        monkeypatch.setattr(groebner, "GREVLEX", grevlex)
+        basis = groebner_basis(gens, order).basis
+        assert not order._layouts, gens
+        if gens in wide:
+            assert sorted(width for _, width in grevlex._layouts) == [8, 16], gens
+        assert basis == _criterion_free_basis(gens, LEX), gens
+        assert basis == _packed(LEX, gens[0].ring.arity, lambda layout: _buchberger(gens, LEX, layout)), gens
+        for p in basis:  # the lex head that FGLM caches is the one computed afresh
+            (lm, a, tail), fresh = p._head(LEX.key), copy.copy(p)._head(LEX.key)
+            assert (lm, a, sorted(tail)) == (fresh[0], fresh[1], sorted(fresh[2])), gens
+    order = MonomialOrder("lex")
+    groebner_basis(CYCLIC_4, order)
+    assert order._layouts
 
 
 def _cyclic(xs):
@@ -663,4 +714,7 @@ def test_s_polynomial_reductions_of_the_gb_stress_systems(monkeypatch):
         calls.clear()
         groebner_basis(comps[:-1] + [comps[-1] + constant], order)
         counts[name] = len(calls)
-    assert counts == {"C5": 106, "K4": 28, "C4": 20, "K3": 43}
+    # a lex basis starts from the grevlex one: C4's 11 grevlex reductions,
+    # then 8 by lex Buchberger; K3 is zero-dimensional, so FGLM, which
+    # reduces no S-polynomial, follows its 10 grevlex ones
+    assert counts == {"C5": 106, "K4": 28, "C4": 11 + 8, "K3": 10}

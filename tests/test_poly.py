@@ -784,3 +784,14 @@ def test_divide_restarts_at_double_width(kind, p, divisors, widths, overflow):
         [layout.pack_all(q._num) for q in [p] + divisors]
     if p == X2**2:
         assert got[1] == Y2**200 and Polynomial(R2, got[0][0]) == X2 + Y2**100
+
+
+@pytest.mark.parametrize("kind, widths", [("lex", [8]), (1, [8]), ("grevlex", [8, 16])], ids=str)
+def test_packing_checks_the_largest_field(kind, widths):
+    """x^70*y^70 has degree 140, but no exponent and no block degree past 70:
+    lex and block(1) pack it at 8 bits, and only grevlex, whose degree row
+    holds 140, restarts at 16."""
+    order = block_order(kind) if isinstance(kind, int) else MonomialOrder(kind)  # no layout built yet
+    p, divisors = X2**70 * Y2**70, [X2 * Y2 - 1]
+    assert divide_fractions(p, divisors, order) == _divide_oracle(p, divisors, order.key, Counter())
+    assert _widths(order, 2) == widths
