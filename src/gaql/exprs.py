@@ -1,4 +1,4 @@
-"""Polynomial expression grammar: parsing and canonical printing.
+"""Polynomial expression grammar and its parser.
 
     expr     := ('+' | '-')? term (('+' | '-') term)*
     term     := factor ('*' factor)*
@@ -7,11 +7,11 @@
     rational := nat ('/' nat)?
 
 Multiplication is always explicit ("x*y"; "xy" is a single identifier) and
-'/' occurs only inside rational literals.  The canonical printer emits terms
-in descending grevlex order with explicit '*' and '^', which the parser
-round-trips exactly.  The parser recurses once per level of parentheses, so
-it refuses nesting deeper than MAX_NESTING with a positioned error before
-the interpreter's recursion limit is reached.
+'/' occurs only inside rational literals.  `str` of a `Polynomial` is its
+canonical form, terms in descending grevlex order with explicit '*' and
+'^', which the parser round-trips exactly.  The parser recurses once per
+level of parentheses, so it refuses nesting deeper than MAX_NESTING with a
+positioned error before the interpreter's recursion limit is reached.
 """
 
 from __future__ import annotations
@@ -186,8 +186,3 @@ def parse_polynomial(src: str, ring: Ring) -> Polynomial:
             f"unexpected trailing input {trailing.text!r}", trailing.line, trailing.col
         )
     return result
-
-
-def format_polynomial(p: Polynomial) -> str:
-    """Canonical string: descending grevlex terms, explicit '*' and '^'."""
-    return str(p)

@@ -20,21 +20,22 @@ that also gives a head's `top`), divisibility is the guard-bit test, and
 two monomials are coprime iff their lcm is their product, whose fields are
 the sums.  Only a pair that the criteria keep gets the order's rows added
 to its lcm (`_Layout.with_rows`), for the key of the pair heap.  Each
-output polynomial is made once, with its head under the order already
-cached.  A field that outgrows its width (8 bits at first) raises
+output polynomial is made once, from the integers of its packed
+remainder.  A field that outgrows its width (8 bits at first) raises
 `poly._Overflow`, and the computation starts again at double the width;
-the basis does not depend on it.  Public `reduce` and `s_polynomial` pack
-on entry and unpack once.  Coefficients are read only through `poly`'s
-accessors.
+the basis does not depend on it.  Public `reduce` packs on entry and
+unpacks once.  Coefficients are read only through `poly`'s accessors.
 
 A lex basis starts from the reduced grevlex basis, which Buchberger finds
 far sooner.  When the ideal is zero-dimensional in the variables that the
 generators use, FGLM (Faugere, Gianni, Lazard and Mora, J. Symbolic
 Comput. 16, 1993) converts it: the lex basis is read off the linear
 dependencies among the grevlex normal forms of monomials taken in
-increasing lex order, in the finite-dimensional quotient ring.  Otherwise
-lex Buchberger runs from the grevlex basis instead of the generators; the
-two generate the same ideal, whose reduced basis is unique.
+increasing lex order, in the finite-dimensional quotient ring, found by
+`_echelon_add`, the fraction-free echelon that `quotient`'s slice search
+shares.  Otherwise lex Buchberger runs from the grevlex basis instead of
+the generators; the two generate the same ideal, whose reduced basis is
+unique.
 
 Decision procedures built on top: ideal membership, unit-ideal test,
 elimination via block orders, combinatorial Krull dimension, radical
@@ -85,7 +86,7 @@ def leading_term(p: Polynomial, order: MonomialOrder):
     """(exponents, coefficient) of the order-largest term; p must be nonzero."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no leading term")
-    lm = p._head(order.key)[0]
+    lm = max(p._num, key=order.key)
     return lm, p.coefficient(lm)
 
 
@@ -127,21 +128,6 @@ def _s_remainder(f, g, plcm: int, divisors, guard: int) -> dict[int, int]:
     return _reduce_packed(_s_polynomial(f, g, plcm, guard)[0], 1, divisors, guard)[0]
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    """lcm/lt(f) * f - lcm/lt(g) * g, lcm the leading monomials' lcm."""
-    if f.ring != g.ring:
-        raise RingMismatchError("S-polynomial of polynomials over different rings")
-    if f.is_zero or g.is_zero:
-        raise ValueError("the zero polynomial has no leading term")
-
-    def run(layout):
-        fh, gh = layout.head_of(f), layout.head_of(g)
-        s, den = _s_polynomial(fh, gh, layout.lcm(fh[0], gh[0]), layout.guard)
-        return {layout.unpack(e): c for e, c in s.items()}, den
-
-    return Polynomial._from_integers(f.ring, *_packed(order, f.ring.arity, run))
-
-
 @cache
 def _subset_masks(n: int, size: int) -> tuple[int, ...]:
     """The bitmasks of the subsets of `size` of n variables, variable i at
@@ -178,7 +164,7 @@ class GroebnerBasis:
         key = self.order.key
         # each leading monomial's support as a bitmask, variable i at bit i
         bits = _subset_masks(n, 1)
-        supports = [sum(compress(bits, p._head(key)[0])) for p in self.basis]
+        supports = [sum(compress(bits, max(p._num, key=key))) for p in self.basis]
         for size in range(n, 0, -1):
             # a subset holds no support iff every support meets its complement
             for rest in _subset_masks(n, n - size):
@@ -206,7 +192,7 @@ def buchberger_criterion_holds(gb: GroebnerBasis) -> bool:
     return _packed(gb.order, basis[0].ring.arity, run)
 
 
-def _interreduce(heads, layout, ring: Ring, order: MonomialOrder) -> tuple[Polynomial, ...]:
+def _interreduce(heads, layout, ring: Ring) -> tuple[Polynomial, ...]:
     """Minimalize the packed monic heads of nonzero polynomials and reduce
     each minimal element by the others: for a Groebner basis, the unique
     reduced basis."""
@@ -221,14 +207,11 @@ def _interreduce(heads, layout, ring: Ring, order: MonomialOrder) -> tuple[Polyn
     out = []
     for i, (lm, a, tail, _) in enumerate(minimal):
         r, den = _reduce_packed({lm: a, **dict(tail)}, a, minimal[:i] + minimal[i + 1 :], guard)
-        g = gcd(*r.values())
-        del r[lm]
-        tail = [(unpack(e), c // g) for e, c in r.items()]
-        out.append(Polynomial._monic_from_head(ring, order.key, unpack(lm), den // g, tail))
+        out.append(Polynomial._from_integers(ring, {unpack(e): c for e, c in r.items()}, den))
     return tuple(reversed(out))
 
 
-def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder, layout) -> tuple[Polynomial, ...]:
+def _buchberger(gens: Sequence[Polynomial], layout) -> tuple[Polynomial, ...]:
     """The reduced basis of nonzero gens, on packed monomials of `layout`."""
     guard, exponents, fmax = layout.guard, layout.exponents, layout.fieldwise_max
     heads = []  # every element added, as a packed head; pairs index into it
@@ -280,7 +263,7 @@ def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder, layout) -> tup
         r = _s_remainder(heads[i], heads[j], plcm, [heads[k] for k in live], guard)
         if r:
             add(layout.head(r))
-    return _interreduce([heads[k] for k in live], layout, gens[0].ring, order)
+    return _interreduce([heads[k] for k in live], layout, gens[0].ring)
 
 
 def _combine(x: dict, a: int, b: int, y: dict) -> dict:
@@ -295,7 +278,29 @@ def _combine(x: dict, a: int, b: int, y: dict) -> dict:
     return x
 
 
-def _fglm(basis, used: Sequence[int], layout, order: MonomialOrder) -> tuple[Polynomial, ...]:
+def _echelon_add(echelon: dict, v: dict, t: dict) -> dict | None:
+    """Reduce the sparse integer vector v against `echelon`, a dict pivot ->
+    (row, comb) of rows whose largest key is the pivot, with a positive
+    entry there.  t is the combination of the caller's vectors whose value
+    is v, and comb that of row; both ride along, fraction-free.  If v
+    reduces to zero, return t, now a combination whose value is zero.
+    Otherwise insert v as a pivot row, primitive (the content of row and
+    comb together is 1) and positive at its pivot, and return None.  v and
+    t are consumed."""
+    while v:
+        pivot = max(v)
+        if pivot not in echelon:
+            g = gcd(*v.values(), *t.values()) if v[pivot] > 0 else -gcd(*v.values(), *t.values())
+            echelon[pivot] = {k: c // g for k, c in v.items()}, {k: c // g for k, c in t.items()}
+            return None
+        row, comb = echelon[pivot]
+        g = gcd(row[pivot], v[pivot])
+        a, b = row[pivot] // g, v[pivot] // g
+        v, t = _combine(v, a, b, row), _combine(t, a, b, comb)
+    return t
+
+
+def _fglm(basis, used: Sequence[int], layout) -> tuple[Polynomial, ...]:
     """The reduced lex basis of the zero-dimensional ideal whose reduced
     grevlex basis is `basis`, by FGLM (Faugere, Gianni, Lazard and Mora,
     J. Symbolic Comput. 16, 1993), on packed grevlex monomials of `layout`.
@@ -304,17 +309,16 @@ def _fglm(basis, used: Sequence[int], layout, order: MonomialOrder) -> tuple[Pol
     order from 1, skipping the multiples of the lex leading monomials found
     so far, so each is x_j * s for a lex-standard s.  Its grevlex normal
     form is the normal form of s shifted by x_j and reduced once more.  A
-    fraction-free echelon of the standard monomials' normal forms decides
-    whether it depends on them: if it does, m minus that combination is the
-    next basis element, else m is standard.  The ideal is zero-dimensional
-    in `used`, so the walk ends."""
-    guard, cols = layout.guard, layout.cols
+    fraction-free echelon of the standard monomials' normal forms
+    (`_echelon_add`) decides whether it depends on them: if it does, m
+    minus that combination is the next basis element, else m is standard.
+    The ideal is zero-dimensional in `used`, so the walk ends."""
+    guard, cols, ring = layout.guard, layout.cols, basis[0].ring
     heads = [layout.head_of(p) for p in basis]
     one = (0,) * len(cols)
     normal = {}  # lex-standard monomial -> (numerators, den, top) of its normal form
-    # pivot -> (row, comb): a grevlex vector whose largest monomial is the
-    # pivot, with a positive entry there, and the ints over lex-standard
-    # monomials k of which it is the combination sum(comb[k] * NF(k))
+    # pivot -> (row, comb): a packed grevlex vector and the ints over
+    # lex-standard monomials k with row = sum(comb[k] * NF(k))
     echelon = {}
     leads, out = [], []
     todo, seen = [(one, None, None)], {one}  # heap of (m, j, s), m = x_j * s
@@ -330,19 +334,9 @@ def _fglm(basis, used: Sequence[int], layout, order: MonomialOrder) -> tuple[Pol
                 raise _Overflow
             h = {e + cols[j]: c for e, c in nf.items()}
         nf, den = _reduce_packed(h, den, heads, guard)
-        # v = sum(t[k] * NF(k)) throughout, starting from den * NF(m) = nf
-        v, t = dict(nf), {m: den}
-        while v:
-            pivot = max(v)
-            if pivot not in echelon:
-                break
-            row, comb = echelon[pivot]
-            g = gcd(row[pivot], v[pivot])
-            a, b = row[pivot] // g, v[pivot] // g
-            v, t = _combine(v, a, b, row), _combine(t, a, b, comb)
-        if v:
-            g = gcd(*v.values(), *t.values()) if v[pivot] > 0 else -gcd(*v.values(), *t.values())
-            echelon[pivot] = ({e: c // g for e, c in v.items()}, {k: c // g for k, c in t.items()})
+        # nf = den * NF(m), the combination {m: den} of the normal forms
+        t = _echelon_add(echelon, dict(nf), {m: den})
+        if t is None:
             normal[m] = nf, den, _fold(layout.fieldwise_max, nf, 0)
             for j in used:
                 n = m[:j] + (m[j] + 1,) + m[j + 1 :]
@@ -352,10 +346,8 @@ def _fglm(basis, used: Sequence[int], layout, order: MonomialOrder) -> tuple[Pol
         else:
             # sum(t[k] * k) lies in the ideal, and t[m] is den times the
             # row pivots' factors, not 0: m is a lex leading monomial
-            lead = t.pop(m)
-            g = gcd(lead, *t.values()) if lead > 0 else -gcd(lead, *t.values())
-            tail = [(k, c // g) for k, c in t.items()]
-            out.append(Polynomial._monic_from_head(basis[0].ring, order.key, m, lead // g, tail))
+            sign = 1 if t[m] > 0 else -1
+            out.append(Polynomial._from_integers(ring, {k: sign * c for k, c in t.items()}, sign * t[m]))
             leads.append(m)
     return tuple(reversed(out))
 
@@ -366,15 +358,15 @@ def _lex_basis(gens: Sequence[Polynomial], order: MonomialOrder) -> tuple[Polyno
     generators use, which is when each of them has a pure power among the
     grevlex leading monomials; otherwise by lex Buchberger."""
     arity = gens[0].ring.arity
-    basis = _packed(GREVLEX, arity, lambda layout: _buchberger(gens, GREVLEX, layout))
+    basis = _packed(GREVLEX, arity, lambda layout: _buchberger(gens, layout))
     if basis[0].is_constant:  # the unit ideal, whose reduced basis is {1}
         return basis
     used = set().union(*(g.support_variables() for g in gens))
-    lms = [p._head(GREVLEX.key)[0] for p in basis]
+    lms = [max(p._num, key=GREVLEX.key) for p in basis]
     # x_i^d is the leading monomial whose degree d is one of its exponents
     if used <= {lm.index(sum(lm)) for lm in lms if sum(lm) in lm}:
-        return _packed(GREVLEX, arity, lambda layout: _fglm(basis, sorted(used), layout, order))
-    return _packed(order, arity, lambda layout: _buchberger(basis, order, layout))
+        return _packed(GREVLEX, arity, lambda layout: _fglm(basis, sorted(used), layout))
+    return _packed(order, arity, lambda layout: _buchberger(basis, layout))
 
 
 def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
@@ -411,7 +403,7 @@ def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -
     elif order.kind == "lex":
         basis = _lex_basis(nonzero, order)
     else:
-        basis = _packed(order, ring.arity, lambda layout: _buchberger(nonzero, order, layout))
+        basis = _packed(order, ring.arity, lambda layout: _buchberger(nonzero, layout))
     result = GroebnerBasis(order, gens, basis)
     if _verify_bases and not buchberger_criterion_holds(result):
         raise AssertionError("computed basis fails the Buchberger criterion")

@@ -47,15 +47,12 @@ division kernel; `_divide` packs for it and unpacks once, for
 throughout.
 
 All operations are pure, and the ring and stored form of a value never
-change after construction.  The one other slot, the head cache of `_head`,
-holds derived data: per monomial order key, the leading monomial and the
-monic tail as integers over one positive int, written once (on first use
-for that key, or by `_monic_from_head` for a polynomial built from a known
-head) and read after.
-It is left out of `==`, `hash` and pickles, and a thread that fills it
-concurrently with another writes the same value.  `__setattr__` refuses
-every write; construction and the head cache write through the slots' own
-setters (`_set_ring`, `_set_num`, `_set_den`, `_set_heads`).
+change after construction: `Polynomial` has the slots `ring`, `_num` and
+`_den` and nothing else.  A leading monomial is read off `_num` under the
+order's key where it is needed, and the kernels build the packed monic
+form of `_Layout.head` on entry.  `__setattr__` refuses every write;
+construction writes through the slots' own setters (`_set_ring`,
+`_set_num`, `_set_den`).
 """
 
 from __future__ import annotations
@@ -225,13 +222,15 @@ class _Layout:
         return self.head(self.pack_all(p._num))
 
     def head(self, h: Mapping[int, int]):
-        """(lm, a, tail, top) of a nonzero packed polynomial h: the monic form
-        x^lm + tail/a as in `Polynomial._head`, on packed monomials, and top
-        the fieldwise maximum of the tail's monomials (0 for no tail), so
-        that a shift s keeps every shifted tail monomial in range iff
-        top + s sets no guard bit."""
+        """(lm, a, tail, top) of a nonzero packed polynomial h: its monic
+        form x^lm + tail/a, lm the largest packed monomial, a a positive int
+        and tail the other (monomial, int) pairs, in no particular order,
+        whose gcd is coprime to a; and top the fieldwise maximum of the
+        tail's monomials (0 for no tail), so that a shift s keeps every
+        shifted tail monomial in range iff top + s sets no guard bit."""
         lm = max(h)
         lead = h[lm]
+        # dividing by the content signed like the lead leaves a = lead/g > 0
         g = gcd(*h.values()) if lead > 0 else -gcd(*h.values())
         tail = [(e, c // g) for e, c in h.items() if e != lm]
         return lm, lead // g, tail, reduce(self.fieldwise_max, [e for e, _ in tail], 0)
@@ -394,8 +393,7 @@ class Polynomial:
     """Immutable sparse polynomial over a Ring with rational coefficients,
     stored as sum(_num[e] * x^e) / _den (see the module docstring)."""
 
-    # _heads is filled by _head on first use, or by _monic_from_head
-    __slots__ = ("ring", "_num", "_den", "_heads")
+    __slots__ = ("ring", "_num", "_den")
 
     def __new__(cls, ring: Ring, terms: Mapping[Sequence[int], object]):
         values = {}
@@ -423,40 +421,13 @@ class Polynomial:
         _set_den(p, den)
         return p
 
-    @classmethod
-    def _monic_from_head(cls, ring: Ring, key, lm: Exponents, a: int, tail) -> "Polynomial":
-        """The monic polynomial x^lm + tail/a of a head (lm, a, tail) under
-        `key`, with that head already cached."""
-        p = cls._from_integers(ring, {**dict(tail), lm: a}, a)
-        _set_heads(p, {key: (lm, a, tail)})
-        return p
-
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
-        # rebuilt from the stored form alone, so a copy starts with no head cache
+        # rebuilt from the stored form: the default would call __new__ with
+        # no terms and restore the slots through the refusing __setattr__
         return Polynomial._from_integers, (self.ring, self._num, self._den)
-
-    def _head(self, key):
-        """(lm, a, tail) under the order with sort key `key`: the monic form
-        x^lm + tail/a, lm the largest monomial, a a positive int and tail the
-        other monomials with int coefficients, in no particular order, whose
-        gcd is coprime to a.  Computed once per key; self is nonzero."""
-        try:
-            heads = self._heads
-        except AttributeError:
-            heads = {}
-            _set_heads(self, heads)
-        head = heads.get(key)
-        if head is None:
-            num = self._num
-            lm = max(num, key=key)
-            lead = num[lm]
-            # dividing by the content signed like the lead leaves a = lead/g > 0
-            g = gcd(*num.values()) if lead > 0 else -gcd(*num.values())
-            head = heads[key] = (lm, lead // g, [(e, c // g) for e, c in num.items() if e != lm])
-        return head
 
     # -- inspection ---------------------------------------------------------
 
@@ -723,7 +694,6 @@ class Polynomial:
 _set_ring = Polynomial.ring.__set__
 _set_num = Polynomial._num.__set__
 _set_den = Polynomial._den.__set__
-_set_heads = Polynomial._heads.__set__
 
 
 def embed(p: Polynomial, ring: Ring) -> Polynomial:

@@ -16,15 +16,13 @@ reaches it, so this is the slice a scan of the whole nullspace finds.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import gcd
-from operator import itemgetter
 
 from .action import GaAction, is_invariant
 from .derivation import Derivation, apply, kernel_check
-from .groebner import subalgebra_membership
+from .groebner import _echelon_add, subalgebra_membership
 from .poly import (
     PolyMap,
     Polynomial,
@@ -85,19 +83,13 @@ def _monomials_upto(ring: Ring, degree: int):
     return sorted(monomials, key=lambda e: (sum(e), e[::-1]))
 
 
-def _subtract_multiple(target: dict, c: int, row: dict):
-    """target -= c * row in place, for sparse vectors; no zero is kept."""
-    for e, v in row.items():
-        t = target.pop(e, 0) - c * v
-        if t:
-            target[e] = t
-
-
 def _integral_normalize(p: Polynomial) -> Polynomial:
     """Scale nonzero p to integer coefficients with content 1 and positive
-    grevlex-leading coefficient: a times its monic form x^lm + tail/a."""
-    lm, a, tail = p._head(grevlex_key)
-    return Polynomial(p.ring, {lm: a, **dict(tail)})
+    grevlex-leading coefficient: p divided by its content signed like that
+    coefficient."""
+    num = p._num
+    g = gcd(*num.values()) if num[max(num, key=grevlex_key)] > 0 else -gcd(*num.values())
+    return Polynomial._from_integers(p.ring, {e: c // g for e, c in num.items()}, 1)
 
 
 def find_local_slice(
@@ -124,32 +116,13 @@ def find_local_slice(
     if degree_bound < 1:
         raise ValueError("degree bound must be at least 1")
     ring = D.ring
-    # (lead, image, combination): primitive integer vectors with image equal
-    # to D^2 of the combination, lead the largest exponent tuple of the image
-    # and image[lead] > 0, kept in ascending order of lead; reducing by the
-    # largest lead first never brings back a lead already cleared
-    pivots: list[tuple] = []
+    # pivot -> (image, combination): integer vectors over exponent tuples,
+    # image = D^2 of the combination (see `groebner._echelon_add`)
+    echelon = {}
     for exps in _monomials_upto(ring, degree_bound):
         den, image = apply(D, Polynomial(ring, {exps: 1}), 2).integer_form()
-        combination = {exps: den}
-        for lead, row, row_combination in reversed(pivots):
-            c = image.get(lead)
-            if c:
-                # fraction-free: image <- (a/g)*image - (c/g)*row, g = gcd(a, c)
-                a = row[lead]
-                g = gcd(a, c)
-                if g != a:
-                    image = {e: v * (a // g) for e, v in image.items()}
-                    combination = {e: v * (a // g) for e, v in combination.items()}
-                _subtract_multiple(image, c // g, row)
-                _subtract_multiple(combination, c // g, row_combination)
-        if image:
-            lead = max(image)
-            g = gcd(*image.values(), *combination.values())
-            g = g if image[lead] > 0 else -g
-            image = {e: v // g for e, v in image.items()}
-            combination = {e: v // g for e, v in combination.items()}
-            insort(pivots, (lead, image, combination), key=itemgetter(0))
+        combination = _echelon_add(echelon, image, {exps: den})
+        if combination is None:
             continue
         f = Polynomial(ring, combination)
         if not apply(D, f).is_zero:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_poly
-from gaql.exprs import PolyParseError, format_polynomial, parse_polynomial
+from gaql.exprs import PolyParseError, parse_polynomial
 from gaql.poly import Ring
 
 R3 = Ring(("x", "y", "z"))
@@ -68,16 +68,16 @@ def test_division_only_in_rationals():
 
 
 def test_format_examples():
-    assert format_polynomial(R3.zero()) == "0"
-    assert format_polynomial(X**2 - Y**2) == "x^2 - y^2"
-    assert format_polynomial(-X + 1) == "-x + 1"
-    assert format_polynomial(Fraction(3, 2) * X * Y**2) == "3/2*x*y^2"
-    assert format_polynomial(R3.const(-7)) == "-7"
+    assert str(R3.zero()) == "0"
+    assert str(X**2 - Y**2) == "x^2 - y^2"
+    assert str(-X + 1) == "-x + 1"
+    assert str(Fraction(3, 2) * X * Y**2) == "3/2*x*y^2"
+    assert str(R3.const(-7)) == "-7"
 
 
 def test_format_descending_grevlex():
     p = Y**2 + X**2 + X * Y + X + 1
-    assert format_polynomial(p) == "x^2 + x*y + y^2 + x + 1"
+    assert str(p) == "x^2 + x*y + y^2 + x + 1"
 
 
 def test_round_trip_random():
@@ -86,15 +86,15 @@ def test_round_trip_random():
     for _ in range(500):
         ring = rng.choice(rings)
         p = rand_poly(rng, ring, max_degree=4, max_terms=5, coeff_bound=9)
-        assert parse_polynomial(format_polynomial(p), ring) == p
+        assert parse_polynomial(str(p), ring) == p
 
 
 def test_round_trip_preserves_canonical_text():
     rng = random.Random(62)
     for _ in range(100):
         p = rand_poly(rng, R4, max_degree=3, max_terms=4)
-        text = format_polynomial(p)
-        assert format_polynomial(parse_polynomial(text, R4)) == text
+        text = str(p)
+        assert str(parse_polynomial(text, R4)) == text
 
 
 def test_nesting_bound():

@@ -2,7 +2,7 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add, le, mul
 
 import pytest
@@ -442,35 +442,18 @@ def _head_oracle(p, key):
     return lm, lc, [(e, c / lc) for e, c in p.terms() if e != lm]
 
 
-def test_head_cache_is_per_order_key_random():
-    # one object queried under five keys in a random interleaving; a cache
-    # that ignored the key would answer with the first key's head
-    keys = [GREVLEX.key, LEX.key, block_order(1).key, block_order(2).key, block_order(3).key]
-    rng = random.Random(16)
-    for _ in range(60):
-        p = rand_nonzero_poly(rng, R4, max_degree=4, max_terms=8)
-        for _ in range(15):
-            key = rng.choice(keys)
-            # the tail is in no particular order: compare it as a mapping
-            lm, a, tail = p._head(key)
-            want_lm, _, want_tail = _head_oracle(p, key)
-            assert lm == want_lm and len(tail) == len(want_tail)
-            assert {e: Fraction(t, a) for e, t in tail} == dict(want_tail)
-        assert leading_term(p, LEX) == _head_oracle(p, LEX.key)[:2]
-
-
 def test_value_does_not_depend_on_term_insertion_order_random():
     # one value built from shuffled dicts or unreduced coefficients, and
     # reached through arithmetic whose denominators cancel, must look the
     # same to every observer, and values with other terms must differ
-    keys = [GREVLEX.key, LEX.key, block_order(1).key]
+    orders = [GREVLEX, LEX, block_order(1)]
     rng = random.Random(19)
     previous = R4.zero()
     for _ in range(100):
         p = rand_nonzero_poly(rng, R4, max_degree=4, max_terms=8)
         items = list(p.terms())
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        lm, a, tail = p._head(LEX.key)
+        den, num = p.integer_form()
         twins = [
             p + X4 - X4,
             (p * 2) * Fraction(1, 2),
@@ -478,7 +461,7 @@ def test_value_does_not_depend_on_term_insertion_order_random():
             p + c - c,
             Polynomial(R4, {e: f"{2 * v.numerator}/{2 * v.denominator}" for e, v in items}),
             pickle.loads(pickle.dumps(p)),
-            Polynomial._monic_from_head(R4, LEX.key, lm, a, tail) * p.coefficient(lm),
+            Polynomial._from_integers(R4, {e: 6 * n for e, n in num.items()}, 6 * den),
         ]
         for _ in range(3):
             rng.shuffle(items)
@@ -487,11 +470,8 @@ def test_value_does_not_depend_on_term_insertion_order_random():
         for q in twins:
             assert q == p and hash(q) == hash(p) and str(q) == str(p)
             assert list(q.terms()) == list(p.terms()) == descending
-            for key in keys:
-                lm, a, tail = q._head(key)
-                want_lm, want_a, want_tail = p._head(key)
-                assert len(tail) == len(want_tail)
-                assert (lm, a, dict(tail)) == (want_lm, want_a, dict(want_tail))
+            for order in orders:
+                assert leading_term(q, order) == leading_term(p, order)
         if list(p.terms()) != list(previous.terms()):
             assert p != previous and previous != p
         previous = p
@@ -521,19 +501,26 @@ def _rand_big_poly(rng, ring, primes, **kw):
 
 
 def test_head_is_an_integer_monic_form_random():
-    # (lm, lc, a, tail): p = lc * (x^lm + tail/a), a > 0, tail integers
-    # whose content is coprime to a, for every order key
-    keys = [GREVLEX.key, LEX.key, block_order(1).key, block_order(2).key, block_order(3).key]
+    # the packed head (lm, a, tail, top) of `_Layout.head_of`, for every
+    # order: p = lc * (x^lm + tail/a) with lm the leading monomial, a > 0,
+    # tail integers whose content is coprime to a, and top the fieldwise
+    # maximum of the tail's packed monomials
+    orders = [GREVLEX, LEX, block_order(1), block_order(2), block_order(3)]
     rng = random.Random(20)
     for _ in range(60):
         primes = _distinct_primes(rng, 8)
         p = _rand_big_poly(rng, R4, primes, max_degree=4, max_terms=8)
-        for key in keys:
-            lm, a, tail = p._head(key)
+        for order in orders:
+            layout = order._layout(4, 16)
+            lm, a, tail, top = layout.head_of(p)
+            want_lm, lc, _ = _head_oracle(p, order.key)
+            assert layout.unpack(lm) == want_lm and leading_term(p, order) == (want_lm, lc)
             assert type(a) is int and a > 0 and all(type(t) is int for _, t in tail)
             assert gcd(a, *(t for _, t in tail)) == 1
-            monic = Polynomial(R4, {lm: 1, **{e: Fraction(t, a) for e, t in tail}})
-            assert monic * p.coefficient(lm) == p
+            fields = range(0, layout.guard.bit_length(), 16)
+            assert top == sum(max((e >> s & 0xFFFF for e, _ in tail), default=0) << s for s in fields)
+            monic = Polynomial(R4, {want_lm: 1, **{layout.unpack(e): Fraction(t, a) for e, t in tail}})
+            assert monic * lc == p
 
 
 def test_grevlex_key_matches_the_generator_formula_random():
@@ -544,27 +531,16 @@ def test_grevlex_key_matches_the_generator_formula_random():
         assert grevlex_key(exps) == want and GREVLEX.key(exps) == want
 
 
-def test_head_cache_leaves_value_unchanged():
-    p = 3 * X**2 * Z - Y**3 + Fraction(1, 2) * X * Y + 7
-    before = (list(p.terms()), hash(p), str(p), repr(p))
-    fresh = Polynomial(R3, dict(p.terms()))
-    for order in (GREVLEX, LEX, block_order(1)):
-        leading_term(p, order)
-    assert (list(p.terms()), hash(p), str(p), repr(p)) == before
-    assert p == fresh and fresh == p and hash(p) == hash(fresh)
-
-
 def test_copies_and_pickles_rebuild_from_ring_and_terms():
     import copy
     import pickle
 
-    cached = X**2 * Y - Fraction(3, 4) * Z + 1
-    leading_term(cached, LEX)
-    for p in (X * Y - Fraction(3, 4) * Z + 1, cached, R3.zero(), R3.const(5)):
+    q = X**2 * Y - Fraction(3, 4) * Z + 1
+    for p in (X * Y - Fraction(3, 4) * Z + 1, q, R3.zero(), R3.const(5)):
         for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
             assert twin == p and hash(twin) == hash(p) and str(twin) == str(p)
             assert list(twin.terms()) == list(p.terms())
-    F = PolyMap(R3, (cached, X + Y))
+    F = PolyMap(R3, (q, X + Y))
     assert copy.deepcopy(F) == F and pickle.loads(pickle.dumps(F)) == F
 
 
@@ -588,9 +564,9 @@ def test_scalar_negated_and_monomial_products_keep_grevlex_order_random():
 
 
 def _divide_oracle(p, divisors, key, events):
-    """The division on Fractions, as it was before the head cache and the
-    integer numerators: each call rebuilds the divisors' heads and each step
-    calls key on every working monomial.  events counts monomials cancelled
+    """The division on Fractions, with no packed monomials and no integer
+    numerators: each call rebuilds the divisors' heads and each step calls
+    key on every working monomial.  events counts monomials cancelled
     to zero and later created again."""
     heads = [_head_oracle(d, key) for d in divisors]
     quotients = [{} for _ in divisors]
@@ -632,7 +608,7 @@ def test_divide_matches_uncached_division_random(order):
         for d in divisors:
             p = p + rand_poly(rng, p.ring, max_degree=2, max_terms=3) * d
         assert divide_fractions(p, divisors, order) == _divide_oracle(p, divisors, order.key, events)
-        # a second call reads the heads cached by the first
+        # division keeps no state between calls: a second call agrees
         assert divide_fractions(p, divisors, order) == _divide_oracle(p, divisors, order.key, events)
     assert events["recreated"] > 0
 
@@ -652,7 +628,9 @@ def test_divide_matches_fraction_division_with_large_coefficients_random(order):
         p = _rand_big_poly(rng, ring, primes, max_degree=4)
         for d in divisors:
             p = p + _rand_big_poly(rng, ring, primes, max_degree=2, max_terms=3) * d
-            lc, a = leading_term(d, order)[1], d._head(order.key)[1]
+            # a is the denominator of d's monic form
+            lc = leading_term(d, order)[1]
+            a = lcm(*((c / lc).denominator for _, c in d.terms()))
             seen["negative lc"] += lc < 0
             seen["a > 1"] += a > 1
         assert divide_fractions(p, divisors, order) == _divide_oracle(p, divisors, order.key, Counter())
