@@ -563,6 +563,10 @@ def _record_value(value):
     raise TypeError(f"a record cannot hold {type(value).__name__}")
 
 
+# One encoder for every record: json.dumps with these keywords would build
+# a new one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_record_value)
+
 _CHUNK_DIGITS = 1000
 _CHUNK = 10**_CHUNK_DIGITS
 
@@ -594,14 +598,14 @@ def _emit(record: dict, started: float, out) -> bool:
     the task's literals bounds the echo's numbers."""
     record["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
     try:
-        text = json.dumps(record, sort_keys=True, separators=(",", ":"), default=_record_value)
+        text = _ENCODER.encode(record)
     except ValueError:
         limit = sys.get_int_max_str_digits()
         error = {"code": "output-too-large", "message": f"the record holds a number of more than {limit} digits"}
         record = {"command": record["command"], "status": "error", "error": error, "timing": record["timing"]}
-        print(json.dumps(record, sort_keys=True, separators=(",", ":"), default=_echo_value), file=out)
+        out.write(json.dumps(record, sort_keys=True, separators=(",", ":"), default=_echo_value) + "\n")
         return False
-    print(text, file=out)
+    out.write(text + "\n")
     return True
 
 

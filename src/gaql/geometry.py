@@ -4,7 +4,9 @@ singular loci, and image-complement scans.
 A fiber over a rational point is empty over the complex numbers exactly
 when its ideal contains 1, which a reduced Groebner basis detects as the
 basis {1}; the certificate is valid over any field extension, so rational
-arithmetic settles the complex question.
+arithmetic settles the complex question.  A `FiberReport` holds the point
+and that basis, its witness, and reads emptiness and dimension off the
+witness when asked; a scan decides emptiness only.
 """
 
 from __future__ import annotations
@@ -22,12 +24,21 @@ Point = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class FiberReport:
-    """Emptiness certificate or dimension for one fiber F^{-1}(point)."""
+    """The fiber F^{-1}(point) and its witness, the reduced Groebner basis
+    of its ideal, off which emptiness and dimension are read when asked."""
 
     point: Point
-    empty: bool
-    dimension: int  # -1 exactly when empty
     witness: GroebnerBasis
+
+    @property
+    def empty(self) -> bool:
+        """Whether the witness is the unit ideal's basis {1}."""
+        return self.witness.is_unit
+
+    @property
+    def dimension(self) -> int:
+        """The witness's Krull dimension: -1 exactly when empty."""
+        return self.witness.dimension
 
 
 @dataclass(frozen=True)
@@ -74,19 +85,17 @@ class GridSpec:
 def fiber_probe(F: PolyMap, point: Sequence, order: MonomialOrder = GREVLEX) -> FiberReport:
     """Groebner certificate for the fiber of F over a rational point.
 
-    The witness basis is computed in the requested order and the dimension
-    is read off it: dim R/I = dim R/in(I) for every monomial order
-    (Greuel-Pfister, A Singular Introduction to Commutative Algebra,
-    Cor. 5.3.14).
+    The witness basis is computed in the requested order; the report's
+    dimension is read off it when asked: dim R/I = dim R/in(I) for every
+    monomial order (Greuel-Pfister, A Singular Introduction to Commutative
+    Algebra, Cor. 5.3.14).
     """
     if len(point) != len(F.components):
         raise ValueError(
             f"point has {len(point)} coordinates, map has {len(F.components)}"
         )
     values = tuple(_exact(v) for v in point)
-    gens = [f - F.ring.const(v) for f, v in zip(F.components, values)]
-    gb = groebner_basis(gens, order)
-    return FiberReport(point=values, empty=gb.is_unit, dimension=gb.dimension, witness=gb)
+    return FiberReport(values, groebner_basis([f - v for f, v in zip(F.components, values)], order))
 
 
 def singular_locus(F: PolyMap, order: MonomialOrder = GREVLEX) -> SingularityReport:
@@ -114,7 +123,8 @@ def complement_scan(
     probe: GridSpec | Iterable[Sequence],
     order: MonomialOrder = GREVLEX,
 ) -> tuple[FiberReport, ...]:
-    """Probe many points and keep the empty fibers, in input order."""
+    """Probe many points and keep the empty fibers, in input order.  Only
+    emptiness is decided; no fiber's dimension is computed."""
     points = probe.points() if isinstance(probe, GridSpec) else probe
     empties = []
     for point in points:

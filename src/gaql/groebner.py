@@ -202,11 +202,16 @@ def _interreduce(heads, layout, ring: Ring) -> tuple[Polynomial, ...]:
         if all((head[0] - m[0]) & guard for m in minimal):
             minimal.append(head)
     # No other leading monomial divides an element's own, so reducing it
-    # against the others keeps its monic leading term lm: r[lm] = den.  The
+    # against the others keeps its monic leading term lm: r[lm] = den.  An
+    # element none of whose tail monomials another leading monomial divides
+    # is already reduced, and division would return it unchanged.  The
     # leading monomials stay distinct and ascending, and reversed they descend.
     out = []
     for i, (lm, a, tail, _) in enumerate(minimal):
-        r, den = _reduce_packed({lm: a, **dict(tail)}, a, minimal[:i] + minimal[i + 1 :], guard)
+        r, den = {lm: a, **dict(tail)}, a
+        others = minimal[:i] + minimal[i + 1 :]
+        if any(not (e - m[0]) & guard for e, _ in tail for m in others):
+            r, den = _reduce_packed(r, den, others, guard)
         out.append(Polynomial._from_integers(ring, {unpack(e): c for e, c in r.items()}, den))
     return tuple(reversed(out))
 

@@ -12,7 +12,10 @@ on its integers.  Only the accessors that show values (`terms()`,
 
 Products (and so compositions and powers) pack each exponent tuple into one
 int; a product by a one-term polynomial, constant or not, takes `_mul_term`
-(which `mul_monomial` also calls), which shifts and scales each term.
+(which `mul_monomial` also calls), which shifts and scales each term.  A sum
+or difference with an int or Fraction takes `_shift`, which scales the
+numerators to the common denominator and moves the constant term, building
+no constant polynomial.
 
 Division runs on packed monomials ordered like the monomial order
 (Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
@@ -505,19 +508,42 @@ class Polynomial:
                 del out[e]
         return Polynomial._from_integers(self.ring, out, den)
 
+    def _shift(self, sign: int, n: int, d: int) -> "Polynomial":
+        """sign * self + n/d for sign 1 or -1 and the numerator and positive
+        denominator of an int or Fraction: the numerators, scaled to the
+        common denominator in one dict pass, with n/d moving the constant
+        term."""
+        den = self._den * d if self._den == 1 or d == 1 else lcm(self._den, d)
+        a = sign * (den // self._den)
+        out = dict(self._num) if a == 1 else {e: c * a for e, c in self._num.items()}
+        if n:
+            zero = (0,) * self.ring.arity
+            c = out.get(zero, 0) + n * (den // d)
+            if c:
+                out[zero] = c
+            else:
+                del out[zero]
+        return Polynomial._from_integers(self.ring, out, den)
+
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._shift(1, other.numerator, other.denominator)
         q = self._coerce(other)
         return NotImplemented if q is None else self._plus(q, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._shift(1, -other.numerator, other.denominator)
         q = self._coerce(other)
         return NotImplemented if q is None else self._plus(q, -1)
 
     def __rsub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._shift(-1, other.numerator, other.denominator)
         q = self._coerce(other)
-        return NotImplemented if q is None else q - self
+        return NotImplemented if q is None else q._plus(self, -1)
 
     def __neg__(self):
         return Polynomial._from_integers(self.ring, {e: -c for e, c in self._num.items()}, self._den)
@@ -662,24 +688,22 @@ class Polynomial:
         """Canonical form: descending grevlex terms, explicit '*' and '^'."""
         if not self._num:
             return "0"
-        den = self._den
+        den, names = self._den, self.ring.variables
         chunks: list[str] = []
         for exps, c in sorted(self._num.items(), key=_grevlex_descending):
-            mono = "*".join(
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(self.ring.variables, exps)
-                if e
-            )
+            mono = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e])
             # |c|/den in lowest terms, written as Fraction writes it
-            g = gcd(c, den)
-            n, d = abs(c) // g, den // g
-            mag = str(n) if d == 1 else f"{n}/{d}"
-            if not mono:
-                body = mag
-            elif n == d:
+            if den == 1:
+                n, d = abs(c), 1
+            else:
+                g = gcd(c, den)
+                n, d = abs(c) // g, den // g
+            if mono and n == d:
                 body = mono
             else:
-                body = f"{mag}*{mono}"
+                body = str(n) if d == 1 else f"{n}/{d}"
+                if mono:
+                    body = f"{body}*{mono}"
             if not chunks:
                 chunks.append(body if c > 0 else f"-{body}")
             else:

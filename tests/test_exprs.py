@@ -73,6 +73,12 @@ def test_format_examples():
     assert str(-X + 1) == "-x + 1"
     assert str(Fraction(3, 2) * X * Y**2) == "3/2*x*y^2"
     assert str(R3.const(-7)) == "-7"
+    # unit coefficients over the denominator 1
+    assert str(-X * Y + 1) == "-x*y + 1"
+    assert str(R3.const(-1)) == "-1"
+    # a term over the denominator 2 that reduces to an integer
+    assert str((X + 2) * Fraction(1, 2)) == "1/2*x + 1"
+    assert str(X * (2**64 + 1) - 3) == "18446744073709551617*x - 3"
 
 
 def test_format_descending_grevlex():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gaql.geometry import GridSpec, complement_scan, fiber_probe, singular_locus
-from gaql.groebner import groebner_basis, ideal_membership
+from gaql.groebner import GroebnerBasis, groebner_basis, ideal_membership
 from gaql.poly import PolyMap, Ring
 
 R3 = Ring(("x", "y", "z"))
@@ -171,6 +171,23 @@ def test_complement_scan_explicit_points():
         (Fraction(0), Fraction(0), Fraction(1)),
         (Fraction(0), Fraction(0), Fraction(-2)),
     ]
+
+
+@pytest.mark.parametrize("F", [F_PUNCTURED, F_BILINEAR], ids=["punctured", "bilinear"])
+def test_complement_scan_decides_emptiness_only(F, monkeypatch):
+    # the grid holds the origin, over which both maps have empty fibers
+    grid = GridSpec(box=((-1, 1),) * F.arity, steps=3)
+    dimension, reads = GroebnerBasis.dimension, []
+    monkeypatch.setattr(GroebnerBasis, "dimension", property(lambda gb: reads.append(gb) or dimension.fget(gb)))
+    reports = complement_scan(F, grid)
+    assert reads == []
+    monkeypatch.undo()
+    probes = [fiber_probe(F, point) for point in grid.points()]
+    assert reports == tuple(r for r in probes if r.empty)
+    assert reports
+    for r in reports:
+        assert r.dimension == -1
+        assert r.witness.basis == (F.ring.one(),)
 
 
 def test_complement_scan_surjective_quotient_map_grid():

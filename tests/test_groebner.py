@@ -156,8 +156,16 @@ def _scaling_interreduce(polys, order):
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)], ids=str)
-def test_interreduce_matches_scaling_by_the_leading_coefficient_random(order):
+def test_interreduce_matches_scaling_by_the_leading_coefficient_random(order, monkeypatch):
+    reduce_packed, divisions = groebner._reduce_packed, []
+
+    def counted(*args):
+        divisions.append(None)
+        return reduce_packed(*args)
+
+    monkeypatch.setattr(groebner, "_reduce_packed", counted)
     rng = random.Random(19)
+    elements = 0
     for _ in range(150):
         _, polys = rand_division_case(rng, order)
         want = _scaling_interreduce(polys, order)
@@ -166,12 +174,20 @@ def test_interreduce_matches_scaling_by_the_leading_coefficient_random(order):
         assert got == want
         assert [list(p.terms()) for p in got] == [list(p.terms()) for p in want]
         assert all(leading_term(p, order)[1] == 1 for p in got)
+        elements += len(got)
+    # both branches ran: elements divided by the others, and elements left
+    # as they were because no other leading monomial divides a tail term
+    assert 0 < len(divisions) < elements
 
 
 def test_groebner_simple():
     gb = groebner_basis([X + 0 * Y, X + Y])
     assert gb.basis == (X, Y)
     assert buchberger_criterion_holds(gb)
+    # the one pair is coprime, so only interreduction changes the input: the
+    # tail y^2 of x^2 + y^2 is divisible by the other leading monomial
+    gb = groebner_basis([X**2 + Y**2, Y**2 + 1])
+    assert gb.basis == (X**2 - 1, Y**2 + 1)
 
 
 def test_groebner_zero_ideal():

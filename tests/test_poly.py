@@ -58,6 +58,17 @@ def test_scalar_coercion():
     assert 2 * X + X == 3 * X
     assert X - 1 == X + R3.const(-1)
     assert (X + Fraction(1, 2)) * 2 == 2 * X + 1
+    # an int or Fraction operand shifts the constant term in place of a
+    # constant polynomial: the same stored form as the route through const
+    rng = random.Random(23)
+    for _ in range(300):
+        p = rand_poly(rng, R3)
+        cancel = p.constant_value()
+        frac = Fraction(rng.randrange(-29, 30, 2), rng.choice([2, 4, 6]))  # den > 1
+        for c in (0, rng.randint(-9, 9), frac, cancel, -cancel):
+            k = R3.const(c)
+            for got, want in ((p + c, p + k), (c + p, k + p), (p - c, p - k), (c - p, k - p)):
+                assert (got._num, got._den, hash(got)) == (want._num, want._den, hash(want))
 
 
 def test_zero_terms_dropped():
@@ -93,6 +104,10 @@ def test_only_zero_is_falsy():
         lambda: R3.from_terms({(1.5, 0, 0): 1}),
         lambda: Polynomial(R3, {(1.0, 0, 0): 1}) * (X + 1),
         lambda: Y.mul_monomial((0.5, 0, 0), 1),
+        lambda: X + 0.5,
+        lambda: 0.5 + X,
+        lambda: X - 0.5,
+        lambda: 0.5 - X,
     ],
     ids=[
         "const",
@@ -104,6 +119,10 @@ def test_only_zero_is_falsy():
         "from_terms_exponent",
         "constructor_exponent",
         "mul_monomial_exponent",
+        "add",
+        "radd",
+        "sub",
+        "rsub",
     ],
 )
 def test_floats_are_rejected(call):
