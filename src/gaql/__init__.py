@@ -42,9 +42,6 @@ from .groebner import (
     buchberger_criterion_holds,
     eliminate,
     groebner_basis,
-    ideal_membership,
-    is_unit_ideal,
-    radical_membership,
     reduce,
     subalgebra_membership,
 )
@@ -61,7 +58,6 @@ from .poly import (
 from .quotient import (
     CandidateCheck,
     LocalSlice,
-    check_map_invariant,
     find_local_slice,
     jacobian_derivation,
     slice_coefficient_as_P,
@@ -96,7 +92,6 @@ __all__ = [
     "block_order",
     "buchberger_criterion_holds",
     "certify_locally_nilpotent",
-    "check_map_invariant",
     "complement_scan",
     "deg_function",
     "det",
@@ -107,14 +102,11 @@ __all__ = [
     "find_local_slice",
     "fixed_locus",
     "groebner_basis",
-    "ideal_membership",
     "is_invariant",
-    "is_unit_ideal",
     "jacobian_derivation",
     "jacobian_det",
     "kernel_check",
     "parse_polynomial",
-    "radical_membership",
     "reduce",
     "singular_locus",
     "slice_coefficient_as_P",

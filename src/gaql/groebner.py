@@ -2,8 +2,13 @@
 
 Buchberger's algorithm with the normal selection strategy, the pending pairs
 on a heap, and the Gebauer-Moeller pair update (the product criterion and
-the chain criteria M, F and B), followed by full interreduction.  Generators
-enter ascending by leading monomial, ties in input order; the reduced basis
+the chain criteria M, F and B; Gebauer and Moeller, J. Symbolic Comput. 6,
+1988), followed by full interreduction.  Generators enter ascending by
+leading monomial, ties in input order, and each generator enters as its
+remainder by the elements before it: with them it generates the same ideal
+(Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, 2.7), and a
+generator that an earlier leading monomial divides forms no pair, so the
+pair update runs on elements that are already reduced.  The reduced basis
 is unique for the monomial order, so the entry order does not change it.
 
 The whole computation runs on packed monomials (see `poly`'s docstring;
@@ -12,15 +17,17 @@ the monomial order, so that a product of monomials is an addition and a
 divisibility test one subtraction and one mask.  Each basis element is a
 packed monic head (lm, a, tail, top) from the moment it enters: the monic
 form x^lm + tail/a with an integer tail.  S-polynomials are built from the
-heads, each remainder of `poly._reduce_packed` becomes a head directly,
-and interreduction runs packed.  The Gebauer-Moeller criteria run on
-packed ints too: a pair's lcm is the fieldwise maximum of the exponent
-fields of its two leading monomials (`_Layout.fieldwise_max`, the helper
-that also gives a head's `top`), divisibility is the guard-bit test, and
-two monomials are coprime iff their lcm is their product, whose fields are
-the sums.  Only a pair that the criteria keep gets the order's rows added
-to its lcm (`_Layout.with_rows`), for the key of the pair heap.  Each
-output polynomial is made once, from the integers of its packed
+heads, each remainder of `poly._reduce_packed`, a generator's or an
+S-polynomial's, becomes a head directly, and interreduction runs packed,
+dividing only the elements that a tail monomial shows to be unreduced.
+The Gebauer-Moeller criteria run on packed ints too: a pair's lcm is the
+fieldwise maximum of the exponent fields of its two leading monomials
+(`_Layout.fieldwise_max`, the helper that also gives a head's `top`),
+divisibility is the guard-bit test, and two monomials are coprime iff
+their lcm is their product, whose fields are the sums.  Only a pair that
+the criteria keep gets the order's rows added to its lcm
+(`_Layout.with_rows`), for the key of the pair heap.  Each output
+polynomial is made once, from the integers of its packed head or
 remainder.  A field that outgrows its width (8 bits at first) raises
 `poly._Overflow`, and the computation starts again at double the width;
 the basis does not depend on it.  Public `reduce` packs on entry and
@@ -37,10 +44,9 @@ shares.  Otherwise lex Buchberger runs from the grevlex basis instead of
 the generators; the two generate the same ideal, whose reduced basis is
 unique.
 
-Decision procedures built on top: ideal membership, unit-ideal test,
-elimination via block orders, combinatorial Krull dimension, radical
-membership (Rabinowitsch trick), and subalgebra membership via tag
-variables.
+Built on top: ideal membership (`GroebnerBasis.contains`), the unit-ideal
+test (`GroebnerBasis.is_unit`), elimination via block orders, combinatorial
+Krull dimension, and subalgebra membership via tag variables.
 """
 
 from __future__ import annotations
@@ -66,7 +72,6 @@ from .poly import (  # the orders are re-exported from here
     _packed,
     _reduce_packed,
     embed,
-    fresh_names,
 )
 
 _verify_bases = False
@@ -80,14 +85,6 @@ def set_basis_verification(flag: bool):
 
 def block_order(front_size: int) -> MonomialOrder:
     return MonomialOrder("block", front_size)
-
-
-def leading_term(p: Polynomial, order: MonomialOrder):
-    """(exponents, coefficient) of the order-largest term; p must be nonzero."""
-    if p.is_zero:
-        raise ValueError("the zero polynomial has no leading term")
-    lm = max(p._num, key=order.key)
-    return lm, p.coefficient(lm)
 
 
 def reduce(p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Polynomial:
@@ -197,22 +194,27 @@ def _interreduce(heads, layout, ring: Ring) -> tuple[Polynomial, ...]:
     each minimal element by the others: for a Groebner basis, the unique
     reduced basis."""
     guard, unpack = layout.guard, layout.unpack
-    minimal = []
+    minimal, lms = [], []
     for head in sorted(heads, key=itemgetter(0)):
-        if all((head[0] - m[0]) & guard for m in minimal):
+        if all((head[0] - m) & guard for m in lms):
             minimal.append(head)
+            lms.append(head[0])
     # No other leading monomial divides an element's own, so reducing it
     # against the others keeps its monic leading term lm: r[lm] = den.  An
-    # element none of whose tail monomials another leading monomial divides
-    # is already reduced, and division would return it unchanged.  The
-    # leading monomials stay distinct and ascending, and reversed they descend.
+    # element none of whose tail monomials a leading monomial divides (its
+    # own divides none, being larger) is already reduced, so its numerators
+    # are its head's, over a.  The leading monomials stay distinct and
+    # ascending, and reversed they descend.
     out = []
     for i, (lm, a, tail, _) in enumerate(minimal):
-        r, den = {lm: a, **dict(tail)}, a
-        others = minimal[:i] + minimal[i + 1 :]
-        if any(not (e - m[0]) & guard for e, _ in tail for m in others):
-            r, den = _reduce_packed(r, den, others, guard)
-        out.append(Polynomial._from_integers(ring, {unpack(e): c for e, c in r.items()}, den))
+        if any(not (e - m) & guard for e, _ in tail for m in lms):
+            r, den = _reduce_packed({lm: a, **dict(tail)}, a, minimal[:i] + minimal[i + 1 :], guard)
+            num = {unpack(e): c for e, c in r.items()}
+        else:
+            num, den = {unpack(lm): a}, a
+            for e, c in tail:
+                num[unpack(e)] = c
+        out.append(Polynomial._from_integers(ring, num, den))
     return tuple(reversed(out))
 
 
@@ -260,9 +262,14 @@ def _buchberger(gens: Sequence[Polynomial], layout) -> tuple[Polynomial, ...]:
         live.append(new)
         heads.append(head)
 
-    # sorted is stable, so equal leading monomials keep the input order
-    for head in sorted(map(layout.head_of, gens), key=itemgetter(0)):
-        add(head)
+    # each generator enters as its remainder by the live elements, as an
+    # S-polynomial does; sorted is stable, so equal leading monomials keep
+    # the input order
+    for h in sorted([layout.pack_all(g._num) for g in gens], key=max):
+        if live:
+            h = _reduce_packed(h, 1, [heads[k] for k in live], guard)[0]
+        if h:
+            add(layout.head(h))
     while pairs:
         plcm, i, j, _ = heappop(pairs)
         r = _s_remainder(heads[i], heads[j], plcm, [heads[k] for k in live], guard)
@@ -386,8 +393,13 @@ def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -
     the set that S-polynomials are reduced against.  Each pair's lcm is
     computed once, when the pair is formed, and packed with the order's rows
     only if the pair is kept.  Generators enter ascending by leading
-    monomial, ties in input order; the final interreduction makes the output
-    unique whatever that order.
+    monomial, ties in input order, and each generator enters as its
+    remainder by the elements before it, which generates the same ideal
+    with them (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
+    2.7).  A zero remainder is dropped, a generator that an earlier leading
+    monomial divides forms no pair, and the pair update (Gebauer and
+    Moeller, J. Symbolic Comput. 6, 1988) runs on reduced elements.  The
+    final interreduction makes the output unique whatever that order.
 
     A lex basis starts from the grevlex basis.  If every variable that a
     generator uses has a pure power among its leading monomials, the ideal
@@ -415,16 +427,6 @@ def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -
     return result
 
 
-def ideal_membership(p: Polynomial, gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> bool:
-    """True iff p lies in the ideal generated by gens."""
-    return groebner_basis(gens, order).contains(p)
-
-
-def is_unit_ideal(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> bool:
-    """True iff the generated ideal is the whole ring (no common zero)."""
-    return groebner_basis(gens, order).is_unit
-
-
 def eliminate(gens: Sequence[Polynomial], drop: Iterable[int]) -> tuple[Polynomial, ...]:
     """Generators of the elimination ideal with the given variables removed.
 
@@ -448,17 +450,6 @@ def eliminate(gens: Sequence[Polynomial], drop: Iterable[int]) -> tuple[Polynomi
     return tuple(
         embed(p, ring) for p in gb.basis if all(i >= len(drop) for i in p.support_variables())
     )
-
-
-def radical_membership(p: Polynomial, gens: Sequence[Polynomial]) -> bool:
-    """True iff some power of p lies in the ideal (Rabinowitsch trick)."""
-    ring = p.ring
-    (w,) = fresh_names(("w",), ring.variables)
-    big = ring.extended((w,))
-    w_var = big.var(big.arity - 1)
-    lifted = [embed(g, big) for g in gens]
-    lifted.append(big.one() - w_var * embed(p, big))
-    return is_unit_ideal(lifted)
 
 
 def subalgebra_membership(

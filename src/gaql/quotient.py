@@ -27,7 +27,6 @@ from .poly import (
     PolyMap,
     Polynomial,
     Ring,
-    RingMismatchError,
     fresh_names,
     grevlex_key,
 )
@@ -46,13 +45,6 @@ def jacobian_derivation(F: PolyMap) -> Derivation:
     # Laplace expansion along the unit first row: image i is (-1)^i minor i.
     minors = F.maximal_minors()
     return Derivation(F.ring, tuple(-m if i % 2 else m for i, m in enumerate(minors)))
-
-
-def check_map_invariant(A: GaAction, F: PolyMap) -> bool:
-    """True iff every component of F is invariant under the flow."""
-    if F.ring != A.ring:
-        raise RingMismatchError("map over a different ring than the action")
-    return all(is_invariant(A, f) for f in F.components)
 
 
 @dataclass(frozen=True)

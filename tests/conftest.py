@@ -1,6 +1,6 @@
 """Shared test helpers: random polynomial generation, random division
-problems, and a cofactor-expansion determinant oracle kept independent of
-the production determinant path."""
+problems, a leading-term oracle, and a cofactor-expansion determinant
+oracle kept independent of the production determinant path."""
 
 import random
 from fractions import Fraction
@@ -17,6 +17,15 @@ def verify_groebner_bases():
     groebner.set_basis_verification(True)
     yield
     groebner.set_basis_verification(False)
+
+
+def leading_term(p: Polynomial, order):
+    """(exponents, coefficient) of the order-largest term, found by the
+    order's sort key rather than on packed monomials; p must be nonzero."""
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no leading term")
+    lm = max(p._num, key=order.key)
+    return lm, p.coefficient(lm)
 
 
 def rand_poly(rng: random.Random, ring: Ring, max_degree=3, max_terms=4,
@@ -50,7 +59,7 @@ def rand_division_case(rng: random.Random, order):
     for _ in range(rng.randint(1, 4)):
         d = rand_nonzero_poly(rng, ring, max_degree=2)
         if divisors and rng.random() < 0.5:
-            lm, lc = groebner.leading_term(rng.choice(divisors), order)
+            lm, lc = leading_term(rng.choice(divisors), order)
             lower = {e: c for e, c in d.terms() if order.key(e) < order.key(lm)}
             d = Polynomial(ring, {**lower, lm: lc * rng.randint(1, 3)})
         divisors.append(d)

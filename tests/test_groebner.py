@@ -5,11 +5,10 @@ import pickle
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import itemgetter
 
 import pytest
 
-from conftest import rand_division_case, rand_nonzero_poly, rand_poly
+from conftest import leading_term, rand_division_case, rand_nonzero_poly, rand_poly
 from gaql import groebner
 from gaql.groebner import (
     GREVLEX,
@@ -22,14 +21,10 @@ from gaql.groebner import (
     buchberger_criterion_holds,
     eliminate,
     groebner_basis,
-    ideal_membership,
-    is_unit_ideal,
-    leading_term,
-    radical_membership,
     reduce,
     subalgebra_membership,
 )
-from gaql.poly import Polynomial, Ring, RingMismatchError, _packed, grevlex_key
+from gaql.poly import Polynomial, Ring, RingMismatchError, _packed, embed, grevlex_key
 
 R2 = Ring(("x", "y"))
 R3 = Ring(("x", "y", "z"))
@@ -208,10 +203,10 @@ def test_groebner_fiber_of_nonsurjective_map():
 
 
 def test_membership():
-    assert ideal_membership(Y, [X, X + Y])
-    assert ideal_membership(R4.one(), [X4, Y4, X4 * U4 + Y4 * V4 - 1])
-    assert not ideal_membership(R4.one(), [X4, Y4, X4 * U4 + Y4 * V4])
-    assert not is_unit_ideal([])
+    assert groebner_basis([X, X + Y]).contains(Y)
+    assert groebner_basis([X4, Y4, X4 * U4 + Y4 * V4 - 1]).contains(R4.one())
+    assert not groebner_basis([X4, Y4, X4 * U4 + Y4 * V4]).contains(R4.one())
+    assert not groebner_basis([]).is_unit
 
 
 def test_membership_soundness_random():
@@ -224,7 +219,7 @@ def test_membership_soundness_random():
         p = R3.zero()
         for g in gens:
             p = p + rand_poly(rng, R3, max_degree=1, max_terms=2) * g
-        assert ideal_membership(p, gens)
+        assert groebner_basis(gens).contains(p)
 
 
 def test_eliminate_examples():
@@ -247,7 +242,7 @@ def test_eliminate_random_properties():
             continue
         drop = {rng.randrange(3)}
         for p in eliminate(gens, drop):
-            assert ideal_membership(p, gens)
+            assert groebner_basis(gens).contains(p)
             assert not (p.support_variables() & drop)
 
 
@@ -269,7 +264,7 @@ def test_dimension_unit_iff_membership_of_one_random():
         gens = [g for g in gens if not g.is_zero]
         if not gens:
             continue
-        assert (groebner_basis(gens).dimension == -1) == ideal_membership(R2.one(), gens)
+        assert (groebner_basis(gens).dimension == -1) == groebner_basis(gens).contains(R2.one())
 
 
 def test_dimension_is_the_same_in_every_order_random():
@@ -323,12 +318,20 @@ def test_dimension_matches_the_bitmask_walk_random():
     assert {-1, 0, 1, 2} <= seen
 
 
+def _radical_membership(p, gens) -> bool:
+    """True iff some power of p lies in the ideal of gens: iff gens and
+    1 - w*p, w a fresh variable, generate the unit ideal (Rabinowitsch)."""
+    big = p.ring.extended(("w",))
+    w = big.var(big.arity - 1)
+    return groebner_basis([embed(g, big) for g in gens] + [1 - w * embed(p, big)]).is_unit
+
+
 def test_radical_membership():
-    assert radical_membership(X, [X**2])
-    assert not radical_membership(Y, [X**2])
+    assert _radical_membership(X, [X**2])
+    assert not _radical_membership(Y, [X**2])
     # 1 + x*z equals 1 on the common zeros of z and x*(1 + x*z)
-    assert not radical_membership(1 + X * Z, [Z, X * (1 + X * Z)])
-    assert radical_membership(X * Z, [X])
+    assert not _radical_membership(1 + X * Z, [Z, X * (1 + X * Z)])
+    assert _radical_membership(X * Z, [X])
 
 
 def test_subalgebra_membership_witness():
@@ -459,11 +462,19 @@ def _coprime(a, b) -> bool:
     return not any(map(min, a, b))
 
 
-def _tuple_update_buchberger(gens, layout):
+def _head_polynomial(head, layout, ring):
+    """The monic polynomial x^lm + tail/a of the packed head (lm, a, tail, top)."""
+    lm, a, tail, _ = head
+    terms = {layout.unpack(e): Fraction(c, a) for e, c in tail}
+    return Polynomial(ring, {**terms, layout.unpack(lm): 1})
+
+
+def _tuple_update_buchberger(gens, order, layout):
     """groebner._buchberger with the Gebauer-Moeller update run on exponent
-    tuples, one unpack per new element: the oracle for the update on packed
-    ints, which must form, skip and order the same pairs."""
-    guard = layout.guard
+    tuples, one unpack per new element, and each generator entering as its
+    public `reduce` by the elements before it: the oracle for the update on
+    packed ints, which must form, skip and order the same pairs."""
+    guard, ring = layout.guard, gens[0].ring
     heads, lms, live, pairs = [], [], [], []
 
     def add(head):
@@ -496,14 +507,26 @@ def _tuple_update_buchberger(gens, layout):
         heads.append(head)
         lms.append(lm)
 
-    for head in sorted(map(layout.head_of, gens), key=itemgetter(0)):
-        add(head)
+    for g in sorted(gens, key=lambda g: order.key(leading_term(g, order)[0])):
+        g = reduce(g, [_head_polynomial(heads[k], layout, ring) for k in live], order)
+        if not g.is_zero:
+            add(layout.head_of(g))
     while pairs:
         plcm, i, j, _ = heappop(pairs)
         r = groebner._s_remainder(heads[i], heads[j], plcm, [heads[k] for k in live], guard)
         if r:
             add(layout.head(r))
     return _interreduce([heads[k] for k in live], layout, gens[0].ring)
+
+
+def _count_s_remainders(monkeypatch) -> list:
+    """The argument tuples of every `_s_remainder` call from now on, with
+    the basis verification, which reduces S-polynomials too, turned off."""
+    calls = []
+    s_remainder = groebner._s_remainder
+    monkeypatch.setattr(groebner, "_s_remainder", lambda *args: calls.append(args) or s_remainder(*args))
+    monkeypatch.setattr(groebner, "_verify_bases", False)
+    return calls
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1), block_order(2)], ids=str)
@@ -513,10 +536,7 @@ def test_packed_pair_update_matches_the_tuple_update_random(order, monkeypatch):
     criterion-free test, cyclic-4, katsura-3 and random ideals, some with
     generators sharing a leading monomial.  Buchberger is called directly,
     because groebner_basis computes a lex basis from the grevlex one."""
-    calls = []
-    s_remainder = groebner._s_remainder
-    monkeypatch.setattr(groebner, "_s_remainder", lambda *args: calls.append(args) or s_remainder(*args))
-    monkeypatch.setattr(groebner, "_verify_bases", False)
+    calls = _count_s_remainders(monkeypatch)
     rng = random.Random(29)
     cases = [[X**2 * Y - 1, X * Y**2 - 1], [X**2 * Y - Z, X * Y**2 - Z, Y * Z**2 - X],
              [X**3 - Y * Z, X**2 * Y - 1, Y**2 - X], CYCLIC_4, KATSURA_3]
@@ -526,7 +546,7 @@ def test_packed_pair_update_matches_the_tuple_update_random(order, monkeypatch):
         cases.append(rand_division_case(rng, order)[1])
     for gens in cases:
         calls.clear()
-        want = _packed(order, gens[0].ring.arity, lambda layout: _tuple_update_buchberger(gens, layout))
+        want = _packed(order, gens[0].ring.arity, lambda layout: _tuple_update_buchberger(gens, order, layout))
         want_calls = calls[:]
         calls.clear()
         assert _packed(order, gens[0].ring.arity, lambda layout: _buchberger(gens, layout)) == want, (
@@ -771,12 +791,9 @@ def _katsura(xs):
 
 def test_s_polynomial_reductions_of_the_gb_stress_systems(monkeypatch):
     """The fibers of bench/workloads.py's gb-stress, seed 1: the reductions
-    that Buchberger runs are pinned, so a change to pair selection or to
-    the criteria shows here."""
-    calls = []
-    s_remainder = groebner._s_remainder
-    monkeypatch.setattr(groebner, "_s_remainder", lambda *args: calls.append(args) or s_remainder(*args))
-    monkeypatch.setattr(groebner, "_verify_bases", False)
+    that Buchberger runs are pinned, so a change to pair selection, to the
+    criteria or to the generators' entry shows here."""
+    calls = _count_s_remainders(monkeypatch)
     R5 = Ring(("x1", "x2", "x3", "x4", "x5"))
     xs = R5.gens()
     cases = {
@@ -790,7 +807,38 @@ def test_s_polynomial_reductions_of_the_gb_stress_systems(monkeypatch):
         calls.clear()
         groebner_basis(comps[:-1] + [comps[-1] + constant], order)
         counts[name] = len(calls)
-    # a lex basis starts from the grevlex one: C4's 11 grevlex reductions,
-    # then 8 by lex Buchberger; K3 is zero-dimensional, so FGLM, which
-    # reduces no S-polynomial, follows its 10 grevlex ones
-    assert counts == {"C5": 106, "K4": 28, "C4": 11 + 8, "K3": 10}
+    # a lex basis starts from the grevlex one: C4's 8 grevlex reductions,
+    # then 6 by lex Buchberger, whose generators are that reduced basis, so
+    # none of them reduces on entry; K3 is zero-dimensional, so FGLM, which
+    # reduces no S-polynomial, follows its 8 grevlex ones
+    assert counts == {"C5": 102, "K4": 26, "C4": 8 + 6, "K3": 8}
+
+
+def test_a_generator_that_an_earlier_one_divides_forms_no_pair(monkeypatch):
+    """Each generator enters as its remainder by the elements before it.
+    In the fiber of P = (1 + x*z, y + z + x*y*z) over (a, b), x*z divides
+    x*y*z, so the second generator enters as a*y + z - b: for a != 0 the
+    two leading monomials are coprime and no S-polynomial is reduced; over
+    the origin it enters as z, whose one pair with x*z + 1 gives 1.  x
+    divides x*y and x*y*z, which enter as zero."""
+    calls = _count_s_remainders(monkeypatch)
+    P = (1 + X * Z, Y + Z + X * Y * Z)
+    gb = groebner_basis([P[0] + 14, P[1] + 6])
+    assert gb.basis == (X * Z + 15, Y - Fraction(1, 14) * Z - Fraction(3, 7)) and not calls
+    assert groebner_basis(P).basis == (R3.one(),) and len(calls) == 1
+    calls.clear()
+    assert groebner_basis([X, X * Y, X * Y * Z]).basis == (X,) and not calls
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1), block_order(2)], ids=str)
+def test_a_generator_in_the_ideal_of_the_others_changes_no_basis_random(order):
+    """Appending a*g1 + b*g2 to random generators leaves the ideal as it
+    was: it enters as zero or as a remainder that the pairs reduce away,
+    and the basis is the criterion-free oracle's on the generators alone."""
+    rng = random.Random(37)
+    for _ in range(25):
+        ring = Ring(("x", "y", "z")[: rng.randint(2, 3)])
+        gens = [rand_nonzero_poly(rng, ring, max_degree=2) for _ in range(rng.randint(2, 3))]
+        g1, g2 = rng.sample(gens, 2)
+        extra = rand_poly(rng, ring, max_degree=1) * g1 + rand_poly(rng, ring, max_degree=1) * g2
+        assert groebner_basis(gens + [extra], order).basis == _criterion_free_basis(gens, order), (gens, order)

@@ -7,9 +7,9 @@ from operator import add, le, mul
 
 import pytest
 
-from conftest import cofactor_det, rand_division_case, rand_nonzero_poly, rand_poly
+from conftest import cofactor_det, leading_term, rand_division_case, rand_nonzero_poly, rand_poly
 from gaql import poly
-from gaql.groebner import GREVLEX, LEX, block_order, leading_term
+from gaql.groebner import GREVLEX, LEX, block_order
 from gaql.poly import (
     NEG_INF,
     PolyMap,

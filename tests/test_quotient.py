@@ -5,12 +5,11 @@ from math import lcm
 import pytest
 
 from conftest import cofactor_det, rand_poly
-from gaql.action import exponentiate
+from gaql.action import exponentiate, is_invariant
 from gaql.derivation import Derivation, apply, certify_locally_nilpotent
 from gaql.poly import PolyMap, Ring, grevlex_key, jacobian_det
 from gaql.quotient import (
     _monomials_upto,
-    check_map_invariant,
     find_local_slice,
     jacobian_derivation,
     slice_coefficient_as_P,
@@ -74,12 +73,12 @@ def test_jacobian_derivation_consistent_with_determinant_random():
 def test_check_map_invariant():
     D = jacobian_derivation(F_BILINEAR)
     A = exp_of(D)
-    assert check_map_invariant(A, F_BILINEAR)
+    assert all(is_invariant(A, f) for f in F_BILINEAR.components)
 
     shift = exp_of(Derivation(R3, (R3.one(), R3.zero(), R3.zero())))
-    assert not check_map_invariant(shift, PolyMap(R3, (X, Y)))
+    assert not all(is_invariant(shift, f) for f in (X, Y))
     identity = exp_of(Derivation(R3, (R3.zero(),) * 3))
-    assert check_map_invariant(identity, PolyMap(R3, (X, Y)))
+    assert all(is_invariant(identity, f) for f in (X, Y))
 
 
 def test_find_local_slice_shift():
