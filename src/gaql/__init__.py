@@ -56,17 +56,14 @@ from .poly import (
     jacobian_det,
 )
 from .quotient import (
-    CandidateCheck,
     LocalSlice,
     find_local_slice,
     jacobian_derivation,
     slice_coefficient_as_P,
-    verify_invariant_generators,
     verify_localization_identity,
 )
 
 __all__ = [
-    "CandidateCheck",
     "DegreeExplosionError",
     "Derivation",
     "FiberReport",
@@ -111,6 +108,5 @@ __all__ = [
     "singular_locus",
     "slice_coefficient_as_P",
     "subalgebra_membership",
-    "verify_invariant_generators",
     "verify_localization_identity",
 ]

@@ -68,7 +68,6 @@ from .poly import (  # the orders are re-exported from here
     Ring,
     RingMismatchError,
     _Overflow,
-    _divide,
     _packed,
     _reduce_packed,
     embed,
@@ -96,7 +95,16 @@ def reduce(p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
     if any(b.ring != p.ring for b in basis):
         raise RingMismatchError("basis polynomial over a different ring")
     divisors = [b for b in basis if not b.is_zero]
-    return _divide(p, divisors, order)[1] if divisors else p
+    if not divisors:
+        return p
+
+    def run(layout):
+        heads = [layout.head_of(d) for d in divisors]
+        return layout, _reduce_packed(layout.pack_all(p._num), p._den, heads, layout.guard)
+
+    layout, (r, den) = _packed(order, p.ring.arity, run)
+    unpack = layout.unpack
+    return Polynomial._from_integers(p.ring, {unpack(e): c for e, c in r.items()}, den)
 
 
 def _s_polynomial(f, g, plcm: int, guard: int) -> tuple[dict[int, int], int]:

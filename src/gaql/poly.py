@@ -44,10 +44,9 @@ its guard bits.
 Either check failing raises `_Overflow`, and `_packed` runs the whole
 computation again at double the width, starting from 8 bits: the result
 does not depend on the width.  `_reduce_packed` is the package's one
-division kernel; `_divide` packs for it and unpacks once, for
-`groebner.reduce` (the remainder) and `det` (an exact quotient), and
-`groebner.groebner_basis` keeps its basis and its pair criteria packed
-throughout.
+division kernel, and it returns a remainder only: `groebner.reduce` packs
+for it and unpacks once, and `groebner.groebner_basis` keeps its basis and
+its pair criteria packed throughout.  `det` divides nothing.
 
 All operations are pure, and the ring and stored form of a value never
 change after construction: `Polynomial` has the slots `ring`, `_num` and
@@ -65,6 +64,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from functools import partial, reduce
+from itertools import combinations
 from operator import add, lshift, mul, neg
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -733,15 +733,13 @@ def embed(p: Polynomial, ring: Ring) -> Polynomial:
     return Polynomial._from_integers(ring, out, p._den)
 
 
-def _reduce_packed(h: dict[int, int], den: int, heads, guard: int, quotients=None):
+def _reduce_packed(h: dict[int, int], den: int, heads, guard: int):
     """Divide h/den, a packed polynomial with int numerators, by the monic
     packed heads (lm, a, tail, top) of `_Layout.head` (Cox, Little, O'Shea,
     Ideals, Varieties, and Algorithms, 2.3): each step divides the leading
     term (the largest packed monomial) by the first head whose lm divides
     it, or moves it to the remainder.  Returns (r, den'), the remainder
-    r/den' with int numerators; h is consumed.  With `quotients`, one dict
-    per head, each step records quotient[shift] = (hc, den) for the monic
-    quotient term (hc/den) * x^shift, leaving the fraction unreduced.
+    r/den' with int numerators; h is consumed.
 
     A step by the head (lm, a, tail) sets h <- (a/g)*h - (hc/g)*x^shift*tail,
     g = gcd(a, hc), fraction-free (Greuel and Pfister, A Singular
@@ -761,10 +759,6 @@ def _reduce_packed(h: dict[int, int], den: int, heads, guard: int, quotients=Non
         if (top + shift) & guard:
             raise _Overflow
         hc = h.pop(hm)
-        if quotients is not None:
-            # hm falls each step, so no shift repeats; an equal head before
-            # this one would have divided first, so index finds this one
-            quotients[heads.index(head)][shift] = (hc, den)
         g = gcd(a, hc)
         if g != a:
             scale = a // g
@@ -780,73 +774,43 @@ def _reduce_packed(h: dict[int, int], den: int, heads, guard: int, quotients=Non
     return {e: n * (den // d) for e, (n, d) in remainder.items()}, den
 
 
-def _divide(p: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder):
-    """Divide p by nonzero divisors under `order` with `_reduce_packed`,
-    packing on entry and unpacking once.  Returns each divisor's quotient
-    q_i and the remainder r: p = sum(q_i * divisors[i]) + r.  A quotient is
-    an exponent -> (num, den) dict of integer pairs, coefficient num/den,
-    left unreduced because `groebner.reduce` drops the quotients and only
-    `det` reads one."""
-
-    def run(layout):
-        heads = [layout.head_of(d) for d in divisors]
-        quotients = [{} for _ in divisors]
-        r, den = _reduce_packed(layout.pack_all(p._num), p._den, heads, layout.guard, quotients)
-        return layout, heads, quotients, r, den
-
-    layout, heads, quotients, r, den = _packed(order, p.ring.arity, run)
-    unpack = layout.unpack
-    out = []
-    for d, head, quotient in zip(divisors, heads, quotients):
-        # the monic quotient over d's leading coefficient d._num[lm] / d._den
-        lead = d._num[unpack(head[0])]
-        out.append({unpack(s): (n * d._den, dn * lead) for s, (n, dn) in quotient.items()})
-    return out, Polynomial._from_integers(p.ring, {unpack(e): c for e, c in r.items()}, den)
-
-
-def _from_pairs(ring: Ring, pairs: dict[Exponents, tuple[int, int]]) -> Polynomial:
-    """The polynomial with coefficients n/d from an exponent -> (n, d) dict of
-    nonzero ints: over the lcm L of the d, L // d is exact and keeps d's sign."""
-    common = lcm(*(d for _, d in pairs.values()))
-    num = {e: n * (common // d) for e, (n, d) in pairs.items()}
-    return Polynomial._from_integers(ring, num, common)
-
-
 def det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Determinant of a square polynomial matrix.
+    """Determinant of a square polynomial matrix, by expansion of minors with
+    each smaller minor computed once (Gentleman and Johnson, "Analysis of
+    algorithms, a case study: determinants of matrices with polynomial
+    entries", ACM Trans. Math. Softw. 2, 1976).
 
-    Fraction-free Gaussian elimination (Bareiss): every intermediate division
-    is exact over the polynomial ring, which controls coefficient swell.
+    After row i, `level` maps each ascending tuple of i + 1 columns to the
+    nonzero minor of rows 0..i on those columns; a minor expands along its
+    last row over the level above, with sign (-1)^(i + position).  Products
+    by a zero entry or a zero minor are skipped, and nothing is divided.
+    The table holds C(n, k) minors after row k, about n * 2^(n-1) products
+    in all: cheaper than fraction-free elimination for the Jacobian minors
+    gaql takes (of size arity - 1 or arity), but exponential in n, so
+    slower than elimination on a large matrix of constants.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("determinant needs a nonempty square matrix")
     ring = rows[0][0].ring
-    m = [list(r) for r in rows]
-    for row in m:
+    for row in rows:
         for entry in row:
             if entry.ring != ring:
                 raise RingMismatchError("matrix entries over different rings")
-    sign = 1
-    prev = ring.one()
-    for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if not m[r][k].is_zero), None)
-        if pivot_row is None:
-            return ring.zero()
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                (quotient,), rem = _divide(num, [prev], GREVLEX)
-                if rem:
-                    raise ValueError("inexact polynomial division")
-                m[i][j] = _from_pairs(ring, quotient)
-            m[i][k] = ring.zero()
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return -result if sign < 0 else result
+    level = {(j,): entry for j, entry in enumerate(rows[0]) if entry}
+    for i in range(1, n):
+        row, below = rows[i], {}
+        for cols in combinations(range(n), i + 1):
+            minor = ring.zero()
+            for p, j in enumerate(cols):
+                sub = level.get(cols[:p] + cols[p + 1 :])
+                if sub is not None and row[j]:
+                    term = row[j] * sub
+                    minor = minor - term if (i + p) % 2 else minor + term
+            if minor:
+                below[cols] = minor
+        level = below
+    return level.get(tuple(range(n)), ring.zero())
 
 
 def jacobian_det(fs: Sequence[Polynomial]) -> Polynomial:

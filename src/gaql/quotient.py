@@ -1,7 +1,6 @@
 """Quotient-map constructions: the Jacobian derivation of a polynomial map,
 local-slice search, expression of the slice coefficient in the map's
-components, and verification of the localization identity and of claimed
-invariant generators.
+components, and verification of the localization identity.
 
 For a map F = (f_1, .., f_{n-1}) on an n-variable ring, the associated
 derivation sends R to the Jacobian determinant of (R, f_1, .., f_{n-1}).
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import gcd
 
-from .action import GaAction, is_invariant
 from .derivation import Derivation, apply, kernel_check
 from .groebner import _echelon_add, subalgebra_membership
 from .poly import (
@@ -167,35 +165,3 @@ def verify_localization_identity(
             return k, witness
         power = power * slc.c
     return None
-
-
-@dataclass(frozen=True)
-class CandidateCheck:
-    candidate: Polynomial
-    invariant: bool
-    in_subalgebra: bool
-    witness: Polynomial | None
-
-
-def verify_invariant_generators(
-    A: GaAction, F: PolyMap, candidates
-) -> tuple[CandidateCheck, ...]:
-    """Check each candidate for invariance and membership in the subalgebra
-    generated by F's components.
-
-    This certifies containment only; it cannot show that the components
-    generate the full ring of invariants.
-    """
-    checks = []
-    for p in candidates:
-        invariant = is_invariant(A, p)
-        witness = subalgebra_membership(p, F.components, F.target_names)
-        checks.append(
-            CandidateCheck(
-                candidate=p,
-                invariant=invariant,
-                in_subalgebra=witness is not None,
-                witness=witness,
-            )
-        )
-    return tuple(checks)

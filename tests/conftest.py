@@ -1,6 +1,8 @@
 """Shared test helpers: random polynomial generation, random division
-problems, a leading-term oracle, and a cofactor-expansion determinant
-oracle kept independent of the production determinant path."""
+problems, a leading-term oracle, and a cofactor-expansion determinant that
+shares no code with `poly.det`.  `det` expands minors too, so the
+determinant oracle with another method is `test_poly`'s Gaussian
+elimination at rational points."""
 
 import random
 from fractions import Fraction
@@ -67,7 +69,7 @@ def rand_division_case(rng: random.Random, order):
 
 
 def cofactor_det(rows) -> Polynomial:
-    """Laplace expansion along the first row; the independent oracle."""
+    """Laplace expansion along the first row, recomputing every minor."""
     n = len(rows)
     assert all(len(r) == n for r in rows)
     if n == 1:

@@ -344,6 +344,10 @@ def test_subalgebra_membership_witness():
     assert s == tr.var(0) * tr.var(2)
     # round trip
     assert s.compose(fs) == g
+    # the generators themselves and the constants are members too
+    for h in (*fs, R4.one()):
+        s = subalgebra_membership(h, fs)
+        assert s is not None and s.compose(fs) == h
 
 
 def test_subalgebra_membership_negative():
