@@ -7,6 +7,13 @@ basis {1}; the certificate is valid over any field extension, so rational
 arithmetic settles the complex question.  A `FiberReport` holds the point
 and that basis, its witness, and reads emptiness and dimension off the
 witness when asked; a scan decides emptiness only.
+
+Only a fiber's constant terms depend on its point.  So a map's components
+are packed once per packed layout (`PolyMap._packed_components`), and each
+fiber's generators are made from those packings by scaling and moving the
+constant term; the fiber's basis comes from the same Buchberger, FGLM and
+lex code as `groebner.groebner_basis`, through their shared entry
+`groebner._groebner`, in every monomial order.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .groebner import GREVLEX, GroebnerBasis, MonomialOrder, groebner_basis
+from .groebner import GREVLEX, GroebnerBasis, MonomialOrder, _groebner, groebner_basis
 from .poly import PolyMap, Polynomial, _exact
 
 Point = tuple[Fraction, ...]
@@ -89,13 +96,34 @@ def fiber_probe(F: PolyMap, point: Sequence, order: MonomialOrder = GREVLEX) -> 
     dimension is read off it when asked: dim R/I = dim R/in(I) for every
     monomial order (Greuel-Pfister, A Singular Introduction to Commutative
     Algebra, Cor. 5.3.14).
+
+    The generators f_i - v_i are never built as polynomials.  Each layout's
+    packing of F's components is made once per map
+    (`PolyMap._packed_components`); for f_i = num/den and v_i = n/d, the
+    generator enters Buchberger as d * num - n * den, whose constant term
+    is at the packed monomial 0: den * d times f_i - v_i, the same ideal.
+    A generator that comes out zero (f_i is the constant v_i) is dropped.
     """
     if len(point) != len(F.components):
         raise ValueError(
             f"point has {len(point)} coordinates, map has {len(F.components)}"
         )
     values = tuple(_exact(v) for v in point)
-    return FiberReport(values, groebner_basis([f - v for f, v in zip(F.components, values)], order))
+
+    def generators(layout):
+        gens = []
+        for i, num, den in F._packed_components(layout):
+            v = values[i]
+            d = v.denominator
+            h = dict(num) if d == 1 else {e: c * d for e, c in num.items()}
+            c = h.pop(0, 0) - v.numerator * den
+            if c:
+                h[0] = c
+            if h:
+                gens.append(h)
+        return gens
+
+    return FiberReport(values, _groebner(F.ring, order, generators))
 
 
 def singular_locus(F: PolyMap, order: MonomialOrder = GREVLEX) -> SingularityReport:

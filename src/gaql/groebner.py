@@ -33,6 +33,14 @@ remainder.  A field that outgrows its width (8 bits at first) raises
 the basis does not depend on it.  Public `reduce` packs on entry and
 unpacks once.  Coefficients are read only through `poly`'s accessors.
 
+Generators enter packed, too.  `_groebner`, the one entry to the
+computation, takes a function that returns the generators packed under
+the layout of each width it tries: `groebner_basis` packs its polynomials'
+numerators, and `geometry.fiber_probe` shifts a map's packed components
+by the point, building no polynomial.  A generator only counts up to a
+nonzero factor, since each element is made monic.  So a `GroebnerBasis`
+holds its `ring`, which its dimension needs, and not its generators.
+
 A lex basis starts from the reduced grevlex basis, which Buchberger finds
 far sooner.  When the ideal is zero-dimensional in the variables that the
 generators use, FGLM (Faugere, Gianni, Lazard and Mora, J. Symbolic
@@ -143,8 +151,11 @@ def _subset_masks(n: int, size: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """The reduced basis of an ideal of `ring` in `order`; ring is None for
+    the ideal with no generators."""
+
     order: MonomialOrder
-    generators: tuple[Polynomial, ...]
+    ring: Ring | None
     basis: tuple[Polynomial, ...]
 
     @property
@@ -163,9 +174,9 @@ class GroebnerBasis:
         """
         if self.is_unit:
             return -1
-        if not self.generators:
+        if self.ring is None:
             raise ValueError("an ideal with no generators has no ring")
-        n = self.generators[0].ring.arity
+        n = self.ring.arity
         key = self.order.key
         # each leading monomial's support as a bitmask, variable i at bit i
         bits = _subset_masks(n, 1)
@@ -226,8 +237,9 @@ def _interreduce(heads, layout, ring: Ring) -> tuple[Polynomial, ...]:
     return tuple(reversed(out))
 
 
-def _buchberger(gens: Sequence[Polynomial], layout) -> tuple[Polynomial, ...]:
-    """The reduced basis of nonzero gens, on packed monomials of `layout`."""
+def _buchberger(gens: Iterable[dict[int, int]], ring: Ring, layout) -> tuple[Polynomial, ...]:
+    """The reduced basis over `ring` of the ideal of gens, nonzero packed
+    polynomials of `layout` with int numerators, which are consumed."""
     guard, exponents, fmax = layout.guard, layout.exponents, layout.fieldwise_max
     heads = []  # every element added, as a packed head; pairs index into it
     live: list[int] = []  # indices of the current basis G, ascending
@@ -273,7 +285,7 @@ def _buchberger(gens: Sequence[Polynomial], layout) -> tuple[Polynomial, ...]:
     # each generator enters as its remainder by the live elements, as an
     # S-polynomial does; sorted is stable, so equal leading monomials keep
     # the input order
-    for h in sorted([layout.pack_all(g._num) for g in gens], key=max):
+    for h in sorted(gens, key=max):
         if live:
             h = _reduce_packed(h, 1, [heads[k] for k in live], guard)[0]
         if h:
@@ -283,7 +295,7 @@ def _buchberger(gens: Sequence[Polynomial], layout) -> tuple[Polynomial, ...]:
         r = _s_remainder(heads[i], heads[j], plcm, [heads[k] for k in live], guard)
         if r:
             add(layout.head(r))
-    return _interreduce([heads[k] for k in live], layout, gens[0].ring)
+    return _interreduce([heads[k] for k in live], layout, ring)
 
 
 def _combine(x: dict, a: int, b: int, y: dict) -> dict:
@@ -372,21 +384,44 @@ def _fglm(basis, used: Sequence[int], layout) -> tuple[Polynomial, ...]:
     return tuple(reversed(out))
 
 
-def _lex_basis(gens: Sequence[Polynomial], order: MonomialOrder) -> tuple[Polynomial, ...]:
-    """The reduced lex basis of nonzero gens, from their reduced grevlex
-    basis: by FGLM when the ideal is zero-dimensional in the variables the
-    generators use, which is when each of them has a pure power among the
-    grevlex leading monomials; otherwise by lex Buchberger."""
-    arity = gens[0].ring.arity
-    basis = _packed(GREVLEX, arity, lambda layout: _buchberger(gens, layout))
-    if basis[0].is_constant:  # the unit ideal, whose reduced basis is {1}
+def _lex_basis(ring: Ring, order: MonomialOrder, generators) -> tuple[Polynomial, ...]:
+    """The reduced lex basis of the ideal of generators(layout) (see
+    `_groebner`), from its reduced grevlex basis: by FGLM when the ideal is
+    zero-dimensional in the variables the generators use, which is when
+    each of them has a pure power among the grevlex leading monomials;
+    otherwise by lex Buchberger."""
+
+    def grevlex(layout):
+        gens = generators(layout)
+        # the fields of the generators' fieldwise maximum that are not zero
+        # are the variables they use
+        top = layout.unpack(_fold(layout.fieldwise_max, chain.from_iterable(gens), 0))
+        return _buchberger(gens, ring, layout), [i for i, e in enumerate(top) if e]
+
+    basis, used = _packed(GREVLEX, ring.arity, grevlex)
+    if not basis or basis[0].is_constant:  # the zero or the unit ideal
         return basis
-    used = set().union(*(g.support_variables() for g in gens))
     lms = [max(p._num, key=GREVLEX.key) for p in basis]
     # x_i^d is the leading monomial whose degree d is one of its exponents
-    if used <= {lm.index(sum(lm)) for lm in lms if sum(lm) in lm}:
-        return _packed(GREVLEX, arity, lambda layout: _fglm(basis, sorted(used), layout))
-    return _packed(order, arity, lambda layout: _buchberger(basis, layout))
+    if set(used) <= {lm.index(sum(lm)) for lm in lms if sum(lm) in lm}:
+        return _packed(GREVLEX, ring.arity, lambda layout: _fglm(basis, used, layout))
+    return _packed(order, ring.arity,
+                   lambda layout: _buchberger([layout.pack_all(p._num) for p in basis], ring, layout))
+
+
+def _groebner(ring: Ring, order: MonomialOrder, generators) -> GroebnerBasis:
+    """The reduced Groebner basis in `order` of the ideal over `ring` whose
+    nonzero generators generators(layout) returns as new packed polynomials
+    of `layout` with int numerators, each up to a nonzero factor.  The one
+    entry of `groebner_basis` and `geometry.fiber_probe`."""
+    if order.kind == "lex":
+        basis = _lex_basis(ring, order, generators)
+    else:
+        basis = _packed(order, ring.arity, lambda layout: _buchberger(generators(layout), ring, layout))
+    result = GroebnerBasis(order, ring, basis)
+    if _verify_bases and not buchberger_criterion_holds(result):
+        raise AssertionError("computed basis fails the Buchberger criterion")
+    return result
 
 
 def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
@@ -417,22 +452,14 @@ def groebner_basis(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -
     Buchberger from the generators.
     """
     gens = tuple(gens)
-    if gens:
-        ring = gens[0].ring
-        for g in gens:
-            if g.ring != ring:
-                raise RingMismatchError("generators over different rings")
-    nonzero = [g for g in gens if not g.is_zero]
-    if not nonzero:
-        basis = ()
-    elif order.kind == "lex":
-        basis = _lex_basis(nonzero, order)
-    else:
-        basis = _packed(order, ring.arity, lambda layout: _buchberger(nonzero, layout))
-    result = GroebnerBasis(order, gens, basis)
-    if _verify_bases and not buchberger_criterion_holds(result):
-        raise AssertionError("computed basis fails the Buchberger criterion")
-    return result
+    if not gens:
+        return GroebnerBasis(order, None, ())
+    ring = gens[0].ring
+    for g in gens:
+        if g.ring != ring:
+            raise RingMismatchError("generators over different rings")
+    nonzero = [g._num for g in gens if g._num]
+    return _groebner(ring, order, lambda layout: [layout.pack_all(num) for num in nonzero])
 
 
 def eliminate(gens: Sequence[Polynomial], drop: Iterable[int]) -> tuple[Polynomial, ...]:

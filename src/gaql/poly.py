@@ -46,7 +46,9 @@ computation again at double the width, starting from 8 bits: the result
 does not depend on the width.  `_reduce_packed` is the package's one
 division kernel, and it returns a remainder only: `groebner.reduce` packs
 for it and unpacks once, and `groebner.groebner_basis` keeps its basis and
-its pair criteria packed throughout.  `det` divides nothing.
+its pair criteria packed throughout.  A `PolyMap` keeps its components
+packed per layout, for the fibers of `geometry.fiber_probe`, which differ
+only in their constant terms.  `det` divides nothing.
 
 All operations are pure, and the ring and stored form of a value never
 change after construction: `Polynomial` has the slots `ring`, `_num` and
@@ -834,11 +836,17 @@ def jacobian_det(fs: Sequence[Polynomial]) -> Polynomial:
 
 @dataclass(frozen=True)
 class PolyMap:
-    """An ordered tuple of polynomials (f_1, .., f_m) on a common source ring."""
+    """An ordered tuple of polynomials (f_1, .., f_m) on a common source ring.
+
+    The components are packed once per `_Layout` they are asked for in
+    (`_packed_components`), for the fibers of `geometry.fiber_probe`; like an
+    order's layouts, those packings are left out of equality, hashing,
+    copies and pickles."""
 
     ring: Ring
     components: tuple[Polynomial, ...]
     target_names: tuple[str, ...] = ()
+    _packings: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -858,6 +866,25 @@ class PolyMap:
             if not _NAME_RE.match(name):
                 raise ValueError(f"invalid target name: {name!r}")
         object.__setattr__(self, "target_names", names)
+
+    def __reduce__(self):
+        return PolyMap, (self.ring, self.components, self.target_names)
+
+    def _packed_components(self, layout: _Layout) -> list[tuple[int, dict[int, int], int]]:
+        """(i, packed numerators, den) of each component f_i = num/den under
+        `layout`, ascending by leading packed monomial (0 for a zero
+        component), ties in component order.  Packed on the first request
+        for a layout and kept; a component too wide for the layout raises
+        _Overflow before anything is kept.  The dicts are shared: read,
+        never change them."""
+        packed = self._packings.get(layout)
+        if packed is None:
+            packed = sorted(
+                ((i, layout.pack_all(f._num), f._den) for i, f in enumerate(self.components)),
+                key=lambda c: max(c[1], default=0),
+            )
+            self._packings[layout] = packed
+        return packed
 
     @property
     def arity(self) -> int:

@@ -1,15 +1,19 @@
 """Shared test helpers: random polynomial generation, random division
-problems, a leading-term oracle, and a cofactor-expansion determinant that
-shares no code with `poly.det`.  `det` expands minors too, so the
-determinant oracle with another method is `test_poly`'s Gaussian
+problems, a leading-term oracle, a cofactor-expansion determinant that
+shares no code with `poly.det`, and the criterion-free Buchberger oracle
+with its scaling S-polynomial and interreduction, which `test_groebner`
+and `test_geometry` both compare against.  `det` expands minors too, so
+the determinant oracle with another method is `test_poly`'s Gaussian
 elimination at rational points."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from gaql import groebner
+from gaql.groebner import reduce
 from gaql.poly import Polynomial, Ring
 
 
@@ -84,3 +88,44 @@ def cofactor_det(rows) -> Polynomial:
         contrib = entry * cofactor_det(minor)
         total = total + contrib if j % 2 == 0 else total - contrib
     return total
+
+
+def _scaling_interreduce(polys, order):
+    """Interreduction that makes each minimal element monic by a product
+    with 1/lc, finding leading terms with a fresh max: the reference for the
+    monic elements that `_interreduce` builds from packed heads."""
+    minimal, lms = [], []
+    heads = [(max(p.terms(), key=lambda t: order.key(t[0])), p) for p in polys]
+    for (lm, c), p in sorted(heads, key=lambda head: order.key(head[0][0])):
+        if not any(all(a <= b for a, b in zip(m, lm)) for m in lms):
+            minimal.append(p * (Fraction(1) / c))
+            lms.append(lm)
+    reduced = [reduce(p, minimal[:i] + minimal[i + 1 :], order) for i, p in enumerate(minimal)]
+    return tuple(reversed(reduced))
+
+
+def _scaling_s_polynomial(f, g, order):
+    """The S-polynomial as the difference of two monomial multiples: the
+    reference for `groebner._s_polynomial`, which builds it from the packed
+    monic tails."""
+    fm, fc = leading_term(f, order)
+    gm, gc = leading_term(g, order)
+    lcm = tuple(map(max, fm, gm))
+    f_multiple = f.mul_monomial(tuple(a - b for a, b in zip(lcm, fm)), 1 / fc)
+    return f_multiple - g.mul_monomial(tuple(a - b for a, b in zip(lcm, gm)), 1 / gc)
+
+
+def _criterion_free_basis(gens, order):
+    """Buchberger with no pair criteria and no pair order: every pair of the
+    growing list, in the order formed, is reduced against the whole list,
+    and the list is interreduced by the scaling reference at the end.  The
+    oracle for groebner_basis's pair heap and pair update; it builds its
+    S-polynomials by `_scaling_s_polynomial`, not by the code under test."""
+    basis = [g for g in gens if not g.is_zero]
+    pending = list(itertools.combinations(range(len(basis)), 2))
+    for i, j in pending:  # grows while it is iterated
+        h = reduce(_scaling_s_polynomial(basis[i], basis[j], order), basis, order)
+        if not h.is_zero:
+            pending.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(h)
+    return _scaling_interreduce(basis, order)

@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import _criterion_free_basis, rand_nonzero_poly
+from gaql import groebner
 from gaql.geometry import GridSpec, complement_scan, fiber_probe, singular_locus
-from gaql.groebner import GroebnerBasis, groebner_basis
-from gaql.poly import PolyMap, Ring
+from gaql.groebner import GREVLEX, LEX, GroebnerBasis, MonomialOrder, block_order, groebner_basis
+from gaql.poly import PolyMap, Ring, _Layout
 
+R2 = Ring(("x", "y"))
+X2, Y2 = R2.gens()
 R3 = Ring(("x", "y", "z"))
 R4 = Ring(("x", "y", "u", "v"))
 X, Y, Z = R3.gens()
@@ -53,6 +57,81 @@ def test_fiber_probe_empty_iff_unit_witness():
 def test_fiber_probe_point_shape():
     with pytest.raises(ValueError):
         fiber_probe(F_PUNCTURED, (0, 0, 0))
+
+
+def _big_rational(rng) -> Fraction:
+    """A negative rational with a large numerator and denominator."""
+    return Fraction(-rng.randint(1, 10**12), rng.randint(2, 10**12))
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)], ids=str)
+def test_fiber_probe_matches_the_oracle_on_the_shifted_components(order):
+    """fiber_probe never builds f - v: it shifts F's packed components by
+    the point.  Its witness must be the criterion-free oracle's basis of the
+    polynomials f - v, and its emptiness and dimension those of
+    groebner_basis on them.  Components carry their own denominators and
+    points have negative coordinates with large numerators and
+    denominators, so a shift that mishandles either denominator changes the
+    ideal.  The cases: random maps, at random points and at the images of
+    random source points (nonempty fibers); a map with a constant
+    component, at a point off that constant (the unit ideal) and at one on
+    it (the generator is dropped); (1, 2) over (1, 2), every generator
+    dropped, the zero ideal; and x^200 - y, y, which does not fit 8-bit
+    fields."""
+    rng = random.Random(43)
+    cases = [(PolyMap(R2, (R2.const(1), R2.const(2))), (1, 2))]
+    wide = PolyMap(R2, (X2**200 - Y2, Y2))
+    cases += [(wide, (0, 0)), (wide, (_big_rational(rng), _big_rational(rng)))]
+    for _ in range(8):
+        ring = Ring(("x", "y", "z")[: rng.randint(2, 3)])
+        comps = [rand_nonzero_poly(rng, ring, max_degree=2, max_terms=3) * _big_rational(rng)
+                 for _ in range(rng.randint(1, ring.arity))]
+        F = PolyMap(ring, comps)
+        source = [_big_rational(rng) for _ in range(ring.arity)]
+        cases += [(F, [_big_rational(rng) for _ in comps]), (F, F.evaluate(source))]
+        c = _big_rational(rng)
+        G = PolyMap(ring, [*comps[: ring.arity - 1], ring.const(c)])
+        cases += [(G, [*G.evaluate(source)[:-1], c]), (G, [*G.evaluate(source)[:-1], c - 1])]
+    seen = set()
+    for F, point in cases:
+        report = fiber_probe(F, point, order)
+        gens = [f - Fraction(v) for f, v in zip(F.components, point)]
+        want = groebner_basis(gens, order)
+        assert report.witness.basis == _criterion_free_basis(gens, order), (F, point)
+        assert (report.empty, report.dimension) == (want.is_unit, want.dimension), (F, point)
+        seen.add(report.dimension)
+    assert {-1, 0, 1, 2} <= seen
+
+
+def test_a_second_fiber_of_a_map_packs_nothing(monkeypatch):
+    """The components are packed once per layout and kept on the map: a
+    second probe, at another point, calls `_Layout.pack_all` not at all."""
+    monkeypatch.setattr(groebner, "_verify_bases", False)  # it packs the basis
+    pack_all, calls = _Layout.pack_all, []
+    monkeypatch.setattr(_Layout, "pack_all", lambda self, num: calls.append(num) or pack_all(self, num))
+    F = PolyMap(R3, (1 + X * Z, Y + Z + X * Y * Z))
+    want = groebner_basis([F.components[0] + Fraction(3, 7), F.components[1] - 5]).basis
+    calls.clear()
+    first = fiber_probe(F, (0, 0))
+    assert len(calls) == 2
+    calls.clear()
+    assert fiber_probe(F, (Fraction(-3, 7), 5)).witness.basis == want
+    assert fiber_probe(F, (0, 0)) == first
+    assert calls == []
+
+
+def test_a_wide_component_restarts_before_anything_is_kept():
+    """x^200 does not fit 8-bit fields: packing raises at 8 bits and the
+    probe restarts at 16, the one layout whose packing the map keeps.  The
+    map's equality and hash do not read what it keeps."""
+    order = MonomialOrder("grevlex")  # no layout built yet
+    F = PolyMap(R2, (X2**200 - Y2, Y2))
+    twin = PolyMap(R2, (X2**200 - Y2, Y2))
+    report = fiber_probe(F, (1, Fraction(-2, 3)), order)
+    assert report.witness.basis == (X2**200 - Fraction(1, 3), Y2 + Fraction(2, 3))
+    assert sorted(width for _, width in order._layouts) == [8, 16]
+    assert list(F._packings) == [order._layout(2, 16)] and not twin._packings
+    assert F == twin and hash(F) == hash(twin)
 
 
 def test_bilinear_image_complement_on_grid():

@@ -8,7 +8,15 @@ from heapq import heapify, heappop, heappush
 
 import pytest
 
-from conftest import leading_term, rand_division_case, rand_nonzero_poly, rand_poly
+from conftest import (
+    _criterion_free_basis,
+    _scaling_interreduce,
+    _scaling_s_polynomial,
+    leading_term,
+    rand_division_case,
+    rand_nonzero_poly,
+    rand_poly,
+)
 from gaql import groebner
 from gaql.groebner import (
     GREVLEX,
@@ -134,20 +142,6 @@ def test_reduce_matches_polynomial_division_random(order):
     for _ in range(300):
         p, divisors = rand_division_case(rng, order)
         assert reduce(p, divisors, order) == _polynomial_reduce(p, divisors, order)
-
-
-def _scaling_interreduce(polys, order):
-    """Interreduction that makes each minimal element monic by a product
-    with 1/lc, finding leading terms with a fresh max: the reference for the
-    monic elements that `_interreduce` builds from packed heads."""
-    minimal, lms = [], []
-    heads = [(max(p.terms(), key=lambda t: order.key(t[0])), p) for p in polys]
-    for (lm, c), p in sorted(heads, key=lambda head: order.key(head[0][0])):
-        if not any(all(a <= b for a, b in zip(m, lm)) for m in lms):
-            minimal.append(p * (Fraction(1) / c))
-            lms.append(lm)
-    reduced = [reduce(p, minimal[:i] + minimal[i + 1 :], order) for i, p in enumerate(minimal)]
-    return tuple(reversed(reduced))
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)], ids=str)
@@ -287,7 +281,7 @@ def _dimension_by_bitmask(gb):
     """The 2^n subset walk GroebnerBasis.dimension replaced, kept as its oracle."""
     if gb.is_unit:
         return -1
-    n = gb.generators[0].ring.arity
+    n = gb.ring.arity
     supports = [
         frozenset(i for i, e in enumerate(leading_term(p, gb.order)[0]) if e) for p in gb.basis
     ]
@@ -400,22 +394,6 @@ def test_buchberger_criterion_on_assorted_ideals():
                 assert gb.contains(g)
 
 
-def _criterion_free_basis(gens, order):
-    """Buchberger with no pair criteria and no pair order: every pair of the
-    growing list, in the order formed, is reduced against the whole list,
-    and the list is interreduced by the scaling reference at the end.  The
-    oracle for groebner_basis's pair heap and pair update; it builds its
-    S-polynomials by `_scaling_s_polynomial`, not by the code under test."""
-    basis = [g for g in gens if not g.is_zero]
-    pending = list(itertools.combinations(range(len(basis)), 2))
-    for i, j in pending:  # grows while it is iterated
-        h = reduce(_scaling_s_polynomial(basis[i], basis[j], order), basis, order)
-        if not h.is_zero:
-            pending.extend((k, len(basis)) for k in range(len(basis)))
-            basis.append(h)
-    return _scaling_interreduce(basis, order)
-
-
 RA = Ring(("a", "b", "c", "d"))
 A, B, C, D = RA.gens()
 # the C4 and K3 systems of bench/workloads.py's gb-stress, at the point whose
@@ -523,6 +501,14 @@ def _tuple_update_buchberger(gens, order, layout):
     return _interreduce([heads[k] for k in live], layout, gens[0].ring)
 
 
+def _packed_buchberger(gens, order):
+    """groebner._buchberger on nonzero gens, packed by the caller as
+    groebner_basis packs them, under the order itself even for lex."""
+    ring = gens[0].ring
+    return _packed(order, ring.arity,
+                   lambda layout: _buchberger([layout.pack_all(g._num) for g in gens], ring, layout))
+
+
 def _count_s_remainders(monkeypatch) -> list:
     """The argument tuples of every `_s_remainder` call from now on, with
     the basis verification, which reduces S-polynomials too, turned off."""
@@ -553,10 +539,7 @@ def test_packed_pair_update_matches_the_tuple_update_random(order, monkeypatch):
         want = _packed(order, gens[0].ring.arity, lambda layout: _tuple_update_buchberger(gens, order, layout))
         want_calls = calls[:]
         calls.clear()
-        assert _packed(order, gens[0].ring.arity, lambda layout: _buchberger(gens, layout)) == want, (
-            gens,
-            order,
-        )
+        assert _packed_buchberger(gens, order) == want, (gens, order)
         assert calls == want_calls, (gens, order)
 
 
@@ -616,17 +599,6 @@ def test_s_polynomial_cancels_leading_terms():
     assert all(e != lcm for e, _ in s.terms())
 
 
-def _scaling_s_polynomial(f, g, order):
-    """The S-polynomial as the difference of two monomial multiples: the
-    reference for `groebner._s_polynomial`, which builds it from the packed
-    monic tails."""
-    fm, fc = leading_term(f, order)
-    gm, gc = leading_term(g, order)
-    lcm = tuple(map(max, fm, gm))
-    f_multiple = f.mul_monomial(tuple(a - b for a, b in zip(lcm, fm)), 1 / fc)
-    return f_multiple - g.mul_monomial(tuple(a - b for a, b in zip(lcm, gm)), 1 / gc)
-
-
 @pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1), block_order(2)], ids=str)
 def test_s_polynomial_matches_scaled_difference_random(order):
     # the divisors of a division case often share a leading monomial, so
@@ -677,7 +649,7 @@ def test_groebner_basis_restarts_at_double_width(kind, gens, want):
     basis = groebner_basis(gens, order).basis
     if kind == "lex":
         order = MonomialOrder("lex")
-        assert _packed(order, 2, lambda layout: _buchberger(gens, layout)) == basis
+        assert _packed_buchberger(gens, order) == basis
     assert max(width for _, width in order._layouts) > 8
     assert basis == _criterion_free_basis(gens, order)
     if want is not None:
@@ -774,7 +746,7 @@ def test_lex_basis_by_fglm_matches_the_oracles(monkeypatch):
         if gens in wide:
             assert sorted(width for _, width in grevlex._layouts) == [8, 16], gens
         assert basis == _criterion_free_basis(gens, LEX), gens
-        assert basis == _packed(LEX, gens[0].ring.arity, lambda layout: _buchberger(gens, layout)), gens
+        assert basis == _packed_buchberger(gens, LEX), gens
     order = MonomialOrder("lex")
     groebner_basis(CYCLIC_4, order)
     assert order._layouts

@@ -8,6 +8,7 @@ from operator import add, le, mul
 import pytest
 
 from conftest import cofactor_det, leading_term, rand_division_case, rand_nonzero_poly, rand_poly
+from gaql.geometry import fiber_probe
 from gaql.groebner import GREVLEX, LEX, block_order, reduce
 from gaql.poly import (
     NEG_INF,
@@ -600,6 +601,11 @@ def test_copies_and_pickles_rebuild_from_ring_and_terms():
             assert list(twin.terms()) == list(p.terms())
     F = PolyMap(R3, (q, X + Y))
     assert copy.deepcopy(F) == F and pickle.loads(pickle.dumps(F)) == F
+    # a probed map keeps its packed components; a copy or pickle leaves them
+    fiber_probe(F, (1, Fraction(-2, 3)))
+    assert F._packings
+    for twin in (copy.copy(F), copy.deepcopy(F), pickle.loads(pickle.dumps(F))):
+        assert twin == F and hash(twin) == hash(F) and not twin._packings
 
 
 def test_scalar_negated_and_monomial_products_keep_grevlex_order_random():
