@@ -53,7 +53,6 @@ from .poly import (
     RingMismatchError,
     det,
     embed,
-    jacobian_det,
 )
 from .quotient import (
     LocalSlice,
@@ -101,7 +100,6 @@ __all__ = [
     "groebner_basis",
     "is_invariant",
     "jacobian_derivation",
-    "jacobian_det",
     "kernel_check",
     "parse_polynomial",
     "reduce",

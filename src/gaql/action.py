@@ -13,26 +13,27 @@ phi(s; phi(t; x)) = phi(s + t; x) (van den Essen, Polynomial Automorphisms,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .derivation import Derivation, NilpotencyCertificate, apply
-from .poly import NEG_INF, Polynomial, Ring, RingMismatchError, embed, fresh_names
+from .poly import NEG_INF, Polynomial, Ring, RingMismatchError, _Record, embed, fresh_names
 
 
 class UncertifiedDerivationError(ValueError):
     """Exponentiation was asked for without a valid nilpotency certificate."""
 
 
-@dataclass(frozen=True)
-class GaAction:
+class GaAction(_Record):
     """The flow phi(t; x) = exp(tD)(x) of a certified derivation D, verified by
-    phi(0; x) = x and d(phi)/dt = D(phi), which imply the group law."""
+    phi(0; x) = x and d(phi)/dt = D(phi), which imply the group law.  `ring`
+    holds the x-variables, and the components live over it extended by the
+    parameter."""
 
-    ring: Ring  # the x-variables
-    parameter: str
-    components: tuple[Polynomial, ...]  # over ring extended by the parameter
-    certificate: NilpotencyCertificate
+    __slots__ = ("ring", "parameter", "components", "certificate")
+
+    def __init__(self, ring: Ring, parameter: str, components: tuple[Polynomial, ...],
+                 certificate: NilpotencyCertificate):
+        self._init(ring, parameter, components, certificate)
 
     @property
     def derivation(self) -> Derivation:

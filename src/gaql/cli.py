@@ -20,12 +20,10 @@ is read and checked once, when a task loads.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -36,7 +34,7 @@ from .exprs import PolyParseError, parse_polynomial
 from .geometry import GridSpec, complement_scan, fiber_probe, singular_locus
 from .groebner import GREVLEX, LEX, subalgebra_membership
 from .poly import NEG_INF, PolyMap, Polynomial, Ring, RingMismatchError, _exact, check_decimal_exponent
-from .quotient import DEFAULT_POWER_BOUND, DEFAULT_SLICE_DEGREE_BOUND, find_local_slice
+from .quotient import DEFAULT_POWER_BOUND, DEFAULT_SLICE_DEGREE_BOUND, LocalSlice, find_local_slice
 from .quotient import jacobian_derivation, slice_coefficient_as_P, verify_localization_identity
 
 EXIT_OK = 0
@@ -55,17 +53,17 @@ class TaskLoadError(Exception):
         super().__init__(message)
 
 
-@dataclass
 class TaskState:
     """The ring, per declaration kind a table of names (kind + "s"), and the
     nilpotency bound of steps that give none (a given bound is at least 1)."""
 
-    ring: Ring | None = None
-    polys: dict = field(default_factory=dict)
-    maps: dict = field(default_factory=dict)
-    derivations: dict = field(default_factory=dict)
-    actions: dict = field(default_factory=dict)  # name -> GaAction, None until built
-    default_bound: int = DEFAULT_BOUND
+    def __init__(self, default_bound: int = DEFAULT_BOUND):
+        self.ring: Ring | None = None
+        self.polys: dict = {}
+        self.maps: dict = {}
+        self.derivations: dict = {}
+        self.actions: dict = {}  # name -> GaAction, None until built
+        self.default_bound = default_bound
 
 
 def _default_bound() -> int:
@@ -322,7 +320,7 @@ def _cmd_localization(state, derivation, map, poly, degree_bound=DEFAULT_SLICE_D
     payload = {"found": True, "f": slc.f, "c": slc.c, "P": P, "k": None, "T": None}
     if P is None:
         return payload
-    out = verify_localization_identity(derivation, replace(slc, P=P), map, poly, power_bound)
+    out = verify_localization_identity(derivation, LocalSlice(slc.f, slc.c, P), map, poly, power_bound)
     if out is not None:
         payload["k"], payload["T"] = out
         payload["tags"] = payload["T"].ring.variables
@@ -364,9 +362,12 @@ class _Command:
         self.help = help
         self.handler = handler
         self.one_of = one_of
-        params = inspect.signature(handler).parameters  # the state, then keys of _PARAMS
-        self.params = tuple(key for key in _PARAMS if key in params)
-        self.required = frozenset(k for k in self.params if params[k].default is params[k].empty)
+        code = handler.__code__
+        names = code.co_varnames[: code.co_argcount]  # the state, then keys of _PARAMS
+        # the defaults belong to the last parameters
+        required = names[: len(names) - len(handler.__defaults__ or ())]
+        self.params = tuple(key for key in _PARAMS if key in names)
+        self.required = frozenset(k for k in self.params if k in required)
 
 
 _FLOW = ("action", "derivation")

@@ -9,10 +9,8 @@ chains do not terminate within the bound the result is inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import groebner
-from .poly import Polynomial, Ring, RingMismatchError
+from .poly import Polynomial, Ring, RingMismatchError, _Record
 
 DEFAULT_BOUND = 64
 DEFAULT_DEGREE_CAP = 512
@@ -29,22 +27,19 @@ class DegreeExplosionError(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(_Record):
     """A derivation given by the images of the ring variables."""
 
-    ring: Ring
-    images: tuple[Polynomial, ...]
+    __slots__ = ("ring", "images")
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if len(self.images) != self.ring.arity:
-            raise ValueError(
-                f"expected {self.ring.arity} images, got {len(self.images)}"
-            )
-        for img in self.images:
-            if img.ring != self.ring:
+    def __init__(self, ring: Ring, images: tuple[Polynomial, ...]):
+        images = tuple(images)
+        if len(images) != ring.arity:
+            raise ValueError(f"expected {ring.arity} images, got {len(images)}")
+        for img in images:
+            if img.ring != ring:
                 raise RingMismatchError("derivation images over a different ring")
+        self._init(ring, images)
 
     @property
     def is_zero(self) -> bool:
@@ -80,20 +75,21 @@ def apply(
     return out
 
 
-@dataclass(frozen=True)
-class NilpotencyCertificate:
-    """Outcome of bounded nilpotency certification.
+class NilpotencyCertificate(_Record):
+    """Outcome of bounded nilpotency certification: status "certified" or
+    "inconclusive".
 
     chains[i] holds D(x_i), D^2(x_i), .. ; for a certified result each chain
     ends with the zero polynomial and orders[i] is its length, so that
-    D^(orders[i]) kills x_i while D^(orders[i] - 1) does not.
+    D^(orders[i]) kills x_i while D^(orders[i] - 1) does not; orders is None
+    for an inconclusive result.
     """
 
-    derivation: Derivation
-    status: str  # "certified" | "inconclusive"
-    bound: int
-    orders: tuple[int, ...] | None
-    chains: tuple[tuple[Polynomial, ...], ...]
+    __slots__ = ("derivation", "status", "bound", "orders", "chains")
+
+    def __init__(self, derivation: Derivation, status: str, bound: int,
+                 orders: tuple[int, ...] | None, chains: tuple[tuple[Polynomial, ...], ...]):
+        self._init(derivation, status, bound, orders, chains)
 
     @property
     def certified(self) -> bool:
@@ -148,11 +144,11 @@ def kernel_check(D: Derivation, p: Polynomial) -> bool:
     return apply(D, p).is_zero
 
 
-@dataclass(frozen=True)
-class FixedLocus:
-    generators: tuple[Polynomial, ...]
-    dimension: int
-    is_fixed_point_free: bool
+class FixedLocus(_Record):
+    __slots__ = ("generators", "dimension", "is_fixed_point_free")
+
+    def __init__(self, generators: tuple[Polynomial, ...], dimension: int, is_fixed_point_free: bool):
+        self._init(generators, dimension, is_fixed_point_free)
 
 
 def fixed_locus(D: Derivation) -> FixedLocus:

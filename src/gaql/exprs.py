@@ -16,10 +16,9 @@ positioned error before the interpreter's recursion limit is reached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Polynomial, Ring
+from .poly import Polynomial, Ring, _Record
 
 
 class PolyParseError(ValueError):
@@ -31,12 +30,12 @@ class PolyParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "name" | one of "+-*^/()" | "end"
-    text: str
-    line: int
-    col: int
+class _Token(_Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        # kind: "number" | "name" | one of "+-*^/()" | "end"
+        self._init(kind, text, line, col)
 
 
 MAX_NESTING = 100

@@ -19,23 +19,24 @@ lex code as `groebner.groebner_basis`, through their shared entry
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .groebner import GREVLEX, GroebnerBasis, MonomialOrder, _groebner, groebner_basis
-from .poly import PolyMap, Polynomial, _exact
+from .poly import PolyMap, Polynomial, _Record, _exact, _set
 
 Point = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class FiberReport:
+class FiberReport(_Record):
     """The fiber F^{-1}(point) and its witness, the reduced Groebner basis
     of its ideal, off which emptiness and dimension are read when asked."""
 
-    point: Point
-    witness: GroebnerBasis
+    __slots__ = ("point", "witness")
+
+    def __init__(self, point: Point, witness: GroebnerBasis):
+        _set(self, "point", point)
+        _set(self, "witness", witness)
 
     @property
     def empty(self) -> bool:
@@ -48,34 +49,31 @@ class FiberReport:
         return self.witness.dimension
 
 
-@dataclass(frozen=True)
-class SingularityReport:
+class SingularityReport(_Record):
     """Rank-drop locus of the Jacobian: where all maximal minors vanish."""
 
-    minors: tuple[Polynomial, ...]
-    basis: GroebnerBasis
-    dimension: int
-    codimension: int
-    nonsingular_in_codim_1: bool
+    __slots__ = ("minors", "basis", "dimension", "codimension", "nonsingular_in_codim_1")
+
+    def __init__(self, minors: tuple[Polynomial, ...], basis: GroebnerBasis, dimension: int,
+                 codimension: int, nonsingular_in_codim_1: bool):
+        self._init(minors, basis, dimension, codimension, nonsingular_in_codim_1)
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record):
     """A rational-box grid: `steps` evenly spaced samples per axis."""
 
-    box: tuple[tuple[Fraction, Fraction], ...]
-    steps: int
+    __slots__ = ("box", "steps")
 
-    def __post_init__(self):
-        box = tuple((_exact(lo), _exact(hi)) for lo, hi in self.box)
-        object.__setattr__(self, "box", box)
+    def __init__(self, box: Sequence[tuple], steps: int):
+        box = tuple((_exact(lo), _exact(hi)) for lo, hi in box)
         if not box:
             raise ValueError("grid needs at least one axis")
-        if self.steps < 1:
+        if steps < 1:
             raise ValueError("grid needs at least one step per axis")
         for lo, hi in box:
             if lo > hi:
                 raise ValueError(f"malformed grid axis: [{lo}, {hi}]")
+        self._init(box, steps)
 
     def axis_values(self, i: int) -> list[Fraction]:
         lo, hi = self.box[i]

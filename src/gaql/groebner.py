@@ -59,7 +59,6 @@ Krull dimension, and subalgebra membership via tag variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce as _fold
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, compress, repeat
@@ -76,8 +75,10 @@ from .poly import (  # the orders are re-exported from here
     Ring,
     RingMismatchError,
     _Overflow,
+    _Record,
     _packed,
     _reduce_packed,
+    _set,
     embed,
 )
 
@@ -149,14 +150,16 @@ def _subset_masks(n: int, size: int) -> tuple[int, ...]:
     return tuple(map(sum, combinations([1 << i for i in range(n)], size)))
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(_Record):
     """The reduced basis of an ideal of `ring` in `order`; ring is None for
     the ideal with no generators."""
 
-    order: MonomialOrder
-    ring: Ring | None
-    basis: tuple[Polynomial, ...]
+    __slots__ = ("order", "ring", "basis")
+
+    def __init__(self, order: MonomialOrder, ring: Ring | None, basis: tuple[Polynomial, ...]):
+        _set(self, "order", order)
+        _set(self, "ring", ring)
+        _set(self, "basis", basis)
 
     @property
     def is_unit(self) -> bool:

@@ -57,18 +57,27 @@ order's key where it is needed, and the kernels build the packed monic
 form of `_Layout.head` on entry.  `__setattr__` refuses every write;
 construction writes through the slots' own setters (`_set_ring`,
 `_set_num`, `_set_den`).
+
+The package's other value types (`Ring`, `MonomialOrder`, `PolyMap` and
+the records of the other modules) derive from one immutable-record base,
+`_Record`.  A record lists its fields in `__slots__`, equals only a record
+of its own type with equal fields, hashes its field tuple, and has the repr
+`Type(field=value, ..)`; every write after construction raises
+AttributeError, and copies and pickles rebuild through the constructor.  A
+cache (an order's layouts, a map's packings) sits in a slot outside the
+fields.  The base generates no code, so importing gaql loads neither
+`dataclasses` nor `inspect`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from functools import partial, reduce
 from itertools import combinations
-from operator import add, lshift, mul, neg
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from operator import add, attrgetter, lshift, mul, neg
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -241,40 +250,90 @@ class _Layout:
         return lm, lead // g, tail, reduce(self.fieldwise_max, [e for e, _ in tail], 0)
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+# writes a slot past a record's refusing __setattr__
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of gaql's immutable records (see the module docstring).
+
+    A record lists its fields in `__slots__`, after those of the record it
+    extends; a record that also keeps a derived value or a cache in a slot
+    lists its fields alone in `_fields`.  Each record's `__init__` checks
+    its arguments and writes the fields, through `_init` or `_set`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        if "_fields" not in cls.__dict__:
+            cls._fields += tuple(cls.__dict__.get("__slots__", ()))
+        # a record's fields, read in one call: a value for one field, else a tuple
+        cls._get = attrgetter(*cls._fields)
+
+    def _init(self, *values):
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        values = self._get(self)
+        return values if len(self._fields) > 1 else (values,)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._get(self) == self._get(other)
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copies, deep copies and pickles rebuild through the constructor
+        return type(self), self._values()
+
+
+class MonomialOrder(_Record):
     """A monomial order: lex, grevlex, or a block order.
 
     The block order compares the first `front_size` exponents (grevlex)
     before the rest (grevlex), so it eliminates the front variables.
     `key` is its sort key, chosen once: a bigger key means a bigger monomial.
     The order's packed layouts (see the module docstring) are built once per
-    arity and width, on first use, and left out of copies and pickles.
+    arity and width, on first use; neither is a field.
     """
 
-    kind: str
-    front_size: int | None = None
-    key: Callable[[Sequence[int]], object] = field(init=False, compare=False, repr=False)
-    _layouts: dict = field(init=False, compare=False, repr=False, default_factory=dict)
+    __slots__ = ("kind", "front_size", "key", "_layouts")
+    _fields = ("kind", "front_size")
 
-    def __post_init__(self):
-        if self.kind not in ("lex", "grevlex", "block"):
-            raise ValueError(f"unknown monomial order kind: {self.kind!r}")
-        if self.kind == "block":
-            k = self.front_size
+    def __init__(self, kind: str, front_size: int | None = None):
+        if kind not in ("lex", "grevlex", "block"):
+            raise ValueError(f"unknown monomial order kind: {kind!r}")
+        if kind == "block":
+            k = front_size
             if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
                 raise TypeError(f"block order front_size {k!r} is a {type(k).__name__}, not an int")
             if k is None or k < 1:
                 raise ValueError("block order needs front_size >= 1")
             key = partial(_block_key, k)
-        elif self.front_size is not None:
-            raise ValueError(f"{self.kind} order takes no front_size")
+        elif front_size is not None:
+            raise ValueError(f"{kind} order takes no front_size")
         else:
-            key = grevlex_key if self.kind == "grevlex" else tuple
-        object.__setattr__(self, "key", key)
-
-    def __reduce__(self):
-        return MonomialOrder, (self.kind, self.front_size)
+            key = grevlex_key if kind == "grevlex" else tuple
+        self._init(kind, front_size)
+        _set(self, "key", key)
+        _set(self, "_layouts", {})
 
     def _layout(self, arity: int, width: int) -> _Layout:
         layout = self._layouts.get((arity, width))
@@ -337,21 +396,21 @@ def fresh_names(bases: Sequence[str], avoid: Iterable[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(_Record):
     """An ordered tuple of variable names fixing the ambient polynomial ring."""
 
-    variables: tuple[str, ...]
+    __slots__ = ("variables",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        if len(self.variables) < 1:
+    def __init__(self, variables: Sequence[str]):
+        variables = tuple(variables)
+        if len(variables) < 1:
             raise ValueError("a ring needs at least one variable")
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError(f"variable names must be distinct: {self.variables}")
-        for name in self.variables:
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"variable names must be distinct: {variables}")
+        for name in variables:
             if not _NAME_RE.match(name):
                 raise ValueError(f"invalid variable name: {name!r}")
+        _set(self, "variables", variables)
 
     @property
     def arity(self) -> int:
@@ -815,60 +874,35 @@ def det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     return level.get(tuple(range(n)), ring.zero())
 
 
-def jacobian_det(fs: Sequence[Polynomial]) -> Polynomial:
-    """Determinant of the Jacobian matrix of n polynomials in n variables.
-
-    Rows follow the argument order, columns the ring's variable order.
-    """
-    if not fs:
-        raise ValueError("jacobian_det needs at least one polynomial")
-    ring = fs[0].ring
-    if len(fs) != ring.arity:
-        raise ValueError(
-            f"expected {ring.arity} polynomials for ring {ring}, got {len(fs)}"
-        )
-    for f in fs:
-        if f.ring != ring:
-            raise RingMismatchError("polynomials over different rings")
-    matrix = [[f.partial_derivative(j) for j in range(ring.arity)] for f in fs]
-    return det(matrix)
-
-
-@dataclass(frozen=True)
-class PolyMap:
+class PolyMap(_Record):
     """An ordered tuple of polynomials (f_1, .., f_m) on a common source ring.
 
     The components are packed once per `_Layout` they are asked for in
     (`_packed_components`), for the fibers of `geometry.fiber_probe`; like an
-    order's layouts, those packings are left out of equality, hashing,
-    copies and pickles."""
+    order's layouts, those packings are not a field."""
 
-    ring: Ring
-    components: tuple[Polynomial, ...]
-    target_names: tuple[str, ...] = ()
-    _packings: dict = field(init=False, compare=False, repr=False, default_factory=dict)
+    __slots__ = ("ring", "components", "target_names", "_packings")
+    _fields = ("ring", "components", "target_names")
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
+    def __init__(self, ring: Ring, components: Sequence[Polynomial], target_names: Sequence[str] = ()):
+        components = tuple(components)
+        if not components:
             raise ValueError("a polynomial map needs at least one component")
-        for f in self.components:
-            if f.ring != self.ring:
+        for f in components:
+            if f.ring != ring:
                 raise RingMismatchError("map components over different rings")
-        names = tuple(self.target_names) or fresh_names(
-            [f"t{i + 1}" for i in range(len(self.components))], self.ring.variables
+        names = tuple(target_names) or fresh_names(
+            [f"t{i + 1}" for i in range(len(components))], ring.variables
         )
-        if len(names) != len(self.components):
+        if len(names) != len(components):
             raise ValueError("one target name per component required")
         if len(set(names)) != len(names):
             raise ValueError(f"target names must be distinct: {names}")
         for name in names:
             if not _NAME_RE.match(name):
                 raise ValueError(f"invalid target name: {name!r}")
-        object.__setattr__(self, "target_names", names)
-
-    def __reduce__(self):
-        return PolyMap, (self.ring, self.components, self.target_names)
+        self._init(ring, components, names)
+        _set(self, "_packings", {})
 
     def _packed_components(self, layout: _Layout) -> list[tuple[int, dict[int, int], int]]:
         """(i, packed numerators, den) of each component f_i = num/den under

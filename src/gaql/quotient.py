@@ -15,7 +15,6 @@ reaches it, so this is the slice a scan of the whole nullspace finds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import gcd
 
@@ -25,6 +24,7 @@ from .poly import (
     PolyMap,
     Polynomial,
     Ring,
+    _Record,
     fresh_names,
     grevlex_key,
 )
@@ -45,17 +45,17 @@ def jacobian_derivation(F: PolyMap) -> Derivation:
     return Derivation(F.ring, tuple(-m if i % 2 else m for i, m in enumerate(minors)))
 
 
-@dataclass(frozen=True)
-class LocalSlice:
+class LocalSlice(_Record):
     """A polynomial f with D(f) = c nonzero and D(c) = 0.
 
     P, when known, expresses c in the components of the quotient map:
     c = P(f_1, .., f_m).
     """
 
-    f: Polynomial
-    c: Polynomial
-    P: Polynomial | None = None
+    __slots__ = ("f", "c", "P")
+
+    def __init__(self, f: Polynomial, c: Polynomial, P: Polynomial | None = None):
+        self._init(f, c, P)
 
 
 def _monomials_upto(ring: Ring, degree: int):

@@ -4,7 +4,8 @@ shares no code with `poly.det`, and the criterion-free Buchberger oracle
 with its scaling S-polynomial and interreduction, which `test_groebner`
 and `test_geometry` both compare against.  `det` expands minors too, so
 the determinant oracle with another method is `test_poly`'s Gaussian
-elimination at rational points."""
+elimination at rational points.  `jacobian_rows` builds the Jacobian
+matrix whose determinant the tests take, by `det` or by `cofactor_det`."""
 
 import itertools
 import random
@@ -70,6 +71,12 @@ def rand_division_case(rng: random.Random, order):
             d = Polynomial(ring, {**lower, lm: lc * rng.randint(1, 3)})
         divisors.append(d)
     return p, divisors
+
+
+def jacobian_rows(fs) -> list[list[Polynomial]]:
+    """The Jacobian matrix of fs: row i the gradient of fs[i], columns in
+    the ring's variable order."""
+    return [[f.partial_derivative(j) for j in range(f.ring.arity)] for f in fs]
 
 
 def cofactor_det(rows) -> Polynomial:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -7,6 +6,7 @@ import pytest
 
 from conftest import rand_poly
 from gaql.action import (
+    GaAction,
     UncertifiedDerivationError,
     _verify_flow,
     act,
@@ -14,7 +14,12 @@ from gaql.action import (
     exponentiate,
     is_invariant,
 )
-from gaql.derivation import DEFAULT_DEGREE_CAP, Derivation, certify_locally_nilpotent
+from gaql.derivation import (
+    DEFAULT_DEGREE_CAP,
+    Derivation,
+    NilpotencyCertificate,
+    certify_locally_nilpotent,
+)
 from gaql.poly import NEG_INF, Ring, embed, fresh_names
 
 R3 = Ring(("x1", "x2", "x3"))
@@ -199,7 +204,7 @@ def test_mutated_flow_fails_the_check_and_the_oracle(component):
     a, b, c, _ = BASIC4.gens()
     A = exp_of(Derivation(BASIC4, (BASIC4.zero(), a, b, c)))
     assert A.components[3] == _basic4_last_component([Fraction(1, math.factorial(k)) for k in range(4)])
-    mutated = dataclasses.replace(A, components=A.components[:3] + (component,))
+    mutated = GaAction(A.ring, A.parameter, A.components[:3] + (component,), A.certificate)
     with pytest.raises(RuntimeError):
         _verify_flow(mutated)
     assert not (_identity_at_zero_holds(mutated) and _group_law_holds(mutated))
@@ -211,7 +216,7 @@ def test_exponentiate_rejects_a_certificate_with_a_wrong_chain():
     cert = certify_locally_nilpotent(D)
     chains = cert.chains[:3] + ((c, 2 * b, a, BASIC4.zero()),)
     with pytest.raises(RuntimeError):
-        exponentiate(D, dataclasses.replace(cert, chains=chains))
+        exponentiate(D, NilpotencyCertificate(cert.derivation, cert.status, cert.bound, cert.orders, chains))
 
 
 def test_exponentiate_accepts_a_certificate_issued_under_a_higher_degree_cap():

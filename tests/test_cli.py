@@ -841,3 +841,16 @@ def test_deep_parentheses_are_a_positioned_load_error(tmp_path, depth):
         assert done.returncode == 2 and done.stdout == ""
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith(prefix) and done.stderr.rstrip().endswith(suffix)
+
+
+def test_command_params_match_the_handler_signatures():
+    """`_Command` reads a handler's parameters off its code object; they are
+    the ones inspect.signature gives: the state, then keys of `_PARAMS`."""
+    import inspect
+
+    for name, spec in cli._COMMANDS.items():
+        params = inspect.signature(spec.handler).parameters
+        assert list(params)[0] == "state" and set(list(params)[1:]) == set(spec.params), name
+        assert spec.params == tuple(key for key in cli._PARAMS if key in params), name
+        required = {key for key in spec.params if params[key].default is params[key].empty}
+        assert spec.required == required, name

@@ -7,7 +7,14 @@ from operator import add, le, mul
 
 import pytest
 
-from conftest import cofactor_det, leading_term, rand_division_case, rand_nonzero_poly, rand_poly
+from conftest import (
+    cofactor_det,
+    jacobian_rows,
+    leading_term,
+    rand_division_case,
+    rand_nonzero_poly,
+    rand_poly,
+)
 from gaql.geometry import fiber_probe
 from gaql.groebner import GREVLEX, LEX, block_order, reduce
 from gaql.poly import (
@@ -21,7 +28,6 @@ from gaql.poly import (
     det,
     embed,
     grevlex_key,
-    jacobian_det,
 )
 
 R3 = Ring(("x", "y", "z"))
@@ -323,19 +329,15 @@ def test_grevlex_term_order_iteration():
 
 
 def test_jacobian_det_identity_and_repeat():
-    assert jacobian_det(list(R3.gens())) == R3.one()
+    assert det(jacobian_rows(R3.gens())) == R3.one()
     f = X + Y * Z
-    assert jacobian_det([f, f, Z]) == R3.zero()
+    assert det(jacobian_rows([f, f, Z])) == R3.zero()
 
 
 def test_jacobian_det_slice_of_bilinear_map():
     # rows (u, x, y, x*u + y*v), variables ordered (x, y, u, v)
-    val = jacobian_det([U4, X4, Y4, X4 * U4 + Y4 * V4])
-    assert val == Y4
-    rows = [
-        [f.partial_derivative(j) for j in range(4)]
-        for f in (U4, X4, Y4, X4 * U4 + Y4 * V4)
-    ]
+    rows = jacobian_rows([U4, X4, Y4, X4 * U4 + Y4 * V4])
+    assert det(rows) == Y4
     assert cofactor_det(rows) == Y4
 
 
@@ -345,8 +347,8 @@ def test_det_matches_cofactor_oracle_random():
         ring = Ring(tuple(f"x{i}" for i in range(n)))
         for _ in range(15):
             fs = [rand_poly(rng, ring, max_degree=2, max_terms=3) for _ in range(n)]
-            rows = [[f.partial_derivative(j) for j in range(n)] for f in fs]
-            assert jacobian_det(fs) == cofactor_det(rows)
+            rows = jacobian_rows(fs)
+            assert det(rows) == cofactor_det(rows)
 
 
 def test_jacobian_alternating_random():
@@ -355,14 +357,14 @@ def test_jacobian_alternating_random():
         n = rng.choice((2, 3, 4))
         ring = Ring(tuple(f"x{i}" for i in range(n)))
         fs = [rand_poly(rng, ring, max_degree=2, max_terms=3) for _ in range(n)]
-        base = jacobian_det(fs)
+        base = det(jacobian_rows(fs))
         i, j = rng.sample(range(n), 2)
         swapped = list(fs)
         swapped[i], swapped[j] = swapped[j], swapped[i]
-        assert jacobian_det(swapped) == -base
+        assert det(jacobian_rows(swapped)) == -base
         repeated = list(fs)
         repeated[i] = repeated[j]
-        assert jacobian_det(repeated).is_zero
+        assert det(jacobian_rows(repeated)).is_zero
 
 
 def test_maximal_minors_match_cofactor_oracle_random():
@@ -462,9 +464,11 @@ def test_divide_exact_multiples_random(order):
 
 def test_jacobian_det_shape_errors():
     with pytest.raises(ValueError):
-        jacobian_det([X, Y])
+        det(jacobian_rows([X, Y]))  # 2 x 3
+    with pytest.raises(ValueError):
+        det([])
     with pytest.raises(RingMismatchError):
-        jacobian_det([X, Y, X4])  # mixed rings
+        det([[X, Y], [X4, Y4]])  # mixed rings
 
 
 def test_embed_by_name():

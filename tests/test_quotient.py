@@ -4,11 +4,12 @@ from math import lcm
 
 import pytest
 
-from conftest import cofactor_det, rand_poly
+from conftest import cofactor_det, jacobian_rows, rand_poly
 from gaql.action import exponentiate, is_invariant
 from gaql.derivation import Derivation, apply, certify_locally_nilpotent
-from gaql.poly import PolyMap, Ring, grevlex_key, jacobian_det
+from gaql.poly import PolyMap, Ring, grevlex_key
 from gaql.quotient import (
+    LocalSlice,
     _monomials_upto,
     find_local_slice,
     jacobian_derivation,
@@ -60,13 +61,9 @@ def test_jacobian_derivation_consistent_with_determinant_random():
         D = jacobian_derivation(F)
         for _ in range(50):
             R = rand_poly(rng, F.ring, max_degree=4, max_terms=3)
-            direct = jacobian_det([R, *F.components])
-            assert apply(D, R) == direct
-            rows = [
-                [g.partial_derivative(j) for j in range(F.ring.arity)]
-                for g in (R, *F.components)
-            ]
-            assert direct == cofactor_det(rows)
+            # det Jacobian(R, f_1, .., f_{n-1}) by an expansion that shares
+            # no code with poly.det
+            assert apply(D, R) == cofactor_det(jacobian_rows([R, *F.components]))
 
 
 def test_check_map_invariant():
@@ -302,9 +299,7 @@ def test_slice_coefficient_requires_invariance():
 
 
 def attach_P(D, slc, F):
-    from dataclasses import replace
-
-    return replace(slc, P=slice_coefficient_as_P(D, slc, F))
+    return LocalSlice(slc.f, slc.c, slice_coefficient_as_P(D, slc, F))
 
 
 def test_localization_identity_triangle():
