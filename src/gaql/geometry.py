@@ -11,7 +11,8 @@ witness when asked; a scan decides emptiness only.
 Only a fiber's constant terms depend on its point.  So a map's components
 are packed once per packed layout (`PolyMap._packed_components`), and each
 fiber's generators are made from those packings by scaling and moving the
-constant term; the fiber's basis comes from the same Buchberger, FGLM and
+constant term, in component order; Buchberger orders them as it orders any
+generators.  The fiber's basis comes from the same Buchberger, FGLM and
 lex code as `groebner.groebner_basis`, through their shared entry
 `groebner._groebner`, in every monomial order.
 """
@@ -110,8 +111,7 @@ def fiber_probe(F: PolyMap, point: Sequence, order: MonomialOrder = GREVLEX) -> 
 
     def generators(layout):
         gens = []
-        for i, num, den in F._packed_components(layout):
-            v = values[i]
+        for (num, den), v in zip(F._packed_components(layout), values):
             d = v.denominator
             h = dict(num) if d == 1 else {e: c * d for e, c in num.items()}
             c = h.pop(0, 0) - v.numerator * den

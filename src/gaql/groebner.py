@@ -212,15 +212,13 @@ def buchberger_criterion_holds(gb: GroebnerBasis) -> bool:
 
 
 def _interreduce(heads, layout, ring: Ring) -> tuple[Polynomial, ...]:
-    """Minimalize the packed monic heads of nonzero polynomials and reduce
-    each minimal element by the others: for a Groebner basis, the unique
-    reduced basis."""
+    """Reduce each of the packed monic heads of nonzero polynomials by the
+    others: for a minimal Groebner basis, the unique reduced basis.  The
+    heads must be minimal, no leading monomial dividing another's, as
+    `_buchberger`'s live elements are."""
     guard, unpack = layout.guard, layout.unpack
-    minimal, lms = [], []
-    for head in sorted(heads, key=itemgetter(0)):
-        if all((head[0] - m) & guard for m in lms):
-            minimal.append(head)
-            lms.append(head[0])
+    minimal = sorted(heads, key=itemgetter(0))
+    lms = [head[0] for head in minimal]
     # No other leading monomial divides an element's own, so reducing it
     # against the others keeps its monic leading term lm: r[lm] = den.  An
     # element none of whose tail monomials a leading monomial divides (its

@@ -12,10 +12,9 @@ on its integers.  Only the accessors that show values (`terms()`,
 
 Products (and so compositions and powers) pack each exponent tuple into one
 int; a product by a one-term polynomial, constant or not, takes `_mul_term`
-(which `mul_monomial` also calls), which shifts and scales each term.  A sum
-or difference with an int or Fraction takes `_shift`, which scales the
-numerators to the common denominator and moves the constant term, building
-no constant polynomial.
+(which `mul_monomial` also calls), which shifts and scales each term.  Every
+sum and difference, with a polynomial, an int or a Fraction, goes through
+`_plus` over the lcm of the two denominators.
 
 Division runs on packed monomials ordered like the monomial order
 (Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
@@ -569,40 +568,17 @@ class Polynomial:
                 del out[e]
         return Polynomial._from_integers(self.ring, out, den)
 
-    def _shift(self, sign: int, n: int, d: int) -> "Polynomial":
-        """sign * self + n/d for sign 1 or -1 and the numerator and positive
-        denominator of an int or Fraction: the numerators, scaled to the
-        common denominator in one dict pass, with n/d moving the constant
-        term."""
-        den = self._den * d if self._den == 1 or d == 1 else lcm(self._den, d)
-        a = sign * (den // self._den)
-        out = dict(self._num) if a == 1 else {e: c * a for e, c in self._num.items()}
-        if n:
-            zero = (0,) * self.ring.arity
-            c = out.get(zero, 0) + n * (den // d)
-            if c:
-                out[zero] = c
-            else:
-                del out[zero]
-        return Polynomial._from_integers(self.ring, out, den)
-
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._shift(1, other.numerator, other.denominator)
         q = self._coerce(other)
         return NotImplemented if q is None else self._plus(q, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._shift(1, -other.numerator, other.denominator)
         q = self._coerce(other)
         return NotImplemented if q is None else self._plus(q, -1)
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._shift(-1, other.numerator, other.denominator)
         q = self._coerce(other)
         return NotImplemented if q is None else q._plus(self, -1)
 
@@ -878,8 +854,9 @@ class PolyMap(_Record):
     """An ordered tuple of polynomials (f_1, .., f_m) on a common source ring.
 
     The components are packed once per `_Layout` they are asked for in
-    (`_packed_components`), for the fibers of `geometry.fiber_probe`; like an
-    order's layouts, those packings are not a field."""
+    (`_packed_components`), for the fibers of `geometry.fiber_probe`, and
+    kept in component order: Buchberger sorts the generators it is given.
+    Like an order's layouts, those packings are not a field."""
 
     __slots__ = ("ring", "components", "target_names", "_packings")
     _fields = ("ring", "components", "target_names")
@@ -904,19 +881,15 @@ class PolyMap(_Record):
         self._init(ring, components, names)
         _set(self, "_packings", {})
 
-    def _packed_components(self, layout: _Layout) -> list[tuple[int, dict[int, int], int]]:
-        """(i, packed numerators, den) of each component f_i = num/den under
-        `layout`, ascending by leading packed monomial (0 for a zero
-        component), ties in component order.  Packed on the first request
-        for a layout and kept; a component too wide for the layout raises
+    def _packed_components(self, layout: _Layout) -> list[tuple[dict[int, int], int]]:
+        """(packed numerators, den) of each component num/den under
+        `layout`, in component order.  Packed on the first request for a
+        layout and kept; a component too wide for the layout raises
         _Overflow before anything is kept.  The dicts are shared: read,
         never change them."""
         packed = self._packings.get(layout)
         if packed is None:
-            packed = sorted(
-                ((i, layout.pack_all(f._num), f._den) for i, f in enumerate(self.components)),
-                key=lambda c: max(c[1], default=0),
-            )
+            packed = [(layout.pack_all(f._num), f._den) for f in self.components]
             self._packings[layout] = packed
         return packed
 

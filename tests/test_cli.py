@@ -201,6 +201,27 @@ def test_localization_subcommand(capsys):
     assert payload["tags"] == ["s", "t1", "t2"]
 
 
+@pytest.mark.parametrize(
+    "derivation, map, extra, want",
+    [
+        # a rotation has no local slice
+        ("y,-x,0", "z,x^2+y^2", [], {"found": False}),
+        # the slice coefficient x is not a polynomial in x^2 and 2*x*z - y^2
+        ("0,x,y", "x^2,2*x*z-y^2", [],
+         {"found": True, "f": "y", "c": "x", "P": None, "k": None, "T": None}),
+        # x * z needs k = 1, past the bound
+        ("0,x,y", "x,2*x*z-y^2", ["--power-bound", "0"],
+         {"found": True, "f": "y", "c": "x", "P": "t1", "k": None, "T": None}),
+    ],
+    ids=["no-slice", "no-P", "no-k"],
+)
+def test_localization_subcommand_short_answers(capsys, derivation, map, extra, want):
+    argv = ["localization", "--ring", "x,y,z", "--derivation", derivation, "--map", map, "--poly", "z"]
+    code, records, _ = run_cli(capsys, argv + extra)
+    assert code == 0
+    assert records[0]["payload"] == want
+
+
 def test_subalgebra_subcommand(capsys):
     code, records, _ = run_cli(
         capsys,
@@ -447,6 +468,26 @@ def test_task_stream_continues_after_command_error(capsys):
     assert records[0]["status"] == "error"
     assert records[0]["error"]["code"] == "invalid-argument"
     assert records[1]["status"] == "ok"
+
+
+def test_task_act_after_a_failed_action_declaration_one_step_at_a_time():
+    """Steps run one at a time, so a failed declaration cannot end the run:
+    a later command that names the action gets an error record."""
+    lines = [
+        {"ring": ["x"]},
+        {"derivation": {"name": "D", "images": ["x"]}},
+        {"action": {"name": "A", "derivation": "D", "bound": 3}},
+        {"command": {"cmd": "act", "action": "A", "poly": "x"}},
+        {"command": {"cmd": "poly", "poly": "x"}},
+    ]
+    state, steps = cli.load_task(cli.parse_task_text("\n".join(json.dumps(o) for o in lines)))
+    out = io.StringIO()
+    assert [cli.run_steps(state, [step], out) for step in steps] == [1, 1, 0]
+    records = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert [r["status"] for r in records] == ["error", "error", "ok"]
+    assert records[0]["error"]["code"] == "not-certified"
+    assert records[1]["command"]["cmd"] == "act"
+    assert records[1]["error"] == {"code": "invalid-argument", "message": "'A'"}
 
 
 def run_cli_text(capsys, text):

@@ -32,7 +32,8 @@ from gaql.groebner import (
     reduce,
     subalgebra_membership,
 )
-from gaql.poly import Polynomial, Ring, RingMismatchError, _packed, embed, grevlex_key
+from gaql.geometry import fiber_probe
+from gaql.poly import PolyMap, Polynomial, Ring, RingMismatchError, _Overflow, _packed, embed, grevlex_key
 
 R2 = Ring(("x", "y"))
 R3 = Ring(("x", "y", "z"))
@@ -144,8 +145,19 @@ def test_reduce_matches_polynomial_division_random(order):
         assert reduce(p, divisors, order) == _polynomial_reduce(p, divisors, order)
 
 
+def _minimal(polys, order):
+    """The polys whose leading monomial no other's divides, keeping the
+    first of those that share one: a minimal set, as `_interreduce` takes
+    from `_buchberger`."""
+    lms = [leading_term(p, order)[0] for p in polys]
+    return [p for i, (p, m) in enumerate(zip(polys, lms))
+            if not any(_monomial_divides(n, m) and (n != m or j < i) for j, n in enumerate(lms) if j != i)]
+
+
 @pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)], ids=str)
 def test_interreduce_matches_scaling_by_the_leading_coefficient_random(order, monkeypatch):
+    """On minimal sets: about half of a division case's divisors share an
+    earlier one's leading monomial, and those are left out."""
     reduce_packed, divisions = groebner._reduce_packed, []
 
     def counted(*args):
@@ -156,7 +168,7 @@ def test_interreduce_matches_scaling_by_the_leading_coefficient_random(order, mo
     rng = random.Random(19)
     elements = 0
     for _ in range(150):
-        _, polys = rand_division_case(rng, order)
+        polys = _minimal(rand_division_case(rng, order)[1], order)
         want = _scaling_interreduce(polys, order)
         got = _packed(order, polys[0].ring.arity,
                       lambda layout: _interreduce(list(map(layout.head_of, polys)), layout, polys[0].ring))
@@ -167,6 +179,37 @@ def test_interreduce_matches_scaling_by_the_leading_coefficient_random(order, mo
     # both branches ran: elements divided by the others, and elements left
     # as they were because no other leading monomial divides a tail term
     assert 0 < len(divisions) < elements
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)], ids=str)
+def test_buchberger_hands_interreduce_a_minimal_set_random(order, monkeypatch):
+    """`_interreduce` keeps every head it is given, so the live elements that
+    `_buchberger` hands it must have distinct leading monomials, none
+    dividing another.  Checked on every call: through groebner_basis, lex
+    Buchberger called directly, and the fibers of random maps, on random
+    ideals and on division cases, whose generators often share a leading
+    monomial."""
+    interreduce, inputs = groebner._interreduce, []
+
+    def recorded(heads, layout, ring):
+        inputs.append([layout.unpack(head[0]) for head in heads])
+        return interreduce(heads, layout, ring)
+
+    monkeypatch.setattr(groebner, "_interreduce", recorded)
+    rng = random.Random(31)
+    for _ in range(30):
+        ring = Ring(("x", "y", "z", "w")[: rng.randint(2, 4)])
+        cases = [[rand_nonzero_poly(rng, ring, max_degree=3) for _ in range(rng.randint(2, 4))],
+                 rand_division_case(rng, order)[1]]
+        for gens in cases:
+            groebner_basis(gens, order)
+            _packed_buchberger(gens, order)
+            point = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in gens]
+            fiber_probe(PolyMap(gens[0].ring, gens), point, order)
+    assert sum(len(lms) > 2 for lms in inputs) > 30
+    for lms in inputs:
+        assert len(set(lms)) == len(lms), lms
+        assert not any(_monomial_divides(a, b) for a, b in itertools.permutations(lms, 2)), lms
 
 
 def test_groebner_simple():
@@ -654,6 +697,31 @@ def test_groebner_basis_restarts_at_double_width(kind, gens, want):
     assert basis == _criterion_free_basis(gens, order)
     if want is not None:
         assert basis == tuple(want)
+
+
+@pytest.mark.parametrize("kind", ["lex", 1], ids=str)
+def test_s_polynomial_overflow_restarts_at_double_width(kind, monkeypatch):
+    """x*y + z^100 and x*z^28 fit 8-bit fields, but their S-polynomial's
+    tail z^128 does not: `_s_polynomial` raises _Overflow once, and the
+    basis is computed again at 16 bits.  Lex Buchberger is called directly,
+    since groebner_basis would start lex from the grevlex basis."""
+    monkeypatch.setattr(groebner, "_verify_bases", False)  # it builds S-polynomials too
+    s_polynomial, overflows = groebner._s_polynomial, []
+
+    def guarded(*args):
+        try:
+            return s_polynomial(*args)
+        except _Overflow:
+            overflows.append(args)
+            raise
+
+    monkeypatch.setattr(groebner, "_s_polynomial", guarded)
+    gens = [X * Y + Z**100, X * Z**28]
+    order = block_order(kind) if isinstance(kind, int) else MonomialOrder(kind)  # no layout built yet
+    basis = _packed_buchberger(gens, order) if kind == "lex" else groebner_basis(gens, order).basis
+    assert len(overflows) == 1
+    assert sorted(width for _, width in order._layouts) == [8, 16]
+    assert basis == _criterion_free_basis(gens, order)
 
 
 def _fraction_rank(vectors, ncols) -> int:

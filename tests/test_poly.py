@@ -63,17 +63,24 @@ def test_scalar_coercion():
     assert 2 * X + X == 3 * X
     assert X - 1 == X + R3.const(-1)
     assert (X + Fraction(1, 2)) * 2 == 2 * X + 1
-    # an int or Fraction operand shifts the constant term in place of a
-    # constant polynomial: the same stored form as the route through const
+    # an int or Fraction operand gives the stored form of the sum with its
+    # constant polynomial, and the value of the Fraction terms with the
+    # constant term moved, built by the constructor
     rng = random.Random(23)
+    zero = (0, 0, 0)
     for _ in range(300):
         p = rand_poly(rng, R3)
         cancel = p.constant_value()
         frac = Fraction(rng.randrange(-29, 30, 2), rng.choice([2, 4, 6]))  # den > 1
         for c in (0, rng.randint(-9, 9), frac, cancel, -cancel):
             k = R3.const(c)
-            for got, want in ((p + c, p + k), (c + p, k + p), (p - c, p - k), (c - p, k - p)):
+            terms = dict(p.terms())
+            plus = Polynomial(R3, {**terms, zero: terms.get(zero, 0) + c})
+            minus = Polynomial(R3, {**{e: -v for e, v in terms.items()}, zero: c - terms.get(zero, 0)})
+            for got, want, value in ((p + c, p + k, plus), (c + p, k + p, plus),
+                                     (p - c, p - k, -minus), (c - p, k - p, minus)):
                 assert (got._num, got._den, hash(got)) == (want._num, want._den, hash(want))
+                assert got == value and list(got.terms()) == list(value.terms())
 
 
 def test_zero_terms_dropped():
