@@ -404,16 +404,18 @@ _DECL_KEYS = {
 }
 
 
-def _resolve(state: TaskState, body: dict, keys) -> dict:
-    """Resolve those of the parameters `keys` (in `_PARAMS` order) the line gives."""
-    params = {}
+def _resolve(state: TaskState, body: dict, keys) -> tuple[dict, dict]:
+    """Resolve those of the parameters `keys` (in `_PARAMS` order) the line
+    gives.  Returns the line's echo, a copy of body with its rationals
+    resolved, and the parameters; body itself is left as it is."""
+    echo, params = dict(body), {}
     for key in keys:
         if key in body:
             param = _PARAMS[key]
             params[key] = param.resolve(state, body[key], key, params)
             if param.rational:
-                body[key] = params[key]
-    return params
+                echo[key] = params[key]
+    return echo, params
 
 
 def _load_declaration(state: TaskState, kind: str, body):
@@ -458,10 +460,10 @@ def _load_declaration(state: TaskState, kind: str, body):
         derivation = body.get("derivation")
         if not isinstance(derivation, str) or derivation not in state.derivations:
             raise TaskLoadError("action declaration needs a declared derivation")
-        params = _resolve(state, body, ("bound",))
+        echo, params = _resolve(state, body, ("bound",))
         state.actions[name] = None
         params.update(name=name, derivation=state.derivations[derivation])
-        return {"action": body}, _declare_action, params
+        return {"action": echo}, _declare_action, params
     return None
 
 
@@ -483,7 +485,8 @@ def _load_command(state: TaskState, body):
         raise TaskLoadError("no ring declared yet")
     if spec.one_of and len(keys.intersection(spec.one_of)) != 1:
         raise TaskLoadError(f"{name} needs exactly one of {' or '.join(spec.one_of)}")
-    return body, spec.handler, _resolve(state, body, spec.params)
+    echo, params = _resolve(state, body, spec.params)
+    return echo, spec.handler, params
 
 
 def load_task(objects) -> tuple[TaskState, list]:
@@ -491,8 +494,9 @@ def load_task(objects) -> tuple[TaskState, list]:
 
     Ring, poly, map and derivation declarations go into the state at once.
     Each action declaration and command becomes a step: ("action" or
-    "command", (echo, handler, params)), with the line as its records echo
-    it and the handler's parameters resolved here, once: declared names to
+    "command", (echo, handler, params)), with a copy of the line as its
+    records echo it (`objects` is not changed, so it can be loaded again)
+    and the handler's parameters resolved here, once: declared names to
     objects (action names stay names; actions are built when their step
     runs), polynomials parsed, orders to `MonomialOrder`, rationals to
     `Fraction`.  GAQL_DEFAULT_BOUND is read here, once, into the state.

@@ -8,13 +8,21 @@ term order, so equality and hashing read it as it is, and every kernel works
 on its integers.  Only the accessors that show values (`terms()`,
 `coefficient`, `constant_value`, `evaluate`) make Fractions, and only
 `terms()` and printing sort, into descending graded reverse lexicographic
-(grevlex) order.
+(grevlex) order, both by `_grevlex_sorted`: two stable sorts with C keys
+(the reversed exponent tuples ascending, then the degrees descending), so
+no Python function runs per term.  Printing writes each coefficient from
+the stored integers as Fraction would, and each monomial from `_factor`, the
+memoized text of one factor x^e.
 
 Products (and so compositions and powers) pack each exponent tuple into one
-int; a product by a one-term polynomial, constant or not, takes `_mul_term`
-(which `mul_monomial` also calls), which shifts and scales each term.  Every
-sum and difference, with a polynomial, an int or a Fraction, goes through
-`_plus` over the lcm of the two denominators.
+int, in fields as wide as the product's degree needs, and add the products
+of the coefficients into one dict.  A square (`p * p` on one object, as in
+each squaring step of `**`) takes each pair of terms once: c_i^2 at 2e_i,
+then 2 c_i c_j at e_i + e_j for i < j, about half the products of the loop
+over every ordered pair.  A product by a one-term polynomial, constant or
+not, takes `_mul_term` (which `mul_monomial` also calls), which shifts and
+scales each term.  Every sum and difference, with a polynomial, an int or a
+Fraction, goes through `_plus` over the lcm of the two denominators.
 
 Division runs on packed monomials ordered like the monomial order
 (Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
@@ -73,9 +81,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import combinations
-from operator import add, attrgetter, lshift, mul, neg
+from operator import add, attrgetter, itemgetter, lshift, mul, neg
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -138,11 +146,25 @@ def grevlex_key(exponents: Sequence[int]):
     return (sum(exponents), tuple(map(neg, reversed(exponents))))
 
 
-def _grevlex_descending(term):
-    """Ascending sort key of a term putting the bigger grevlex monomial first:
-    grevlex_key negated field by field."""
-    exps = term[0]
-    return (-sum(exps), exps[::-1])
+_REVERSED = itemgetter(slice(None, None, -1))
+
+
+def _grevlex_sorted(monomials: Iterable[Exponents]) -> list[Exponents]:
+    """The exponent tuples in descending grevlex order, by two stable sorts
+    with C keys: the reversed tuples ascending, then the degrees descending.
+    Among monomials of one degree the bigger grevlex monomial has the
+    smaller reversed tuple, so the second sort keeps that order."""
+    out = sorted(monomials, key=_REVERSED)
+    out.sort(key=sum, reverse=True)
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _factor(name: str, e: int) -> str:
+    """The factor x^e of a printed monomial, led by its '*': '' for e = 0."""
+    if not e:
+        return ""
+    return f"*{name}" if e == 1 else f"*{name}^{e}"
 
 
 def _block_key(front_size: int, exponents: Sequence[int]):
@@ -496,8 +518,8 @@ class Polynomial:
 
     def terms(self) -> Iterator[tuple[Exponents, Fraction]]:
         """Iterate (exponents, coefficient) pairs in descending grevlex order."""
-        den = self._den
-        return ((e, Fraction(c, den)) for e, c in sorted(self._num.items(), key=_grevlex_descending))
+        num, den = self._num, self._den
+        return ((e, Fraction(num[e], den)) for e in _grevlex_sorted(num))
 
     def integer_form(self) -> tuple[int, dict[Exponents, int]]:
         """(den, num), a copy of the stored form: self = sum(num[e] * x^e) / den."""
@@ -600,13 +622,26 @@ class Polynomial:
         width = (max(map(sum, self._num)) + max(map(sum, q._num))).bit_length() or 1
         shifts = range(0, width * self.ring.arity, width)
         pa = [(sum(map(lshift, e, shifts)), c) for e, c in self._num.items()]
-        pb = [(sum(map(lshift, e, shifts)), c) for e, c in q._num.items()]
         acc: dict[int, int] = {}
         get = acc.get
-        for ka, ca in pa:
-            for kb, cb in pb:
-                k = ka + kb
-                acc[k] = get(k, 0) + ca * cb
+        if q is self:
+            # a square: c_i^2 at 2e_i, then 2 c_i c_j at e_i + e_j once for
+            # each pair i < j; monomials enter acc in the order the loop over
+            # every ordered pair gives them, in which later products over
+            # the square run faster
+            for i, (ka, ca) in enumerate(pa, 1):
+                k = ka + ka
+                acc[k] = get(k, 0) + ca * ca
+                ca += ca
+                for kb, cb in pa[i:]:
+                    k = ka + kb
+                    acc[k] = get(k, 0) + ca * cb
+        else:
+            pb = [(sum(map(lshift, e, shifts)), c) for e, c in q._num.items()]
+            for ka, ca in pa:
+                for kb, cb in pb:
+                    k = ka + kb
+                    acc[k] = get(k, 0) + ca * cb
         mask = (1 << width) - 1
         return Polynomial._from_integers(
             self.ring,
@@ -723,12 +758,15 @@ class Polynomial:
 
     def __str__(self) -> str:
         """Canonical form: descending grevlex terms, explicit '*' and '^'."""
-        if not self._num:
+        num = self._num
+        if not num:
             return "0"
         den, names = self._den, self.ring.variables
         chunks: list[str] = []
-        for exps, c in sorted(self._num.items(), key=_grevlex_descending):
-            mono = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e])
+        for exps in _grevlex_sorted(num):
+            c = num[exps]
+            # "*x^2*y" for x^2*y, "" for the constant monomial
+            mono = "".join(map(_factor, names, exps))
             # |c|/den in lowest terms, written as Fraction writes it
             if den == 1:
                 n, d = abs(c), 1
@@ -736,11 +774,9 @@ class Polynomial:
                 g = gcd(c, den)
                 n, d = abs(c) // g, den // g
             if mono and n == d:
-                body = mono
+                body = mono[1:]
             else:
-                body = str(n) if d == 1 else f"{n}/{d}"
-                if mono:
-                    body = f"{body}*{mono}"
+                body = (str(n) if d == 1 else f"{n}/{d}") + mono
             if not chunks:
                 chunks.append(body if c > 0 else f"-{body}")
             else:

@@ -5,7 +5,8 @@ with its scaling S-polynomial and interreduction, which `test_groebner`
 and `test_geometry` both compare against.  `det` expands minors too, so
 the determinant oracle with another method is `test_poly`'s Gaussian
 elimination at rational points.  `jacobian_rows` builds the Jacobian
-matrix whose determinant the tests take, by `det` or by `cofactor_det`."""
+matrix whose determinant the tests take, by `det` or by `cofactor_det`.
+`reference_str` is the printer oracle, on Fractions and `grevlex_key`."""
 
 import itertools
 import random
@@ -15,7 +16,7 @@ import pytest
 
 from gaql import groebner
 from gaql.groebner import reduce
-from gaql.poly import Polynomial, Ring
+from gaql.poly import Polynomial, Ring, grevlex_key
 
 
 @pytest.fixture(autouse=True)
@@ -33,6 +34,28 @@ def leading_term(p: Polynomial, order):
         raise ValueError("the zero polynomial has no leading term")
     lm = max(p._num, key=order.key)
     return lm, p.coefficient(lm)
+
+
+def reference_str(p: Polynomial) -> str:
+    """The canonical form of p, written from its Fraction coefficients with
+    the terms sorted by `grevlex_key`: the reference for
+    `Polynomial.__str__`, which sorts with C keys and writes each term from
+    the stored integers."""
+    terms = sorted(dict(p.terms()).items(), key=lambda t: grevlex_key(t[0]), reverse=True)
+    chunks = []
+    for exps, c in terms:
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(p.ring.variables, exps) if e]
+        if not factors:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(abs(c))] + factors)
+        if chunks:
+            chunks.append(("+ " if c > 0 else "- ") + body)
+        else:
+            chunks.append(body if c > 0 else "-" + body)
+    return " ".join(chunks) or "0"
 
 
 def rand_poly(rng: random.Random, ring: Ring, max_degree=3, max_terms=4,

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import sys
@@ -579,6 +580,38 @@ def test_bound_env_is_read_when_the_task_loads(monkeypatch):
     assert cli.run_steps(state, steps, out) == 0
     payload = json.loads(out.getvalue())["payload"]
     assert (payload["status"], payload["bound"]) == ("inconclusive", 2)
+
+
+def test_a_parsed_task_loads_twice_alike():
+    """load_task writes the resolved rationals into each step's echo, not
+    into the parsed lines, so one parse_task_text result loads again to
+    equal steps, which print the same records."""
+    lines = [
+        {"ring": ["x", "y", "z"]},
+        {"map": {"name": "F", "components": ["1+x*z", "y+z+x*y*z"]}},
+        {"derivation": {"name": "D", "images": ["0", "x", "y"]}},
+        {"action": {"name": "A", "derivation": "D", "bound": 3}},
+        {"command": {"cmd": "fiber", "map": "F", "point": ["1", "-0.3"]}},
+        {"command": {"cmd": "scan", "map": "F", "points": [["0", "0"], ["1", "2/4"]]}},
+        {"command": {"cmd": "scan", "map": "F", "box": [["-1", "1"], ["0", "1"]], "steps": 2}},
+        {"command": {"cmd": "act", "action": "A", "poly": "x*z"}},
+    ]
+    objects = cli.parse_task_text("\n".join(json.dumps(o) for o in lines))
+    parsed = copy.deepcopy(objects)
+    first = cli.load_task(objects)
+    assert objects == parsed
+    second = cli.load_task(objects)
+    assert first[1] == second[1]
+    records = []
+    for state, steps in (first, second):
+        out = io.StringIO()
+        assert cli.run_steps(state, steps, out) == 0
+        records.append([{k: v for k, v in json.loads(line).items() if k != "timing"}
+                        for line in out.getvalue().splitlines()])
+    assert records[0] == records[1]
+    # the echo shows each rational as resolved
+    assert records[0][0]["command"]["point"] == ["1", "-3/10"]
+    assert records[0][1]["command"]["points"] == [["0", "0"], ["1", "1/2"]]
 
 
 def test_usage_error_from_argparse(capsys):

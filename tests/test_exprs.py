@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import rand_poly
+from conftest import rand_poly, reference_str
 from gaql.exprs import PolyParseError, parse_polynomial
-from gaql.poly import Ring
+from gaql.poly import Polynomial, Ring
 
 R3 = Ring(("x", "y", "z"))
 R4 = Ring(("x", "y", "u", "v"))
@@ -84,6 +85,45 @@ def test_format_examples():
 def test_format_descending_grevlex():
     p = Y**2 + X**2 + X * Y + X + 1
     assert str(p) == "x^2 + x*y + y^2 + x + 1"
+
+
+def test_format_multi_letter_names():
+    ring = Ring(("alpha", "b2", "c_"))
+    a, b, c = ring.gens()
+    p = Fraction(-1, 3) * a**2 * b + a * c**3 - c + 1
+    assert str(p) == "alpha*c_^3 - 1/3*alpha^2*b2 - c_ + 1"
+    assert str(-(a**12) + Fraction(5, 2) * b * c) == "-alpha^12 + 5/2*b2*c_"
+    # a name that is a prefix of another
+    x, x1, xx = Ring(("x", "x1", "xx")).gens()
+    assert str(x * x1**2 - xx + x) == "x*x1^2 + x - xx"
+
+
+# 1 to 4 variables, with names of more than one letter
+NAMED_RINGS = [Ring(("alpha",)), Ring(("x1", "yy")), Ring(("u", "v_2", "Wz")), Ring(("a_b", "c", "d12", "e_"))]
+
+
+def test_format_matches_the_reference_printer_random():
+    rng = random.Random(63)
+    seen = Counter()
+    for trial in range(800):
+        ring = NAMED_RINGS[trial % 4]
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            exps = tuple(rng.choice((0, 0, 1, 1, 2, 7, 12)) for _ in range(ring.arity))
+            num = rng.choice((-1, 1, rng.randint(-40, 40), rng.randint(-(10**30), 10**30)))
+            terms[exps] = Fraction(num, rng.choice((1, 1, 2, 3, 12)))
+        p = Polynomial(ring, terms)
+        assert str(p) == reference_str(p)
+        coefficients = dict(p.terms())
+        seen["zero"] += p.is_zero
+        seen["negative lead"] += next(iter(coefficients.values()), 0) < 0
+        for exps, c in coefficients.items():
+            seen["constant term"] += not any(exps)
+            seen["unit coefficient"] += any(exps) and abs(c) == 1
+            seen["denominator"] += c.denominator > 1
+            seen["exponent 1"] += 1 in exps
+            seen["exponent above 1"] += max(exps) > 1
+    assert min(seen.values()) >= 20 and len(seen) == 7, seen
 
 
 def test_round_trip_random():

@@ -1,7 +1,9 @@
+import copy
 import pickle
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce as fold
 from math import gcd, lcm
 from operator import add, le, mul
 
@@ -233,6 +235,53 @@ def test_product_wide_exponents():
     assert list((p * q).terms()) == _oracle_product(p, q)
 
 
+def test_square_matches_the_rectangular_product_random():
+    """p * p walks each pair of terms once; a distinct copy of p, equal but
+    not the same object, takes the loop over every ordered pair."""
+    rng = random.Random(65)
+    for trial in range(400):
+        ring = Ring(tuple(f"x{i}" for i in range(1 + trial % 4)))
+        kind = trial % 5
+        if kind == 0:
+            p = ring.zero()
+        elif kind == 1:
+            p = ring.const(Fraction(rng.choice((-7, -1, 1, 3)), rng.randint(1, 6)))
+        elif kind == 2:
+            exps = tuple(rng.randint(0, 5) for _ in range(ring.arity))
+            p = Polynomial(ring, {exps: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))})
+        else:
+            p = rand_poly(rng, ring, max_degree=5, max_terms=12, coeff_bound=20)
+        twin = copy.copy(p)
+        assert twin is not p and twin == p
+        square = p * p
+        assert square == p * twin == twin * p
+        assert list(square.terms()) == _oracle_product(p, p)
+        assert p**2 == square
+
+
+def test_square_cancellation_and_wide_exponents():
+    R2 = Ring(("x", "y"))
+    x, y = R2.gens()
+    # the diagonal term (xy)^2 cancels against the cross term 2 * x^2 * (-1/2 y^2)
+    p = x**2 + x * y - Fraction(1, 2) * y**2
+    assert str(p * p) == "x^4 + 2*x^3*y - x*y^3 + 1/4*y^4"
+    # the square's x^400 takes a field wider than its operand's x^200
+    for e in (200, 2**70):
+        p = R2.from_terms({(e, 0): 1, (0, 1): 1})
+        assert list((p * p).terms()) == [((2 * e, 0), 1), ((e, 1), 2), ((0, 2), 1)]
+        assert p * p == p * copy.copy(p)
+
+
+def test_power_is_the_product_of_distinct_copies_random():
+    rng = random.Random(66)
+    for trial in range(60):
+        ring = Ring(tuple(f"x{i}" for i in range(1 + trial % 3)))
+        p = rand_poly(rng, ring, max_degree=3, max_terms=4)
+        for n in range(7):
+            product = fold(mul, [copy.copy(p) for _ in range(n)], ring.one())
+            assert p**n == product
+
+
 def test_compose_matches_evaluation_random():
     rng = random.Random(9)
     two = Ring(("a", "b"))
@@ -333,6 +382,15 @@ def test_grevlex_term_order_iteration():
     monomials = [e for e, _ in p.terms()]
     assert monomials == [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 0), (0, 0, 0)]
     assert grevlex_key((2, 0)) > grevlex_key((1, 1)) > grevlex_key((0, 2))
+
+
+def test_terms_come_in_descending_grevlex_key_order_random():
+    rng = random.Random(64)
+    for trial in range(300):
+        ring = Ring(tuple(f"x{i}" for i in range(1 + trial % 5)))
+        p = rand_poly(rng, ring, max_degree=6, max_terms=12)
+        monomials = [e for e, _ in p.terms()]
+        assert monomials == sorted(p._num, key=grevlex_key, reverse=True)
 
 
 def test_jacobian_det_identity_and_repeat():
