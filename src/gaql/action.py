@@ -8,6 +8,10 @@ Coefficient by coefficient in t, these force phi = exp(tD)(x); as exp(tD)
 is a ring homomorphism, exp(sD) exp(tD) = exp((s + t)D) gives the group law
 phi(s; phi(t; x)) = phi(s + t; x) (van den Essen, Polynomial Automorphisms,
 2000; Freudenburg, Algebraic Theory of Locally Nilpotent Derivations, 2017).
+
+The check splits each component by powers of t from its stored integers and
+recomputes D of each coefficient, not reading the certificate's chains.
+`apply`, and `compose` under `act`, run on `poly`'s packed product kernel.
 """
 
 from __future__ import annotations
@@ -94,9 +98,10 @@ def _verify_flow(action: GaAction):
     ring = action.ring
     for i, comp in enumerate(action.components):
         by_power: dict[int, dict] = {}
-        for exps, coeff in comp.terms():  # the parameter is the last variable
-            by_power.setdefault(exps[-1], {})[exps[:-1]] = coeff
-        coeffs = [ring.from_terms(by_power.get(k, {})) for k in range(max(by_power, default=0) + 1)]
+        for exps, c in comp._num.items():  # the parameter is the last variable
+            by_power.setdefault(exps[-1], {})[exps[:-1]] = c
+        top = max(by_power, default=0)
+        coeffs = [Polynomial._from_integers(ring, by_power.get(k, {}), comp._den) for k in range(top + 1)]
         if coeffs[0] != ring.var(i):
             raise RuntimeError(f"flow does not restrict to the identity at {action.parameter} = 0")
         # one application of D cannot blow up: the degree cap guards iterates,

@@ -9,8 +9,10 @@ chains do not terminate within the bound the result is inconclusive.
 
 from __future__ import annotations
 
+from math import lcm
+
 from . import groebner
-from .poly import Polynomial, Ring, RingMismatchError, _Record
+from .poly import Polynomial, Ring, RingMismatchError, _ProductLayout, _Record
 
 DEFAULT_BOUND = 64
 DEFAULT_DEGREE_CAP = 512
@@ -58,18 +60,33 @@ def apply(
     k: int = 1,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> Polynomial:
-    """k-th iterate of the Leibniz extension of D on p."""
+    """k-th iterate of the Leibniz extension of D on p.
+
+    Each iterate packs once (`poly._ProductLayout`), reads its partial
+    derivatives off the packed terms, adds every image times one of them
+    into one accumulator over the lcm of the images' denominators, and
+    unpacks once; an iterate past degree_cap raises DegreeExplosionError."""
     if p.ring != D.ring:
         raise RingMismatchError("polynomial over a different ring")
     if k < 0:
         raise ValueError("iteration count must be nonnegative")
+    ring = D.ring
+    images = [(i, img) for i, img in enumerate(D.images) if img._num]
+    den = lcm(*[img._den for _, img in images])
+    # an iterate's degree grows by less than the largest image degree
+    growth = max([img.total_degree() for _, img in images], default=0)
     out = p
     for _ in range(k):
-        step = D.ring.zero()
-        for i, img in enumerate(D.images):
-            if not img.is_zero:
-                step = step + img * out.partial_derivative(i)
-        out = step
+        if out.is_zero:
+            break
+        layout = _ProductLayout(ring.arity, out.total_degree() + growth)
+        packed = layout.pack(out._num)
+        acc: dict[int, int] = {}
+        for i, img in images:
+            part = layout.partial(packed, i)
+            if part:
+                layout.add_product(acc, part, layout.pack(img._num), den // img._den)
+        out = layout.unpack(ring, acc, out._den * den)
         if not out.is_zero and out.total_degree() > degree_cap:
             raise DegreeExplosionError(out.total_degree(), degree_cap)
     return out

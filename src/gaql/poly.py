@@ -14,15 +14,21 @@ no Python function runs per term.  Printing writes each coefficient from
 the stored integers as Fraction would, and each monomial from `_factor`, the
 memoized text of one factor x^e.
 
-Products (and so compositions and powers) pack each exponent tuple into one
-int, in fields as wide as the product's degree needs, and add the products
-of the coefficients into one dict.  A square (`p * p` on one object, as in
-each squaring step of `**`) takes each pair of terms once: c_i^2 at 2e_i,
-then 2 c_i c_j at e_i + e_j for i < j, about half the products of the loop
-over every ordered pair.  A product by a one-term polynomial, constant or
-not, takes `_mul_term` (which `mul_monomial` also calls), which shifts and
-scales each term.  Every sum and difference, with a polynomial, an int or a
-Fraction, goes through `_plus` over the lcm of the two denominators.
+Products, compositions and derivations share one packed kernel,
+`_ProductLayout`: exponent tuples pack into ints with fields as wide as the
+call's largest degree, coefficient products add into one dict, and that
+dict unpacks once.  `compose` packs each image once and adds c * (L/d) times
+each term's product of powers into one accumulator (d that product's
+denominator, L the lcm of every d); `derivation.apply` reads an iterate's
+partial derivatives off its packed terms and adds each image times one into
+one accumulator over the lcm of the images' denominators.  A square (`p *
+p` on one object, and each squaring step of `**` and of `compose`'s powers)
+takes each pair of terms once: c_i^2 at 2e_i, then 2 c_i c_j at e_i + e_j
+for i < j, about half the products of the loop over every ordered pair.  A
+product by a one-term polynomial, constant or not, takes `_mul_term` (which
+`mul_monomial` also calls), which shifts and scales each term.  Every sum
+and difference, with a polynomial, an int or a Fraction, goes through
+`_plus` over the lcm of the two denominators.
 
 Division runs on packed monomials ordered like the monomial order
 (Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
@@ -269,6 +275,67 @@ class _Layout:
         g = gcd(*h.values()) if lead > 0 else -gcd(*h.values())
         tail = [(e, c // g) for e, c in h.items() if e != lm]
         return lm, lead // g, tail, reduce(self.fieldwise_max, [e for e, _ in tail], 0)
+
+
+class _ProductLayout:
+    """The packed product kernel (see the module docstring): e packs to
+    sum(e_i << i * width), width the bit length of the largest degree the
+    caller reaches, so no field carries into the next.  A packed polynomial
+    is a list of (packed monomial, int) pairs."""
+
+    __slots__ = ("shifts", "mask")
+
+    def __init__(self, arity: int, degree: int):
+        width = degree.bit_length() or 1
+        self.shifts = range(0, width * arity, width)
+        self.mask = (1 << width) - 1
+
+    def pack(self, num: Mapping[Exponents, int]) -> list[tuple[int, int]]:
+        shifts = self.shifts
+        return [(sum(map(lshift, e, shifts)), c) for e, c in num.items()]
+
+    def unpack(self, ring: Ring, acc: Mapping[int, int], den: int) -> "Polynomial":
+        """sum(acc[k] * x^k) / den, leaving out the zero entries of acc."""
+        mask, shifts = self.mask, self.shifts
+        return Polynomial._from_integers(
+            ring, {tuple([k >> s & mask for s in shifts]): v for k, v in acc.items() if v}, den
+        )
+
+    def partial(self, pa: list[tuple[int, int]], i: int) -> list[tuple[int, int]]:
+        """The partial derivative in x_i of pa: c * e_i at x^(e - 1_i)."""
+        s, mask = self.shifts[i], self.mask
+        one = 1 << s
+        return [(k - one, c * (k >> s & mask)) for k, c in pa if k >> s & mask]
+
+    @staticmethod
+    def add_product(acc: dict[int, int], pa, pb, scale: int = 1):
+        """acc += scale * pa * pb.  A square (pb is pa) takes each pair of
+        terms once: c_i^2 at 2e_i, then 2 c_i c_j at e_i + e_j for i < j.
+        Monomials enter acc in the order the loop over every ordered pair
+        gives them, in which later products over the result run faster."""
+        get = acc.get
+        if pb is pa:
+            for i, (ka, ca) in enumerate(pa, 1):
+                k = ka + ka
+                cs = ca * scale
+                acc[k] = get(k, 0) + cs * ca
+                cs += cs
+                for kb, cb in pa[i:]:
+                    k = ka + kb
+                    acc[k] = get(k, 0) + cs * cb
+        else:
+            for ka, ca in pa:
+                ca *= scale
+                for kb, cb in pb:
+                    k = ka + kb
+                    acc[k] = get(k, 0) + ca * cb
+
+    @classmethod
+    def product(cls, pa, pb) -> list[tuple[int, int]]:
+        """pa * pb, its zero terms left out."""
+        acc: dict[int, int] = {}
+        cls.add_product(acc, pa, pb)
+        return [(k, c) for k, c in acc.items() if c]
 
 
 # writes a slot past a record's refusing __setattr__
@@ -619,35 +686,11 @@ class Polynomial:
                 return a._mul_term(e, c, b._den)
         # An exponent of the product is at most the sum of the operands'
         # total degrees, so fields this wide never carry into each other.
-        width = (max(map(sum, self._num)) + max(map(sum, q._num))).bit_length() or 1
-        shifts = range(0, width * self.ring.arity, width)
-        pa = [(sum(map(lshift, e, shifts)), c) for e, c in self._num.items()]
+        layout = _ProductLayout(self.ring.arity, max(map(sum, self._num)) + max(map(sum, q._num)))
+        pa = layout.pack(self._num)
         acc: dict[int, int] = {}
-        get = acc.get
-        if q is self:
-            # a square: c_i^2 at 2e_i, then 2 c_i c_j at e_i + e_j once for
-            # each pair i < j; monomials enter acc in the order the loop over
-            # every ordered pair gives them, in which later products over
-            # the square run faster
-            for i, (ka, ca) in enumerate(pa, 1):
-                k = ka + ka
-                acc[k] = get(k, 0) + ca * ca
-                ca += ca
-                for kb, cb in pa[i:]:
-                    k = ka + kb
-                    acc[k] = get(k, 0) + ca * cb
-        else:
-            pb = [(sum(map(lshift, e, shifts)), c) for e, c in q._num.items()]
-            for ka, ca in pa:
-                for kb, cb in pb:
-                    k = ka + kb
-                    acc[k] = get(k, 0) + ca * cb
-        mask = (1 << width) - 1
-        return Polynomial._from_integers(
-            self.ring,
-            {tuple([k >> s & mask for s in shifts]): v for k, v in acc.items() if v},
-            self._den * q._den,
-        )
+        layout.add_product(acc, pa, pa if q is self else layout.pack(q._num))
+        return layout.unpack(self.ring, acc, self._den * q._den)
 
     __rmul__ = __mul__
 
@@ -719,25 +762,29 @@ class Polynomial:
         for img in images:
             if img.ring != target:
                 raise RingMismatchError("images must share one target ring")
-        power_cache: dict[tuple[int, int], Polynomial] = {}
+        degrees = [max(map(sum, img._num), default=0) for img in images]
+        layout = _ProductLayout(target.arity, max([sum(map(mul, e, degrees)) for e in self._num], default=0))
+        packed = [layout.pack(img._num) for img in images]
+        powers = {(i, 1): pa for i, pa in enumerate(packed)}
 
-        def power(i: int, e: int) -> Polynomial:
-            key = (i, e)
-            if key not in power_cache:
-                power_cache[key] = images[i] ** e
-            return power_cache[key]
+        def power(i: int, e: int) -> list[tuple[int, int]]:
+            """images[i] ** e packed: the square of the power e // 2, times
+            images[i] when e is odd."""
+            if (i, e) not in powers:
+                half = power(i, e // 2)
+                square = layout.product(half, half)
+                powers[i, e] = layout.product(packed[i], square) if e & 1 else square
+            return powers[i, e]
 
-        products = []  # (numerator of the coefficient, product of the powers)
-        for exps, c in self._num.items():
-            factors = [power(i, e) for i, e in enumerate(exps) if e]
-            products.append((c, reduce(mul, factors) if factors else target.one()))
-        den = lcm(*(term._den for _, term in products))
-        out: dict[Exponents, int] = {}
-        for c, term in products:
-            scale = c * (den // term._den)
-            for m, v in term._num.items():
-                out[m] = out.get(m, 0) + scale * v
-        return Polynomial._from_integers(target, {m: v for m, v in out.items() if v}, den * self._den)
+        # the denominator of a term's product of powers, and their lcm
+        dens = [reduce(mul, [images[i]._den ** e for i, e in enumerate(exps) if e], 1) for exps in self._num]
+        den = lcm(*dens)
+        acc: dict[int, int] = {}
+        for (exps, c), d in zip(self._num.items(), dens):
+            *factors, last = [power(i, e) for i, e in enumerate(exps) if e] or [[(0, 1)]]
+            head = reduce(layout.product, factors) if factors else [(0, 1)]
+            layout.add_product(acc, head, last, c * (den // d))
+        return layout.unpack(target, acc, den * self._den)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point."""

@@ -24,6 +24,7 @@ from .poly import (
     PolyMap,
     Polynomial,
     Ring,
+    _REVERSED,
     _Record,
     fresh_names,
     grevlex_key,
@@ -63,14 +64,17 @@ def _monomials_upto(ring: Ring, degree: int):
     grevlex-largest monomial first within each degree."""
     monomials = []
     for d in range(degree + 1):
+        block = []
         for combo in combinations_with_replacement(range(ring.arity), d):
             exps = [0] * ring.arity
             for i in combo:
                 exps[i] += 1
-            monomials.append(tuple(exps))
-    # within a degree, grevlex puts first the monomial whose reversed
-    # exponents are lexicographically smallest
-    return sorted(monomials, key=lambda e: (sum(e), e[::-1]))
+            block.append(tuple(exps))
+        # within a degree, grevlex puts first the monomial whose reversed
+        # exponents are lexicographically smallest
+        block.sort(key=_REVERSED)
+        monomials += block
+    return monomials
 
 
 def _integral_normalize(p: Polynomial) -> Polynomial:

@@ -6,7 +6,9 @@ and `test_geometry` both compare against.  `det` expands minors too, so
 the determinant oracle with another method is `test_poly`'s Gaussian
 elimination at rational points.  `jacobian_rows` builds the Jacobian
 matrix whose determinant the tests take, by `det` or by `cofactor_det`.
-`reference_str` is the printer oracle, on Fractions and `grevlex_key`."""
+`reference_str` is the printer oracle, on Fractions and `grevlex_key`.
+`reference_apply` and `reference_compose` are the oracles for the packed
+`derivation.apply` and `Polynomial.compose`, built from public operations."""
 
 import itertools
 import random
@@ -15,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from gaql import groebner
+from gaql.derivation import DEFAULT_DEGREE_CAP, DegreeExplosionError
 from gaql.groebner import reduce
 from gaql.poly import Polynomial, Ring, grevlex_key
 
@@ -56,6 +59,38 @@ def reference_str(p: Polynomial) -> str:
         else:
             chunks.append(body if c > 0 else "-" + body)
     return " ".join(chunks) or "0"
+
+
+def reference_apply(D, p: Polynomial, k: int = 1, degree_cap=DEFAULT_DEGREE_CAP) -> Polynomial:
+    """The k-th iterate of D on p by the Leibniz rule, sum_i D(x_i) * dp/dx_i,
+    one public product and one public sum per image, with the degree-cap
+    check after each iterate: the reference for `derivation.apply`."""
+    out = p
+    for _ in range(k):
+        step = D.ring.zero()
+        for i, img in enumerate(D.images):
+            if not img.is_zero:
+                step = step + img * out.partial_derivative(i)
+        out = step
+        if not out.is_zero and out.total_degree() > degree_cap:
+            raise DegreeExplosionError(out.total_degree(), degree_cap)
+    return out
+
+
+def reference_compose(p: Polynomial, images) -> Polynomial:
+    """p with images[i] substituted for variable i, term by term: each
+    term's Fraction coefficient times the public powers of the images,
+    added to the sum one term at a time: the reference for
+    `Polynomial.compose`."""
+    target = images[0].ring
+    total = target.zero()
+    for exps, c in p.terms():
+        term = target.const(c)
+        for img, e in zip(images, exps):
+            if e:
+                term = term * img**e
+        total = total + term
+    return total
 
 
 def rand_poly(rng: random.Random, ring: Ring, max_degree=3, max_terms=4,

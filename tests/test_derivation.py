@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import rand_poly
+from conftest import rand_poly, reference_apply
 from gaql.derivation import (
     Derivation,
     DegreeExplosionError,
@@ -108,6 +109,72 @@ def test_apply_degree_explosion_raises():
     squarer = Derivation(one_var, (x**2,))
     with pytest.raises(DegreeExplosionError):
         apply(squarer, x, 40, degree_cap=20)
+
+
+def _rand_derivation(rng, ring):
+    """Images that are zero, constant or random, with denominators."""
+    images = []
+    for _ in range(ring.arity):
+        kind = rng.random()
+        if kind < 0.2:
+            images.append(ring.zero())
+        elif kind < 0.4:
+            images.append(ring.const(rng.choice([1, -2, Fraction(3, 4)])))
+        else:
+            images.append(rand_poly(rng, ring, max_degree=3, max_terms=3))
+    return Derivation(ring, images)
+
+
+def test_apply_matches_the_leibniz_reference_random():
+    rng = random.Random(24)
+    seen = dict.fromkeys(("zero image", "constant image", "zero p", "k = 0", "denominator"), 0)
+    for _ in range(400):
+        ring = Ring(("x", "y", "z", "w")[: rng.randint(1, 4)])
+        D = _rand_derivation(rng, ring)
+        p = ring.zero() if rng.random() < 0.1 else rand_poly(rng, ring, max_degree=4, max_terms=5)
+        k = rng.randint(0, 3)
+        assert apply(D, p, k) == reference_apply(D, p, k), (D, p, k)
+        seen["zero image"] += any(img.is_zero for img in D.images)
+        seen["constant image"] += any(img.is_constant and not img.is_zero for img in D.images)
+        seen["zero p"] += p.is_zero
+        seen["k = 0"] += k == 0
+        seen["denominator"] += any(img.integer_form()[0] > 1 for img in D.images)
+    assert min(seen.values()) >= 20, seen
+
+
+def _first_explosion(fn, D, p, k, cap):
+    """(iterate, degree) of the first iterate of fn(D, p, .) past the cap,
+    or None when none of the first k is."""
+    for j in range(1, k + 1):
+        try:
+            fn(D, p, j, cap)
+        except DegreeExplosionError as err:
+            return j, err.degree
+    return None
+
+
+def test_degree_explosion_comes_at_the_reference_iterate_random():
+    rng = random.Random(25)
+    exploded = 0
+    for _ in range(150):
+        ring = Ring(("x", "y", "z")[: rng.randint(1, 3)])
+        D = _rand_derivation(rng, ring)
+        p = rand_poly(rng, ring, max_degree=3, max_terms=3)
+        cap = rng.randint(1, 6)
+        found = _first_explosion(apply, D, p, 4, cap)
+        assert found == _first_explosion(reference_apply, D, p, 4, cap), (D, p, cap)
+        exploded += found is not None
+    assert exploded >= 30
+
+
+def test_certify_is_inconclusive_under_a_low_degree_cap():
+    # locally nilpotent, but D^2(w) = 2*y^2*z already has degree 3
+    R = Ring(("x", "y", "z", "w"))
+    x, y, z, _ = R.gens()
+    D = Derivation(R, (R.zero(), x, y**2, z**2))
+    assert certify_locally_nilpotent(D).orders == (1, 2, 4, 8)
+    low = certify_locally_nilpotent(D, degree_cap=2)
+    assert low.status == "inconclusive" and low.orders is None
 
 
 def test_generator_nilpotency_extends_random():

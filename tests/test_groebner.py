@@ -407,6 +407,8 @@ def test_subalgebra_membership_round_trip_random():
         s_out = subalgebra_membership(g, fs)
         assert s_out is not None
         assert s_out.compose(fs) == g
+        # fs are algebraically independent, so the witness is unique
+        assert s_out == s_in
 
 
 def test_subalgebra_tag_collision_rejected():

@@ -16,6 +16,7 @@ from conftest import (
     rand_division_case,
     rand_nonzero_poly,
     rand_poly,
+    reference_compose,
 )
 from gaql.geometry import fiber_probe
 from gaql.groebner import GREVLEX, LEX, block_order, reduce
@@ -27,6 +28,7 @@ from gaql.poly import (
     MonomialOrder,
     RingMismatchError,
     _Overflow,
+    _ProductLayout,
     det,
     embed,
     grevlex_key,
@@ -257,6 +259,12 @@ def test_square_matches_the_rectangular_product_random():
         assert square == p * twin == twin * p
         assert list(square.terms()) == _oracle_product(p, p)
         assert p**2 == square
+        # the square path scales as the rectangular one does
+        layout = _ProductLayout(ring.arity, 2 * max(map(sum, p._num), default=0))
+        packed = layout.pack(p._num)
+        acc = {}
+        layout.add_product(acc, packed, packed, -3)
+        assert layout.unpack(ring, acc, p.integer_form()[0] ** 2) == -3 * square
 
 
 def test_square_cancellation_and_wide_exponents():
@@ -291,6 +299,41 @@ def test_compose_matches_evaluation_random():
         pt = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2)]
         composed = p.compose(images)
         assert composed.evaluate(pt) == p.evaluate([g.evaluate(pt) for g in images])
+
+
+def test_compose_matches_the_term_by_term_reference_random():
+    rng = random.Random(10)
+    seen = dict.fromkeys(("zero image", "constant image", "zero p", "constant p"), 0)
+    for _ in range(300):
+        source = Ring(("x", "y", "z", "w")[: rng.randint(1, 4)])
+        target = Ring(("a", "b", "c")[: rng.randint(1, 3)])
+        images = []
+        for _ in range(source.arity):
+            kind = rng.random()
+            if kind < 0.15:
+                images.append(target.zero())
+            elif kind < 0.3:
+                images.append(target.const(Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+            else:
+                images.append(rand_poly(rng, target, max_degree=3, max_terms=4))
+        kind = rng.random()
+        if kind < 0.1:
+            p = source.zero()
+        elif kind < 0.2:
+            p = source.const(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)))
+        else:
+            p = rand_poly(rng, source, max_degree=4, max_terms=5)
+        composed = p.compose(images)
+        assert composed.ring == target
+        assert composed == reference_compose(p, images), (p, images)
+        for _ in range(2):
+            pt = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(target.arity)]
+            assert composed.evaluate(pt) == p.evaluate([g.evaluate(pt) for g in images])
+        seen["zero image"] += any(g.is_zero for g in images)
+        seen["constant image"] += any(g.is_constant and not g.is_zero for g in images)
+        seen["zero p"] += p.is_zero
+        seen["constant p"] += p.is_constant and not p.is_zero
+    assert min(seen.values()) >= 20, seen
 
 
 def test_partial_derivative():

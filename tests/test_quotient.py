@@ -401,3 +401,14 @@ def test_monomials_upto_matches_the_recursive_walker():
         ring = Ring(names[:n])
         for degree in range(7):
             assert _monomials_upto(ring, degree) == _monomials_upto_walker(ring, degree), (n, degree)
+
+
+def test_monomials_upto_keeps_the_order_of_a_degree_then_reversed_tuple_key():
+    """One sort of every monomial by (degree, reversed exponents), the key
+    the per-degree sorts by reversed tuple replaced."""
+    names = ("a", "b", "c", "d", "e")
+    for n in range(1, 6):
+        ring = Ring(names[:n])
+        for degree in range(6):
+            monomials = _monomials_upto(ring, degree)
+            assert monomials == sorted(monomials, key=lambda e: (sum(e), e[::-1])), (n, degree)
