@@ -12,7 +12,6 @@ from .action import (
     act,
     deg_function,
     exponentiate,
-    is_invariant,
 )
 from .derivation import (
     DegreeExplosionError,
@@ -98,7 +97,6 @@ __all__ = [
     "find_local_slice",
     "fixed_locus",
     "groebner_basis",
-    "is_invariant",
     "jacobian_derivation",
     "kernel_check",
     "parse_polynomial",

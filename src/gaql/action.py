@@ -12,6 +12,8 @@ phi(s; phi(t; x)) = phi(s + t; x) (van den Essen, Polynomial Automorphisms,
 The check splits each component by powers of t from its stored integers and
 recomputes D of each coefficient, not reading the certificate's chains.
 `apply`, and `compose` under `act`, run on `poly`'s packed product kernel.
+A `GaAction` stores only its components and its certificate: the ring, the
+derivation and the parameter are read off them.
 """
 
 from __future__ import annotations
@@ -29,27 +31,34 @@ class UncertifiedDerivationError(ValueError):
 
 class GaAction(_Record):
     """The flow phi(t; x) = exp(tD)(x) of a certified derivation D, verified by
-    phi(0; x) = x and d(phi)/dt = D(phi), which imply the group law.  `ring`
-    holds the x-variables, and the components live over it extended by the
-    parameter."""
+    phi(0; x) = x and d(phi)/dt = D(phi), which imply the group law.  The
+    x-variables' `ring` is the certificate's; the components live over it
+    extended by the parameter, their ring's last variable."""
 
-    __slots__ = ("ring", "parameter", "components", "certificate")
+    __slots__ = ("components", "certificate")
 
-    def __init__(self, ring: Ring, parameter: str, components: tuple[Polynomial, ...],
-                 certificate: NilpotencyCertificate):
-        self._init(ring, parameter, components, certificate)
+    def __init__(self, components: tuple[Polynomial, ...], certificate: NilpotencyCertificate):
+        self._init(components, certificate)
 
     @property
     def derivation(self) -> Derivation:
         return self.certificate.derivation
 
     @property
+    def ring(self) -> Ring:
+        return self.derivation.ring
+
+    @property
     def extended_ring(self) -> Ring:
         return self.components[0].ring
 
     @property
+    def parameter(self) -> str:
+        return self.extended_ring.variables[-1]
+
+    @property
     def parameter_index(self) -> int:
-        return self.extended_ring.index(self.parameter)
+        return self.ring.arity
 
     def __str__(self):
         body = ", ".join(str(c) for c in self.components)
@@ -82,12 +91,7 @@ def exponentiate(
             t_k = (0,) * ring.arity + (k,)
             comp = comp + embed(deriv, ext).mul_monomial(t_k, Fraction(1, math.factorial(k)))
         components.append(comp)
-    action = GaAction(
-        ring=ring,
-        parameter=pname,
-        components=tuple(components),
-        certificate=cert,
-    )
+    action = GaAction(tuple(components), cert)
     _verify_flow(action)
     return action
 
@@ -118,21 +122,13 @@ def act(action: GaAction, p: Polynomial) -> Polynomial:
     return p.compose(list(action.components))
 
 
-def is_invariant(action: GaAction, p: Polynomial) -> bool:
-    """True iff p is unchanged along the flow.
-
-    Exact with one pullback: exponentiate verified phi(0; x) = x (with
-    d(phi)/dt = D(phi), which makes phi the flow exp(tD)), so p(phi(t; x))
-    at t = 0 is p, and p(phi(t; x)) equals p exactly when it has no t, that
-    is when its t-degree is 0 (or NEG_INF, for p = 0).
-    """
-    return deg_function(action, p) <= 0
-
-
 def deg_function(action: GaAction, p: Polynomial):
     """Degree in the flow parameter of p(phi(t; x)).
 
     Zero for nonzero invariants, positive otherwise, NEG_INF for p = 0.
+    Exact with one pullback: exponentiate verified phi(0; x) = x (with
+    d(phi)/dt = D(phi), which makes phi the flow exp(tD)), so p(phi(t; x))
+    at t = 0 is p, and p(phi(t; x)) equals p exactly when it has no t.
     """
     moved = act(action, p)
     if moved.is_zero:

@@ -292,7 +292,7 @@ def _cmd_act(state, poly, action=None, derivation=None, bound=None):
 
 def _cmd_invariant(state, poly, action=None, derivation=None, bound=None):
     flow = _flow(state, action, derivation, bound)
-    deg = deg_function(flow, poly)  # invariant iff deg <= 0, as in action.is_invariant
+    deg = deg_function(flow, poly)  # invariant iff deg <= 0 (see deg_function)
     return {"invariant": deg <= 0, "t_degree": None if deg == NEG_INF else int(deg)}
 
 

@@ -9,6 +9,7 @@ chains do not terminate within the bound the result is inconclusive.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import lcm
 
 from . import groebner
@@ -54,63 +55,74 @@ class Derivation(_Record):
         return f"Derivation({pairs})"
 
 
+def _iterates(D: Derivation, p: Polynomial, degree_cap):
+    """D(p), D^2(p), .. up to and including the first zero; an iterate past
+    degree_cap raises DegreeExplosionError.  The images, their denominators'
+    lcm and the degree growth are read once; each iterate packs once
+    (`poly._ProductLayout`), adds every image times a partial derivative read
+    off the packed terms into one accumulator over that lcm, and unpacks once."""
+    ring = D.ring
+    images = [(i, img) for i, img in enumerate(D.images) if img._num]
+    den = lcm(*[img._den for _, img in images])
+    # an iterate's degree grows by less than the largest image degree
+    growth = max([img.total_degree() for _, img in images], default=0)
+    while not p.is_zero:
+        layout = _ProductLayout(ring.arity, p.total_degree() + growth)
+        packed = layout.pack(p._num)
+        acc: dict[int, int] = {}
+        for i, img in images:
+            part = layout.partial(packed, i)
+            if part:
+                layout.add_product(acc, part, layout.pack(img._num), den // img._den)
+        p = layout.unpack(ring, acc, p._den * den)
+        if not p.is_zero and p.total_degree() > degree_cap:
+            raise DegreeExplosionError(p.total_degree(), degree_cap)
+        yield p
+
+
 def apply(
     D: Derivation,
     p: Polynomial,
     k: int = 1,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> Polynomial:
-    """k-th iterate of the Leibniz extension of D on p.
-
-    Each iterate packs once (`poly._ProductLayout`), reads its partial
-    derivatives off the packed terms, adds every image times one of them
-    into one accumulator over the lcm of the images' denominators, and
-    unpacks once; an iterate past degree_cap raises DegreeExplosionError."""
+    """k-th iterate of the Leibniz extension of D on p, taken from
+    `_iterates`; an iterate past degree_cap raises DegreeExplosionError."""
     if p.ring != D.ring:
         raise RingMismatchError("polynomial over a different ring")
     if k < 0:
         raise ValueError("iteration count must be nonnegative")
-    ring = D.ring
-    images = [(i, img) for i, img in enumerate(D.images) if img._num]
-    den = lcm(*[img._den for _, img in images])
-    # an iterate's degree grows by less than the largest image degree
-    growth = max([img.total_degree() for _, img in images], default=0)
-    out = p
-    for _ in range(k):
-        if out.is_zero:
-            break
-        layout = _ProductLayout(ring.arity, out.total_degree() + growth)
-        packed = layout.pack(out._num)
-        acc: dict[int, int] = {}
-        for i, img in images:
-            part = layout.partial(packed, i)
-            if part:
-                layout.add_product(acc, part, layout.pack(img._num), den // img._den)
-        out = layout.unpack(ring, acc, out._den * den)
-        if not out.is_zero and out.total_degree() > degree_cap:
-            raise DegreeExplosionError(out.total_degree(), degree_cap)
-    return out
+    # past the first zero every iterate is zero, the last one taken
+    for p in islice(_iterates(D, p, degree_cap), k):
+        pass
+    return p
 
 
 class NilpotencyCertificate(_Record):
-    """Outcome of bounded nilpotency certification: status "certified" or
-    "inconclusive".
+    """Bounded nilpotency certification of `derivation`, stored as its
+    witness: chains[i] holds D(x_i), D^2(x_i), .. up to the first zero,
+    within `bound` steps and short of an iterate past the degree cap.  It is
+    "certified" when it has a chain per variable, each nonempty and ending
+    in zero; orders[i], the length of chains[i], is then the least n with
+    D^n(x_i) = 0.  Otherwise it is "inconclusive" and orders is None."""
 
-    chains[i] holds D(x_i), D^2(x_i), .. ; for a certified result each chain
-    ends with the zero polynomial and orders[i] is its length, so that
-    D^(orders[i]) kills x_i while D^(orders[i] - 1) does not; orders is None
-    for an inconclusive result.
-    """
+    __slots__ = ("derivation", "bound", "chains")
 
-    __slots__ = ("derivation", "status", "bound", "orders", "chains")
-
-    def __init__(self, derivation: Derivation, status: str, bound: int,
-                 orders: tuple[int, ...] | None, chains: tuple[tuple[Polynomial, ...], ...]):
-        self._init(derivation, status, bound, orders, chains)
+    def __init__(self, derivation: Derivation, bound: int, chains: tuple[tuple[Polynomial, ...], ...]):
+        self._init(derivation, bound, chains)
 
     @property
     def certified(self) -> bool:
-        return self.status == "certified"
+        chains = self.chains
+        return len(chains) == self.derivation.ring.arity and all(c and c[-1].is_zero for c in chains)
+
+    @property
+    def status(self) -> str:
+        return "certified" if self.certified else "inconclusive"
+
+    @property
+    def orders(self) -> tuple[int, ...] | None:
+        return tuple(map(len, self.chains)) if self.certified else None
 
 
 def certify_locally_nilpotent(
@@ -126,34 +138,15 @@ def certify_locally_nilpotent(
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    chains: list[tuple[Polynomial, ...]] = []
-    orders: list[int] = []
-    certified = True
-    for i in range(D.ring.arity):
+    chains = []
+    for x in D.ring.gens():
         chain: list[Polynomial] = []
-        current = D.ring.var(i)
-        found = False
-        for step in range(1, bound + 1):
-            try:
-                current = apply(D, current, 1, degree_cap)
-            except DegreeExplosionError:
-                certified = False
-                break
-            chain.append(current)
-            if current.is_zero:
-                orders.append(step)
-                found = True
-                break
+        try:
+            chain.extend(islice(_iterates(D, x, degree_cap), bound))
+        except DegreeExplosionError:
+            pass  # the chain stops short of zero: inconclusive
         chains.append(tuple(chain))
-        if not found:
-            certified = False
-    return NilpotencyCertificate(
-        derivation=D,
-        status="certified" if certified else "inconclusive",
-        bound=bound,
-        orders=tuple(orders) if certified else None,
-        chains=tuple(chains),
-    )
+    return NilpotencyCertificate(D, bound, tuple(chains))
 
 
 def kernel_check(D: Derivation, p: Polynomial) -> bool:
@@ -162,21 +155,25 @@ def kernel_check(D: Derivation, p: Polynomial) -> bool:
 
 
 class FixedLocus(_Record):
-    __slots__ = ("generators", "dimension", "is_fixed_point_free")
+    """The zeros of a derivation's images `generators`, with its witness,
+    the images' reduced Groebner basis, off which dimension and freedom
+    from fixed points are read."""
 
-    def __init__(self, generators: tuple[Polynomial, ...], dimension: int, is_fixed_point_free: bool):
-        self._init(generators, dimension, is_fixed_point_free)
+    __slots__ = ("generators", "witness")
+
+    def __init__(self, generators: tuple[Polynomial, ...], witness: groebner.GroebnerBasis):
+        self._init(generators, witness)
+
+    @property
+    def dimension(self) -> int:
+        return self.witness.dimension
+
+    @property
+    def is_fixed_point_free(self) -> bool:
+        """Whether the images generate the unit ideal."""
+        return self.witness.is_unit
 
 
 def fixed_locus(D: Derivation) -> FixedLocus:
-    """The vanishing locus of the vector field (D(x_1), .., D(x_n)).
-
-    The derivation has no fixed points exactly when the images generate the
-    unit ideal.
-    """
-    dim = groebner.groebner_basis(D.images).dimension
-    return FixedLocus(
-        generators=D.images,
-        dimension=dim,
-        is_fixed_point_free=dim == -1,
-    )
+    """The vanishing locus of the vector field (D(x_1), .., D(x_n))."""
+    return FixedLocus(D.images, groebner.groebner_basis(D.images))

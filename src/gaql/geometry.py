@@ -51,13 +51,27 @@ class FiberReport(_Record):
 
 
 class SingularityReport(_Record):
-    """Rank-drop locus of the Jacobian: where all maximal minors vanish."""
+    """Rank-drop locus of the Jacobian, where all maximal `minors` vanish,
+    with its witness `basis`, their reduced Groebner basis, off which the
+    dimension and codimension are read: an empty locus has dimension -1 and
+    codimension n + 1, so codimension >= 2 holds vacuously."""
 
-    __slots__ = ("minors", "basis", "dimension", "codimension", "nonsingular_in_codim_1")
+    __slots__ = ("minors", "basis")
 
-    def __init__(self, minors: tuple[Polynomial, ...], basis: GroebnerBasis, dimension: int,
-                 codimension: int, nonsingular_in_codim_1: bool):
-        self._init(minors, basis, dimension, codimension, nonsingular_in_codim_1)
+    def __init__(self, minors: tuple[Polynomial, ...], basis: GroebnerBasis):
+        self._init(minors, basis)
+
+    @property
+    def dimension(self) -> int:
+        return self.basis.dimension
+
+    @property
+    def codimension(self) -> int:
+        return self.basis.ring.arity - self.dimension
+
+    @property
+    def nonsingular_in_codim_1(self) -> bool:
+        return self.codimension >= 2
 
 
 class GridSpec(_Record):
@@ -125,23 +139,10 @@ def fiber_probe(F: PolyMap, point: Sequence, order: MonomialOrder = GREVLEX) -> 
 
 
 def singular_locus(F: PolyMap, order: MonomialOrder = GREVLEX) -> SingularityReport:
-    """Ideal of all maximal minors of the Jacobian matrix, with dimension
-    and codimension.
-
-    An empty locus has dimension -1, so its codimension is n + 1 and
-    codimension >= 2 holds vacuously.
-    """
+    """The ideal of all maximal minors of F's Jacobian matrix, with its
+    reduced basis in `order`."""
     minors = F.maximal_minors()
-    gb = groebner_basis(minors, order)
-    dim = gb.dimension
-    codim = F.ring.arity - dim
-    return SingularityReport(
-        minors=minors,
-        basis=gb,
-        dimension=dim,
-        codimension=codim,
-        nonsingular_in_codim_1=codim >= 2,
-    )
+    return SingularityReport(minors, groebner_basis(minors, order))
 
 
 def complement_scan(

@@ -515,5 +515,4 @@ def subalgebra_membership(
     nf = reduce(embed(g, big), gb.basis, order)
     if any(i < n for i in nf.support_variables()):
         return None
-    # the support check keeps the projected monomials distinct
-    return Polynomial._from_integers(Ring(names), {e[n:]: c for e, c in nf._num.items()}, nf._den)
+    return embed(nf, Ring(names))

@@ -841,14 +841,20 @@ _set_den = Polynomial._den.__set__
 
 
 def embed(p: Polynomial, ring: Ring) -> Polynomial:
-    """Reinterpret p in a ring holding all its variables (a larger ring, or
-    the same variables in another order), matching variables by name."""
-    positions = [ring.index(name) for name in p.ring.variables]
+    """Reinterpret p in a ring holding every variable that occurs in p (a
+    larger ring, the same variables in another order, or one lacking
+    variables that p does not use), matching variables by name."""
+    names = ring.variables
+    positions = [names.index(name) if name in names else None for name in p.ring.variables]
+    for i in p.support_variables() if None in positions else ():
+        if positions[i] is None:  # a variable of p that ring lacks
+            ring.index(p.ring.variables[i])  # raises KeyError
     out: dict[Exponents, int] = {}
     for exps, c in p._num.items():
         big = [0] * ring.arity
         for pos, e in zip(positions, exps):
-            big[pos] = e
+            if e:
+                big[pos] = e
         out[tuple(big)] = c
     return Polynomial._from_integers(ring, out, p._den)
 

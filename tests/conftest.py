@@ -8,7 +8,8 @@ elimination at rational points.  `jacobian_rows` builds the Jacobian
 matrix whose determinant the tests take, by `det` or by `cofactor_det`.
 `reference_str` is the printer oracle, on Fractions and `grevlex_key`.
 `reference_apply` and `reference_compose` are the oracles for the packed
-`derivation.apply` and `Polynomial.compose`, built from public operations."""
+`derivation.apply` and `Polynomial.compose`, built from public operations.
+`is_invariant` is the invariance oracle on a flow's t-degree."""
 
 import itertools
 import random
@@ -17,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from gaql import groebner
+from gaql.action import deg_function
 from gaql.derivation import DEFAULT_DEGREE_CAP, DegreeExplosionError
 from gaql.groebner import reduce
 from gaql.poly import Polynomial, Ring, grevlex_key
@@ -75,6 +77,12 @@ def reference_apply(D, p: Polynomial, k: int = 1, degree_cap=DEFAULT_DEGREE_CAP)
         if not out.is_zero and out.total_degree() > degree_cap:
             raise DegreeExplosionError(out.total_degree(), degree_cap)
     return out
+
+
+def is_invariant(action, p: Polynomial) -> bool:
+    """True iff p is unchanged along the flow, that is iff `deg_function`
+    reads 0 (or NEG_INF, for p = 0)."""
+    return deg_function(action, p) <= 0
 
 
 def reference_compose(p: Polynomial, images) -> Polynomial:

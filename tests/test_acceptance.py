@@ -8,8 +8,8 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import jacobian_rows, rand_poly
-from gaql.action import deg_function, exponentiate, is_invariant
+from conftest import is_invariant, jacobian_rows, rand_poly
+from gaql.action import deg_function, exponentiate
 from gaql.derivation import Derivation, apply, certify_locally_nilpotent, fixed_locus
 from gaql.exprs import parse_polynomial
 from gaql.geometry import GridSpec, complement_scan, fiber_probe, singular_locus

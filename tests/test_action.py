@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_poly
+from conftest import is_invariant, rand_poly
 from gaql.action import (
     GaAction,
     UncertifiedDerivationError,
@@ -12,7 +12,6 @@ from gaql.action import (
     act,
     deg_function,
     exponentiate,
-    is_invariant,
 )
 from gaql.derivation import (
     DEFAULT_DEGREE_CAP,
@@ -80,6 +79,13 @@ def test_exponentiate_rejects_uncertified():
     cert = certify_locally_nilpotent(euler, 10)
     with pytest.raises(UncertifiedDerivationError):
         exponentiate(euler, cert)
+    # a hand-built certificate whose last chain stops short of zero
+    D = Derivation(R3, (R3.zero(), R3.var(0), R3.var(1)))
+    chains = certify_locally_nilpotent(D).chains
+    cut = NilpotencyCertificate(D, 64, chains[:2] + (chains[2][:-1],))
+    assert cut.status == "inconclusive" and cut.orders is None
+    with pytest.raises(UncertifiedDerivationError):
+        exponentiate(D, cut)
 
 
 def test_certificate_must_match_derivation():
@@ -95,6 +101,10 @@ def test_parameter_name_avoids_ring_variables():
     A = exp_of(D)
     assert A.parameter == "t_"
     assert A.extended_ring.variables == ("t", "s", "t_")
+    # the record stores components and certificate; the rest is read off them
+    assert A._fields == ("components", "certificate")
+    assert A.ring == ring and A.parameter_index == 2 and A.derivation == D
+    assert exponentiate(D, A.certificate, parameter="s").parameter == "s_"
 
 
 def test_act(shift, rotor):
@@ -204,7 +214,7 @@ def test_mutated_flow_fails_the_check_and_the_oracle(component):
     a, b, c, _ = BASIC4.gens()
     A = exp_of(Derivation(BASIC4, (BASIC4.zero(), a, b, c)))
     assert A.components[3] == _basic4_last_component([Fraction(1, math.factorial(k)) for k in range(4)])
-    mutated = GaAction(A.ring, A.parameter, A.components[:3] + (component,), A.certificate)
+    mutated = GaAction(A.components[:3] + (component,), A.certificate)
     with pytest.raises(RuntimeError):
         _verify_flow(mutated)
     assert not (_identity_at_zero_holds(mutated) and _group_law_holds(mutated))
@@ -216,7 +226,7 @@ def test_exponentiate_rejects_a_certificate_with_a_wrong_chain():
     cert = certify_locally_nilpotent(D)
     chains = cert.chains[:3] + ((c, 2 * b, a, BASIC4.zero()),)
     with pytest.raises(RuntimeError):
-        exponentiate(D, NilpotencyCertificate(cert.derivation, cert.status, cert.bound, cert.orders, chains))
+        exponentiate(D, NilpotencyCertificate(cert.derivation, cert.bound, chains))
 
 
 def test_exponentiate_accepts_a_certificate_issued_under_a_higher_degree_cap():

@@ -7,6 +7,7 @@ from conftest import rand_poly, reference_apply
 from gaql.derivation import (
     Derivation,
     DegreeExplosionError,
+    NilpotencyCertificate,
     apply,
     certify_locally_nilpotent,
     fixed_locus,
@@ -101,6 +102,46 @@ def test_certify_degree_explosion_is_inconclusive():
     squarer = Derivation(one_var, (x**2,))
     cert = certify_locally_nilpotent(squarer, bound=64, degree_cap=16)
     assert cert.status == "inconclusive"
+
+
+def test_certify_degree_explosion_at_step_one_leaves_an_empty_chain():
+    one_var = Ring(("x",))
+    x = one_var.var(0)
+    squarer = Derivation(one_var, (x**2,))
+    cert = certify_locally_nilpotent(squarer, bound=5, degree_cap=1)
+    assert cert.chains == ((),)
+    assert cert.status == "inconclusive" and not cert.certified and cert.orders is None
+    assert NilpotencyCertificate(squarer, 5, ((),)) == cert
+
+
+def test_certificate_reads_its_verdict_off_the_chains():
+    """A certificate stores its chains only; status, certified and orders
+    follow them, also on a hand-built certificate."""
+    cert = certify_locally_nilpotent(D_TRIANGLE)
+    assert cert._fields == ("derivation", "bound", "chains")
+    assert cert.chains == ((R3.zero(),), (X, R3.zero()), (Y, X, R3.zero()))
+    assert cert.status == "certified" and cert.orders == (1, 2, 3)
+    cut = NilpotencyCertificate(D_TRIANGLE, 64, cert.chains[:2] + ((Y, X),))
+    assert cut.status == "inconclusive" and not cut.certified and cut.orders is None
+    # a chain per variable: a missing one is no certificate
+    for chains in ((), cert.chains[:2]):
+        assert NilpotencyCertificate(D_TRIANGLE, 64, chains).status == "inconclusive"
+    # every chain is D's iterates on its variable, up to the first zero
+    for x, chain in zip(R3.gens(), cert.chains):
+        assert chain == tuple(apply(D_TRIANGLE, x, k) for k in range(1, len(chain) + 1))
+
+
+def test_apply_checks_its_arguments_before_iterating():
+    for k in (0, 1, 3):
+        with pytest.raises(RingMismatchError):
+            apply(D_TRIANGLE, X4, k)
+    with pytest.raises(ValueError):
+        apply(D_TRIANGLE, Z, -1)
+
+
+def test_apply_past_the_first_zero_is_zero():
+    assert apply(D_TRIANGLE, Z, 30).is_zero
+    assert apply(D_TRIANGLE, R3.zero(), 2).is_zero
 
 
 def test_apply_degree_explosion_raises():
@@ -217,6 +258,9 @@ def test_fixed_locus():
     tri = fixed_locus(D_TRIANGLE)
     assert not tri.is_fixed_point_free
     assert tri.dimension == 1
+    # the record stores its witness, and reads its verdicts off it
+    assert tri._fields == ("generators", "witness")
+    assert tri.witness == groebner_basis(D_TRIANGLE.images)
 
 
 def test_fixed_locus_zero_derivation():

@@ -159,6 +159,11 @@ def test_singular_locus_projection_is_empty():
     assert report.dimension == -1
     assert report.codimension == 4
     assert report.nonsingular_in_codim_1
+    # the record stores its witness; an empty locus has codimension n + 1
+    assert report._fields == ("minors", "basis") and report.basis.is_unit
+    for n in (2, 4):
+        ring = Ring(tuple(f"x{i}" for i in range(n)))
+        assert singular_locus(PolyMap(ring, ring.gens()[:-1])).codimension == n + 1
 
 
 def test_singular_locus_rank_drop_on_hypersurface():

@@ -584,6 +584,27 @@ def test_embed_by_name():
     q = embed(X * Y + 1, big)
     assert q.ring == big
     assert q == big.var(1) * big.var(2) + 1
+    # into a ring lacking a variable that does not occur
+    wide = Ring(("x", "y", "t_"))
+    x, y, t = wide.gens()
+    narrow = Ring(("y", "x"))
+    q = embed(x * y + 1, narrow)
+    assert q.ring == narrow and q == narrow.var(0) * narrow.var(1) + 1
+    assert embed(wide.const(Fraction(3, 2)), Ring(("a",))) == Fraction(3, 2)
+    with pytest.raises(KeyError, match="t_"):
+        embed(x * t + 1, narrow)
+
+
+def test_embed_projects_onto_the_trailing_variables_like_a_slice():
+    """The projection subalgebra_membership makes of a normal form in the
+    tag variables alone equals slicing off the leading exponents."""
+    rng = random.Random(41)
+    big = Ring(("x", "y", "t1", "t2"))
+    tags = Ring(("t1", "t2"))
+    for _ in range(20):
+        nf = embed(rand_poly(rng, tags), big)
+        sliced = Polynomial(tags, {e[2:]: c for e, c in nf.terms()})
+        assert embed(nf, tags) == sliced
 
 
 def test_polymap_validation_and_helpers():

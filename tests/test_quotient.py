@@ -4,8 +4,8 @@ from math import lcm
 
 import pytest
 
-from conftest import cofactor_det, jacobian_rows, rand_poly
-from gaql.action import exponentiate, is_invariant
+from conftest import cofactor_det, is_invariant, jacobian_rows, rand_poly
+from gaql.action import exponentiate
 from gaql.derivation import Derivation, apply, certify_locally_nilpotent
 from gaql.poly import PolyMap, Ring, grevlex_key
 from gaql.quotient import (
