@@ -65,12 +65,9 @@ class GaAction(_Record):
         return f"({body})"
 
 
-def exponentiate(
-    D: Derivation,
-    cert: NilpotencyCertificate,
-    parameter: str = "t",
-) -> GaAction:
-    """Integrate a certified derivation into a polynomial flow."""
+def exponentiate(D: Derivation, cert: NilpotencyCertificate) -> GaAction:
+    """Integrate a certified derivation into a polynomial flow, whose
+    parameter is `t`, renamed by `fresh_names` if the ring has a `t`."""
     if not cert.certified:
         raise UncertifiedDerivationError(
             f"nilpotency is not certified (inconclusive at bound {cert.bound})"
@@ -80,7 +77,7 @@ def exponentiate(
             "certificate was issued for a different derivation"
         )
     ring = D.ring
-    (pname,) = fresh_names((parameter,), ring.variables)
+    (pname,) = fresh_names(("t",), ring.variables)
     ext = ring.extended((pname,))
     components = []
     for i in range(ring.arity):

@@ -13,15 +13,14 @@ its subcommand flags, its task-line checks and its call.  Handlers return
 library values, and one JSON encoder writes them all in canonical form.
 
 Exit codes: 0 all commands ok, 1 at least one command failed, 2 usage or
-parse error.  GAQL_DEFAULT_BOUND overrides the default nilpotency bound; it
-is read and checked once, when a task loads.
+parse error.  A nilpotency bound comes from the line's `bound` or the
+`--bound` flag, else `derivation.DEFAULT_BOUND`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -34,14 +33,12 @@ from .exprs import PolyParseError, parse_polynomial
 from .geometry import GridSpec, complement_scan, fiber_probe, singular_locus
 from .groebner import GREVLEX, LEX, subalgebra_membership
 from .poly import NEG_INF, PolyMap, Polynomial, Ring, RingMismatchError, _exact, check_decimal_exponent
-from .quotient import DEFAULT_POWER_BOUND, DEFAULT_SLICE_DEGREE_BOUND, LocalSlice, find_local_slice
+from .quotient import DEFAULT_POWER_BOUND, DEFAULT_SLICE_DEGREE_BOUND, find_local_slice
 from .quotient import jacobian_derivation, slice_coefficient_as_P, verify_localization_identity
 
 EXIT_OK = 0
 EXIT_COMMAND_ERROR = 1
 EXIT_USAGE = 2
-
-BOUND_ENV_VAR = "GAQL_DEFAULT_BOUND"
 
 
 class TaskLoadError(Exception):
@@ -54,30 +51,14 @@ class TaskLoadError(Exception):
 
 
 class TaskState:
-    """The ring, per declaration kind a table of names (kind + "s"), and the
-    nilpotency bound of steps that give none (a given bound is at least 1)."""
+    """The ring, and per declaration kind a table of names (kind + "s")."""
 
-    def __init__(self, default_bound: int = DEFAULT_BOUND):
+    def __init__(self):
         self.ring: Ring | None = None
         self.polys: dict = {}
         self.maps: dict = {}
         self.derivations: dict = {}
         self.actions: dict = {}  # name -> GaAction, None until built
-        self.default_bound = default_bound
-
-
-def _default_bound() -> int:
-    """GAQL_DEFAULT_BOUND if set, else DEFAULT_BOUND; read when a task loads."""
-    raw = os.environ.get(BOUND_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BOUND
-    try:
-        value = int(raw)
-    except ValueError:
-        raise TaskLoadError(f"{BOUND_ENV_VAR} must be an integer, got {raw!r}")
-    if value < 1:
-        raise TaskLoadError(f"{BOUND_ENV_VAR} must be at least 1, got {value}")
-    return value
 
 
 def _split_csv(text: str) -> list[str]:
@@ -247,10 +228,10 @@ _PARAMS = {
 # Command handlers take the state and the resolved parameters; they return the payload.
 
 
-def _flow(state, action=None, derivation=None, bound=None) -> GaAction:
+def _flow(state, action=None, derivation=None, bound=DEFAULT_BOUND) -> GaAction:
     """A declared action, or the flow of a derivation."""
     if action is None:
-        cert = certify_locally_nilpotent(derivation, bound or state.default_bound)
+        cert = certify_locally_nilpotent(derivation, bound)
         return exponentiate(derivation, cert)
     flow = state.actions[action]
     if flow is None:  # its declaration's step failed
@@ -258,7 +239,7 @@ def _flow(state, action=None, derivation=None, bound=None) -> GaAction:
     return flow
 
 
-def _declare_action(state, name, derivation, bound=None):
+def _declare_action(state, name, derivation, bound=DEFAULT_BOUND):
     state.actions[name] = _flow(state, derivation=derivation, bound=bound)
 
 
@@ -274,23 +255,23 @@ def _cmd_apply(state, derivation, poly, k=1):
     return {"result": apply(derivation, poly, k)}
 
 
-def _cmd_nilpotency(state, derivation, bound=None):
-    cert = certify_locally_nilpotent(derivation, bound or state.default_bound)
+def _cmd_nilpotency(state, derivation, bound=DEFAULT_BOUND):
+    cert = certify_locally_nilpotent(derivation, bound)
     return {"status": cert.status, "bound": cert.bound, "orders": cert.orders, "chains": cert.chains}
 
 
-def _cmd_exp(state, derivation, bound=None):
+def _cmd_exp(state, derivation, bound=DEFAULT_BOUND):
     flow = _flow(state, derivation=derivation, bound=bound)
     return {"parameter": flow.parameter, "components": flow.components,
             "orders": flow.certificate.orders}
 
 
-def _cmd_act(state, poly, action=None, derivation=None, bound=None):
+def _cmd_act(state, poly, action=None, derivation=None, bound=DEFAULT_BOUND):
     flow = _flow(state, action, derivation, bound)
     return {"result": act(flow, poly), "parameter": flow.parameter}
 
 
-def _cmd_invariant(state, poly, action=None, derivation=None, bound=None):
+def _cmd_invariant(state, poly, action=None, derivation=None, bound=DEFAULT_BOUND):
     flow = _flow(state, action, derivation, bound)
     deg = deg_function(flow, poly)  # invariant iff deg <= 0 (see deg_function)
     return {"invariant": deg <= 0, "t_degree": None if deg == NEG_INF else int(deg)}
@@ -320,7 +301,7 @@ def _cmd_localization(state, derivation, map, poly, degree_bound=DEFAULT_SLICE_D
     payload = {"found": True, "f": slc.f, "c": slc.c, "P": P, "k": None, "T": None}
     if P is None:
         return payload
-    out = verify_localization_identity(derivation, LocalSlice(slc.f, slc.c, P), map, poly, power_bound)
+    out = verify_localization_identity(slc, map, poly, power_bound)
     if out is not None:
         payload["k"], payload["T"] = out
         payload["tags"] = payload["T"].ring.variables
@@ -499,9 +480,10 @@ def load_task(objects) -> tuple[TaskState, list]:
     and the handler's parameters resolved here, once: declared names to
     objects (action names stay names; actions are built when their step
     runs), polynomials parsed, orders to `MonomialOrder`, rationals to
-    `Fraction`.  GAQL_DEFAULT_BOUND is read here, once, into the state.
+    `Fraction`.  The lines are all a task reads: a step that gives no
+    `bound` takes its handler's default, `derivation.DEFAULT_BOUND`.
     """
-    state = TaskState(default_bound=_default_bound())
+    state = TaskState()
     steps = []
     for line_no, obj in objects:
         try:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .groebner import GREVLEX, GroebnerBasis, MonomialOrder, _groebner, groebner_basis
-from .poly import PolyMap, Polynomial, _Record, _exact, _set
+from .poly import PolyMap, Polynomial, _Record, _exact
 
 Point = tuple[Fraction, ...]
 
@@ -36,8 +36,7 @@ class FiberReport(_Record):
     __slots__ = ("point", "witness")
 
     def __init__(self, point: Point, witness: GroebnerBasis):
-        _set(self, "point", point)
-        _set(self, "witness", witness)
+        self._init(point, witness)
 
     @property
     def empty(self) -> bool:

@@ -52,9 +52,9 @@ shares.  Otherwise lex Buchberger runs from the grevlex basis instead of
 the generators; the two generate the same ideal, whose reduced basis is
 unique.
 
-Built on top: ideal membership (`GroebnerBasis.contains`), the unit-ideal
-test (`GroebnerBasis.is_unit`), elimination via block orders, combinatorial
-Krull dimension, and subalgebra membership via tag variables.
+Built on top: the unit-ideal test (`GroebnerBasis.is_unit`), elimination
+via block orders, combinatorial Krull dimension, and subalgebra membership
+via tag variables.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ from .poly import (  # the orders are re-exported from here
     _Record,
     _packed,
     _reduce_packed,
-    _set,
     embed,
 )
 
@@ -157,9 +156,7 @@ class GroebnerBasis(_Record):
     __slots__ = ("order", "ring", "basis")
 
     def __init__(self, order: MonomialOrder, ring: Ring | None, basis: tuple[Polynomial, ...]):
-        _set(self, "order", order)
-        _set(self, "ring", ring)
-        _set(self, "basis", basis)
+        self._init(order, ring, basis)
 
     @property
     def is_unit(self) -> bool:
@@ -190,9 +187,6 @@ class GroebnerBasis(_Record):
                 if all(map(and_, supports, repeat(rest))):
                     return size
         return 0
-
-    def contains(self, p: Polynomial) -> bool:
-        return reduce(p, self.basis, self.order).is_zero
 
 
 def buchberger_criterion_holds(gb: GroebnerBasis) -> bool:

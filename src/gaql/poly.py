@@ -348,7 +348,8 @@ class _Record:
     A record lists its fields in `__slots__`, after those of the record it
     extends; a record that also keeps a derived value or a cache in a slot
     lists its fields alone in `_fields`.  Each record's `__init__` checks
-    its arguments and writes the fields, through `_init` or `_set`."""
+    its arguments and writes the fields through `_init`; a derived value or
+    a cache in a slot of its own is written through `_set`."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -498,7 +499,7 @@ class Ring(_Record):
         for name in variables:
             if not _NAME_RE.match(name):
                 raise ValueError(f"invalid variable name: {name!r}")
-        _set(self, "variables", variables)
+        self._init(variables)
 
     @property
     def arity(self) -> int:
@@ -530,9 +531,6 @@ class Ring(_Record):
 
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.var(i) for i in range(self.arity))
-
-    def from_terms(self, terms: Mapping[Sequence[int], object]) -> "Polynomial":
-        return Polynomial(self, terms)
 
     def extended(self, extra: Sequence[str]) -> "Ring":
         return Ring(self.variables + tuple(extra))
@@ -986,24 +984,15 @@ class PolyMap(_Record):
     def arity(self) -> int:
         return len(self.components)
 
-    @property
-    def target_ring(self) -> Ring:
-        return Ring(self.target_names)
-
-    def require_hypersurface_count(self):
-        """Check m = n - 1, the shape quotient-map operations need."""
+    def maximal_minors(self) -> tuple[Polynomial, ...]:
+        """The n maximal minors of the (n - 1) x n Jacobian matrix; minor j
+        drops column j.  Needs m = n - 1 components."""
         n = self.ring.arity
         if len(self.components) != n - 1:
             raise ValueError(
                 f"expected {n - 1} components over a {n}-variable ring, "
                 f"got {len(self.components)}"
             )
-
-    def maximal_minors(self) -> tuple[Polynomial, ...]:
-        """The n maximal minors of the (n - 1) x n Jacobian matrix; minor j
-        drops column j."""
-        self.require_hypersurface_count()
-        n = self.ring.arity
         jac = [[f.partial_derivative(j) for j in range(n)] for f in self.components]
         return tuple(det([row[:j] + row[j + 1 :] for row in jac]) for j in range(n))
 

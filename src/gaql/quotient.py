@@ -49,14 +49,14 @@ def jacobian_derivation(F: PolyMap) -> Derivation:
 class LocalSlice(_Record):
     """A polynomial f with D(f) = c nonzero and D(c) = 0.
 
-    P, when known, expresses c in the components of the quotient map:
-    c = P(f_1, .., f_m).
+    A slice depends on D alone.  P with c = P(f_1, .., f_m) depends on a
+    map as well, and `slice_coefficient_as_P` finds it.
     """
 
-    __slots__ = ("f", "c", "P")
+    __slots__ = ("f", "c")
 
-    def __init__(self, f: Polynomial, c: Polynomial, P: Polynomial | None = None):
-        self._init(f, c, P)
+    def __init__(self, f: Polynomial, c: Polynomial):
+        self._init(f, c)
 
 
 def _monomials_upto(ring: Ring, degree: int):
@@ -143,7 +143,6 @@ def slice_coefficient_as_P(
 
 
 def verify_localization_identity(
-    D: Derivation,
     slc: LocalSlice,
     F: PolyMap,
     R: Polynomial,
@@ -154,9 +153,9 @@ def verify_localization_identity(
     The witness T lives over the tag ring whose first variable stands for the
     slice polynomial f and whose remaining variables are F's target names, so
     c^k R = T(f, f_1, .., f_m) exactly.  None if no k up to the bound works.
+    The search reads only f, c and F: T is exact whether or not c is known
+    to lie in Q[f_1, .., f_m].
     """
-    if slc.P is None:
-        raise ValueError("slice coefficient must first be expressed in the map")
     if power_bound < 0:
         raise ValueError("power bound must be nonnegative")
     (slice_tag,) = fresh_names(("s",), F.target_names + F.ring.variables)

@@ -9,7 +9,8 @@ matrix whose determinant the tests take, by `det` or by `cofactor_det`.
 `reference_str` is the printer oracle, on Fractions and `grevlex_key`.
 `reference_apply` and `reference_compose` are the oracles for the packed
 `derivation.apply` and `Polynomial.compose`, built from public operations.
-`is_invariant` is the invariance oracle on a flow's t-degree."""
+`is_invariant` is the invariance oracle on a flow's t-degree, and
+`ideal_contains` the ideal-membership oracle on a reduced basis."""
 
 import itertools
 import random
@@ -83,6 +84,12 @@ def is_invariant(action, p: Polynomial) -> bool:
     """True iff p is unchanged along the flow, that is iff `deg_function`
     reads 0 (or NEG_INF, for p = 0)."""
     return deg_function(action, p) <= 0
+
+
+def ideal_contains(gb, p: Polynomial) -> bool:
+    """True iff p lies in the ideal of the Groebner basis gb, that is iff p
+    reduces to zero by it."""
+    return reduce(p, gb.basis, gb.order).is_zero
 
 
 def reference_compose(p: Polynomial, images) -> Polynomial:

@@ -20,7 +20,6 @@ from gaql.groebner import (
 )
 from gaql.poly import PolyMap, Ring, det
 from gaql.quotient import (
-    LocalSlice,
     find_local_slice,
     jacobian_derivation,
     slice_coefficient_as_P,
@@ -125,9 +124,9 @@ def test_criterion_3_surjectivity_probe_and_localization():
         assert slc.c == X
 
         P = slice_coefficient_as_P(D, slc, F)
-        assert P == F.target_ring.var(0)
+        assert P == Ring(F.target_names).var(0)
 
-        out = verify_localization_identity(D, LocalSlice(slc.f, slc.c, P), F, Z)
+        out = verify_localization_identity(slc, F, Z)
         assert out is not None
         k, T = out
         assert k == 1

@@ -104,7 +104,6 @@ def test_parameter_name_avoids_ring_variables():
     # the record stores components and certificate; the rest is read off them
     assert A._fields == ("components", "certificate")
     assert A.ring == ring and A.parameter_index == 2 and A.derivation == D
-    assert exponentiate(D, A.certificate, parameter="s").parameter == "s_"
 
 
 def test_act(shift, rotor):

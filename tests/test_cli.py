@@ -59,6 +59,11 @@ def test_nilpotency_subcommand(capsys):
     assert payload["status"] == "certified"
     assert payload["orders"] == [2, 1, 1]
     assert payload["bound"] == 64
+    # x, y, z die after 1, 2, 3 steps: order 3 is past the line's bound 2
+    code, records, _ = run_cli(
+        capsys, ["nilpotency", "--ring", "x,y,z", "--derivation", "0,x,y", "--bound", "2"]
+    )
+    assert (records[0]["payload"]["status"], records[0]["payload"]["bound"]) == ("inconclusive", 2)
 
 
 def test_exp_subcommand(capsys):
@@ -530,56 +535,13 @@ def test_determinism_excluding_timing(tmp_path, capsys):
     assert strip_timing(records1) == strip_timing(records2)
 
 
-def test_bound_env_override(capsys, monkeypatch):
+def test_exp_reads_no_environment(capsys, monkeypatch):
+    # a variable that once set the default bound leaves the record as it is
     monkeypatch.setenv("GAQL_DEFAULT_BOUND", "2")
-    # order 3 nilpotency cannot be certified at bound 2
-    code, records, _ = run_cli(
-        capsys, ["nilpotency", "--ring", "x,y,z", "--derivation", "0,x,y"]
-    )
+    code, records, _ = run_cli(capsys, ["exp", "--ring", "x,y,z", "--derivation", "0,x,y"])
     assert code == 0
-    assert records[0]["payload"]["status"] == "inconclusive"
-    assert records[0]["payload"]["bound"] == 2
-
-    monkeypatch.setenv("GAQL_DEFAULT_BOUND", "8")
-    code, records, _ = run_cli(
-        capsys, ["nilpotency", "--ring", "x,y,z", "--derivation", "0,x,y"]
-    )
-    assert records[0]["payload"]["status"] == "certified"
-
-    monkeypatch.setenv("GAQL_DEFAULT_BOUND", "zebra")
-    code, _, err = run_cli(
-        capsys, ["nilpotency", "--ring", "x,y,z", "--derivation", "0,x,y"]
-    )
-    assert code == 2
-    assert "GAQL_DEFAULT_BOUND" in err
-
-
-NILPOTENCY_TASK = "\n".join(
-    json.dumps(o)
-    for o in (
-        {"ring": ["x", "y", "z"]},
-        {"derivation": {"name": "D", "images": ["0", "x", "y"]}},
-        {"command": {"cmd": "nilpotency", "derivation": "D"}},
-    )
-)
-
-
-@pytest.mark.parametrize("raw", ["zebra", "0"])
-def test_bad_bound_env_is_a_load_error(monkeypatch, raw):
-    # the benchmark and embedders call load_task and run_steps without main
-    monkeypatch.setenv("GAQL_DEFAULT_BOUND", raw)
-    with pytest.raises(cli.TaskLoadError, match="GAQL_DEFAULT_BOUND"):
-        cli.load_task(cli.parse_task_text(NILPOTENCY_TASK))
-
-
-def test_bound_env_is_read_when_the_task_loads(monkeypatch):
-    monkeypatch.setenv("GAQL_DEFAULT_BOUND", "2")
-    state, steps = cli.load_task(cli.parse_task_text(NILPOTENCY_TASK))
-    monkeypatch.setenv("GAQL_DEFAULT_BOUND", "8")
-    out = io.StringIO()
-    assert cli.run_steps(state, steps, out) == 0
-    payload = json.loads(out.getvalue())["payload"]
-    assert (payload["status"], payload["bound"]) == ("inconclusive", 2)
+    assert records[0]["status"] == "ok"
+    assert records[0]["payload"]["orders"] == [1, 2, 3]
 
 
 def test_a_parsed_task_loads_twice_alike():

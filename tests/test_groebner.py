@@ -12,6 +12,7 @@ from conftest import (
     _criterion_free_basis,
     _scaling_interreduce,
     _scaling_s_polynomial,
+    ideal_contains,
     leading_term,
     rand_division_case,
     rand_nonzero_poly,
@@ -240,9 +241,9 @@ def test_groebner_fiber_of_nonsurjective_map():
 
 
 def test_membership():
-    assert groebner_basis([X, X + Y]).contains(Y)
-    assert groebner_basis([X4, Y4, X4 * U4 + Y4 * V4 - 1]).contains(R4.one())
-    assert not groebner_basis([X4, Y4, X4 * U4 + Y4 * V4]).contains(R4.one())
+    assert ideal_contains(groebner_basis([X, X + Y]), Y)
+    assert ideal_contains(groebner_basis([X4, Y4, X4 * U4 + Y4 * V4 - 1]), R4.one())
+    assert not ideal_contains(groebner_basis([X4, Y4, X4 * U4 + Y4 * V4]), R4.one())
     assert not groebner_basis([]).is_unit
 
 
@@ -256,7 +257,7 @@ def test_membership_soundness_random():
         p = R3.zero()
         for g in gens:
             p = p + rand_poly(rng, R3, max_degree=1, max_terms=2) * g
-        assert groebner_basis(gens).contains(p)
+        assert ideal_contains(groebner_basis(gens), p)
 
 
 def test_eliminate_examples():
@@ -279,7 +280,7 @@ def test_eliminate_random_properties():
             continue
         drop = {rng.randrange(3)}
         for p in eliminate(gens, drop):
-            assert groebner_basis(gens).contains(p)
+            assert ideal_contains(groebner_basis(gens), p)
             assert not (p.support_variables() & drop)
 
 
@@ -301,7 +302,7 @@ def test_dimension_unit_iff_membership_of_one_random():
         gens = [g for g in gens if not g.is_zero]
         if not gens:
             continue
-        assert (groebner_basis(gens).dimension == -1) == groebner_basis(gens).contains(R2.one())
+        assert (groebner_basis(gens).dimension == -1) == ideal_contains(groebner_basis(gens), R2.one())
 
 
 def test_dimension_is_the_same_in_every_order_random():
@@ -436,7 +437,7 @@ def test_buchberger_criterion_on_assorted_ideals():
             gb = groebner_basis(gens, order)
             assert buchberger_criterion_holds(gb)
             for g in gens:
-                assert gb.contains(g)
+                assert ideal_contains(gb, g)
 
 
 RA = Ring(("a", "b", "c", "d"))

@@ -7,9 +7,8 @@ import pytest
 from conftest import cofactor_det, is_invariant, jacobian_rows, rand_poly
 from gaql.action import exponentiate
 from gaql.derivation import Derivation, apply, certify_locally_nilpotent
-from gaql.poly import PolyMap, Ring, grevlex_key
+from gaql.poly import PolyMap, Polynomial, Ring, grevlex_key
 from gaql.quotient import (
-    LocalSlice,
     _monomials_upto,
     find_local_slice,
     jacobian_derivation,
@@ -157,7 +156,7 @@ def _dense_slice_scan(D, degree_bound):
     be monic and then to integers with content 1."""
     ring = D.ring
     candidates = _monomials_upto(ring, degree_bound)
-    images = [apply(D, ring.from_terms({e: 1}), 2) for e in candidates]
+    images = [apply(D, Polynomial(ring, {e: 1}), 2) for e in candidates]
     row_of = {}
     for q in images:
         for e, _ in q.terms():
@@ -167,7 +166,7 @@ def _dense_slice_scan(D, degree_bound):
         for e, c in q.terms():
             rows[row_of[e]][col] = c
     for vec in _fraction_rref_nullspace(rows, len(candidates)):
-        f = ring.from_terms({e: v for e, v in zip(candidates, vec) if v})
+        f = Polynomial(ring, {e: v for e, v in zip(candidates, vec) if v})
         if not apply(D, f).is_zero:
             f = f * (1 / next(f.terms())[1])
             return f * lcm(*(c.denominator for _, c in f.terms()))
@@ -182,7 +181,7 @@ def _random_triangular(rng, ring):
     images = [ring.zero()]
     for i in range(1, ring.arity):
         p = rand_poly(rng, ring, max_degree=2, max_terms=3, coeff_bound=2)
-        images.append(ring.from_terms({e: c for e, c in p.terms() if not any(e[i:])}))
+        images.append(Polynomial(ring, {e: c for e, c in p.terms() if not any(e[i:])}))
     gens = ring.gens()
     for _ in range(2):
         k, l = rng.sample(range(ring.arity), 2)
@@ -270,7 +269,7 @@ def test_slice_coefficient_as_P_triangle():
     D = Derivation(R3, (R3.zero(), X, Y))
     slc = find_local_slice(D, 1)
     P = slice_coefficient_as_P(D, slc, F_PARABOLIC)
-    target = F_PARABOLIC.target_ring
+    target = Ring(F_PARABOLIC.target_names)
     assert P == target.var(0)
     assert P.compose(list(F_PARABOLIC.components)) == slc.c
 
@@ -279,7 +278,7 @@ def test_slice_coefficient_as_P_rotor():
     D = Derivation(R4, (R4.zero(), R4.zero(), Y4, -X4))
     slc = find_local_slice(D, 1)
     P = slice_coefficient_as_P(D, slc, F_BILINEAR)
-    assert P == F_BILINEAR.target_ring.var(1)
+    assert P == Ring(F_BILINEAR.target_names).var(1)
 
 
 def test_slice_coefficient_as_P_constant():
@@ -287,7 +286,7 @@ def test_slice_coefficient_as_P_constant():
     slc = find_local_slice(D, 1)
     F = PolyMap(R3, (Y, Z))
     P = slice_coefficient_as_P(D, slc, F)
-    assert P == F.target_ring.one()
+    assert P == Ring(F.target_names).one()
 
 
 def test_slice_coefficient_requires_invariance():
@@ -298,14 +297,10 @@ def test_slice_coefficient_requires_invariance():
         slice_coefficient_as_P(D, slc, bad_map)
 
 
-def attach_P(D, slc, F):
-    return LocalSlice(slc.f, slc.c, slice_coefficient_as_P(D, slc, F))
-
-
 def test_localization_identity_triangle():
     D = Derivation(R3, (R3.zero(), X, Y))
-    slc = attach_P(D, find_local_slice(D, 1), F_PARABOLIC)
-    out = verify_localization_identity(D, slc, F_PARABOLIC, Z)
+    slc = find_local_slice(D, 1)
+    out = verify_localization_identity(slc, F_PARABOLIC, Z)
     assert out is not None
     k, T = out
     assert k == 1
@@ -321,8 +316,8 @@ def test_localization_identity_triangle():
 
 def test_localization_identity_rotor():
     D = Derivation(R4, (R4.zero(), R4.zero(), Y4, -X4))
-    slc = attach_P(D, find_local_slice(D, 1), F_BILINEAR)
-    out = verify_localization_identity(D, slc, F_BILINEAR, V4)
+    slc = find_local_slice(D, 1)
+    out = verify_localization_identity(slc, F_BILINEAR, V4)
     assert out is not None
     k, T = out
     assert k == 1
@@ -334,8 +329,8 @@ def test_localization_identity_rotor():
 
 def test_localization_identity_component_is_free():
     D = Derivation(R3, (R3.zero(), X, Y))
-    slc = attach_P(D, find_local_slice(D, 1), F_PARABOLIC)
-    out = verify_localization_identity(D, slc, F_PARABOLIC, F_PARABOLIC.components[0])
+    slc = find_local_slice(D, 1)
+    out = verify_localization_identity(slc, F_PARABOLIC, F_PARABOLIC.components[0])
     assert out is not None
     k, T = out
     assert k == 0
@@ -347,8 +342,8 @@ def test_localization_identity_slice_tag_avoids_ring_variables():
     x, y, s = ring.gens()
     D = Derivation(ring, (ring.zero(), x, y))
     F = PolyMap(ring, (x, 2 * x * s - y**2))
-    slc = attach_P(D, find_local_slice(D, 1), F)
-    k, T = verify_localization_identity(D, slc, F, s)
+    slc = find_local_slice(D, 1)
+    k, T = verify_localization_identity(slc, F, s)
     assert k == 1
     assert T.ring.variables == ("s_", "t1", "t2")
     s_, _, t2 = T.ring.gens()
@@ -356,20 +351,26 @@ def test_localization_identity_slice_tag_avoids_ring_variables():
     assert T.compose([slc.f, *F.components]) == slc.c * s
 
 
-def test_localization_identity_requires_P():
+def test_localization_identity_needs_no_P():
+    """The identity reads f, c and the map alone: its witness is exact
+    where c = x is not a polynomial in x^2 and 2xz - y^2, so that no P
+    exists."""
     D = Derivation(R3, (R3.zero(), X, Y))
+    F = PolyMap(R3, (X**2, 2 * X * Z - Y**2))
     slc = find_local_slice(D, 1)
-    with pytest.raises(ValueError):
-        verify_localization_identity(D, slc, F_PARABOLIC, Z)
+    assert slice_coefficient_as_P(D, slc, F) is None
+    k, T = verify_localization_identity(slc, F, Z)
+    assert k == 1
+    assert T.compose([slc.f, *F.components]) == slc.c * Z
 
 
 def test_localization_identity_random_round_trip():
     rng = random.Random(42)
     D = Derivation(R3, (R3.zero(), X, Y))
-    slc = attach_P(D, find_local_slice(D, 1), F_PARABOLIC)
+    slc = find_local_slice(D, 1)
     for _ in range(10):
         R = rand_poly(rng, R3, max_degree=3, max_terms=3)
-        out = verify_localization_identity(D, slc, F_PARABOLIC, R, power_bound=8)
+        out = verify_localization_identity(slc, F_PARABOLIC, R, power_bound=8)
         assert out is not None  # localization at c covers the whole ring
         k, T = out
         assert T.compose([slc.f, *F_PARABOLIC.components]) == slc.c**k * R

@@ -139,8 +139,8 @@ def test_defaults():
     assert MonomialOrder("grevlex") == GREVLEX and GREVLEX.front_size is None
     assert PolyMap(_ring(), (x, y)).target_names == ("t1", "t2")
     assert PolyMap(_ring(), (x, y), ()) == PolyMap(_ring(), (x, y))
-    assert LocalSlice(f=y, c=x).P is None
-    assert LocalSlice(y, x) == LocalSlice(y, x, None)
+    assert LocalSlice(f=y, c=x)._fields == ("f", "c")
+    assert LocalSlice(y, x) == LocalSlice(f=y, c=x)
 
 
 def test_caches_are_not_fields():
