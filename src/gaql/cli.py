@@ -551,8 +551,9 @@ def _record_value(value):
 
 
 # One encoder for every record: json.dumps with these keywords would build
-# a new one per call.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_record_value)
+# a new one per call.  A record is a tree that its handler builds afresh, so
+# the encoder skips its check for cycles.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_record_value, check_circular=False)
 
 _CHUNK_DIGITS = 1000
 _CHUNK = 10**_CHUNK_DIGITS

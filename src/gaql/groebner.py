@@ -19,7 +19,9 @@ packed monic head (lm, a, tail, top) from the moment it enters: the monic
 form x^lm + tail/a with an integer tail.  S-polynomials are built from the
 heads, each remainder of `poly._reduce_packed`, a generator's or an
 S-polynomial's, becomes a head directly, and interreduction runs packed,
-dividing only the elements that a tail monomial shows to be unreduced.
+dividing only the elements that a tail monomial shows to be unreduced; a
+head's tail is scanned for such a monomial only when a leading monomial
+divides its `top`, which every divisor of a tail monomial does.
 The Gebauer-Moeller criteria run on packed ints too: a pair's lcm is the
 fieldwise maximum of the exponent fields of its two leading monomials
 (`_Layout.fieldwise_max`, the helper that also gives a head's `top`),
@@ -54,12 +56,16 @@ unique.
 
 Built on top: the unit-ideal test (`GroebnerBasis.is_unit`), elimination
 via block orders, combinatorial Krull dimension, and subalgebra membership
-via tag variables.
+via tag variables.  Every leading monomial of an output polynomial, for
+the dimension or for the FGLM test, is read by the order's
+`leading_monomial` (with C keys under lex and grevlex, see `poly`), and
+the dimension's subset walk is kept per arity and set of supports in a
+bounded memo (`_combinatorial_dimension`), since many bases share them.
 """
 
 from __future__ import annotations
 
-from functools import cache, reduce as _fold
+from functools import cache, lru_cache, reduce as _fold
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, compress, repeat
 from math import gcd, lcm
@@ -144,9 +150,23 @@ def _s_remainder(f, g, plcm: int, divisors, guard: int) -> dict[int, int]:
 @cache
 def _subset_masks(n: int, size: int) -> tuple[int, ...]:
     """The bitmasks of the subsets of `size` of n variables, variable i at
-    bit i.  `GroebnerBasis.dimension` asks for a table only when its search
+    bit i.  `_combinatorial_dimension` asks for a table only when its search
     reaches that size, so a table is never larger than the search's walk."""
     return tuple(map(sum, combinations([1 << i for i in range(n)], size)))
+
+
+@lru_cache(maxsize=256)
+def _combinatorial_dimension(n: int, supports: frozenset[int]) -> int:
+    """The size of the largest subset of n variables that contains none of
+    the support bitmasks `supports`, searched from the largest size down.
+    Many bases share their leading monomials' supports, so the walk is kept
+    per arity and support set, for a bounded number of them."""
+    for size in range(n, 0, -1):
+        # a subset holds no support iff every support meets its complement
+        for rest in _subset_masks(n, n - size):
+            if all(map(and_, supports, repeat(rest))):
+                return size
+    return 0
 
 
 class GroebnerBasis(_Record):
@@ -167,26 +187,22 @@ class GroebnerBasis(_Record):
         """Krull dimension of R/I; -1 for the unit ideal.
 
         Read off the leading monomials (combinatorial dimension): the largest
-        variable subset containing no leading monomial's support, searched
-        from the largest size down.  This holds for every monomial order
+        variable subset containing no leading monomial's support
+        (`_combinatorial_dimension`).  This holds for every monomial order
         (Greuel-Pfister, A Singular Introduction to Commutative Algebra,
-        Cor. 5.3.14).
+        Cor. 5.3.14).  Each leading monomial is read by the order's
+        `leading_monomial`, with C keys under lex and grevlex.
         """
         if self.is_unit:
             return -1
         if self.ring is None:
             raise ValueError("an ideal with no generators has no ring")
         n = self.ring.arity
-        key = self.order.key
+        leading = self.order.leading_monomial
         # each leading monomial's support as a bitmask, variable i at bit i
         bits = _subset_masks(n, 1)
-        supports = [sum(compress(bits, max(p._num, key=key))) for p in self.basis]
-        for size in range(n, 0, -1):
-            # a subset holds no support iff every support meets its complement
-            for rest in _subset_masks(n, n - size):
-                if all(map(and_, supports, repeat(rest))):
-                    return size
-        return 0
+        supports = frozenset([sum(compress(bits, leading(p._num))) for p in self.basis])
+        return _combinatorial_dimension(n, supports)
 
 
 def buchberger_criterion_holds(gb: GroebnerBasis) -> bool:
@@ -209,7 +225,10 @@ def _interreduce(heads, layout, ring: Ring) -> tuple[Polynomial, ...]:
     """Reduce each of the packed monic heads of nonzero polynomials by the
     others: for a minimal Groebner basis, the unique reduced basis.  The
     heads must be minimal, no leading monomial dividing another's, as
-    `_buchberger`'s live elements are."""
+    `_buchberger`'s live elements are.  A head's tail is scanned for a
+    monomial that some leading monomial divides only when one divides its
+    `top`: top is the fieldwise maximum of the tail's packed monomials, so
+    a divisor of a tail monomial divides top in every field."""
     guard, unpack = layout.guard, layout.unpack
     minimal = sorted(heads, key=itemgetter(0))
     lms = [head[0] for head in minimal]
@@ -220,8 +239,8 @@ def _interreduce(heads, layout, ring: Ring) -> tuple[Polynomial, ...]:
     # are its head's, over a.  The leading monomials stay distinct and
     # ascending, and reversed they descend.
     out = []
-    for i, (lm, a, tail, _) in enumerate(minimal):
-        if any(not (e - m) & guard for e, _ in tail for m in lms):
+    for i, (lm, a, tail, top) in enumerate(minimal):
+        if any(not (top - m) & guard for m in lms) and any(not (e - m) & guard for e, _ in tail for m in lms):
             r, den = _reduce_packed({lm: a, **dict(tail)}, a, minimal[:i] + minimal[i + 1 :], guard)
             num = {unpack(e): c for e, c in r.items()}
         else:
@@ -396,7 +415,7 @@ def _lex_basis(ring: Ring, order: MonomialOrder, generators) -> tuple[Polynomial
     basis, used = _packed(GREVLEX, ring.arity, grevlex)
     if not basis or basis[0].is_constant:  # the zero or the unit ideal
         return basis
-    lms = [max(p._num, key=GREVLEX.key) for p in basis]
+    lms = [GREVLEX.leading_monomial(p._num) for p in basis]
     # x_i^d is the leading monomial whose degree d is one of its exponents
     if set(used) <= {lm.index(sum(lm)) for lm in lms if sum(lm) in lm}:
         return _packed(GREVLEX, ring.arity, lambda layout: _fglm(basis, used, layout))

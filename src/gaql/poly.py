@@ -65,9 +65,11 @@ only in their constant terms.  `det` divides nothing.
 
 All operations are pure, and the ring and stored form of a value never
 change after construction: `Polynomial` has the slots `ring`, `_num` and
-`_den` and nothing else.  A leading monomial is read off `_num` under the
-order's key where it is needed, and the kernels build the packed monic
-form of `_Layout.head` on entry.  `__setattr__` refuses every write;
+`_den` and nothing else.  A leading monomial is read off `_num` where it
+is needed by the order's `leading_monomial`: `max` itself under lex and
+`_grevlex_leading` under grevlex, both with C keys, and `max` under the
+order's Python key only for a block order.  The kernels build the packed
+monic form of `_Layout.head` on entry.  `__setattr__` refuses every write;
 construction writes through the slots' own setters (`_set_ring`,
 `_set_num`, `_set_den`).
 
@@ -153,6 +155,12 @@ def grevlex_key(exponents: Sequence[int]):
 
 
 _REVERSED = itemgetter(slice(None, None, -1))
+
+
+def _grevlex_leading(monomials: Iterable[Exponents]) -> Exponents:
+    """The grevlex-largest exponent tuple, with C keys: of the largest
+    degree, the first in `_grevlex_sorted`'s first sort."""
+    return max(sorted(monomials, key=_REVERSED), key=sum)
 
 
 def _grevlex_sorted(monomials: Iterable[Exponents]) -> list[Exponents]:
@@ -268,13 +276,21 @@ class _Layout:
         and tail the other (monomial, int) pairs, in no particular order,
         whose gcd is coprime to a; and top the fieldwise maximum of the
         tail's monomials (0 for no tail), so that a shift s keeps every
-        shifted tail monomial in range iff top + s sets no guard bit."""
+        shifted tail monomial in range iff top + s sets no guard bit.
+        Nothing is divided when the content is 1 under a positive lead, and
+        a one-term tail's top is its monomial, with no fieldwise maximum
+        taken."""
         lm = max(h)
         lead = h[lm]
         # dividing by the content signed like the lead leaves a = lead/g > 0
         g = gcd(*h.values()) if lead > 0 else -gcd(*h.values())
-        tail = [(e, c // g) for e, c in h.items() if e != lm]
-        return lm, lead // g, tail, reduce(self.fieldwise_max, [e for e, _ in tail], 0)
+        if g == 1:
+            tail = [(e, c) for e, c in h.items() if e != lm]
+        else:
+            tail = [(e, c // g) for e, c in h.items() if e != lm]
+            lead //= g
+        top = reduce(self.fieldwise_max, [e for e, _ in tail]) if tail else 0
+        return lm, lead, tail, top
 
 
 class _ProductLayout:
@@ -399,11 +415,14 @@ class MonomialOrder(_Record):
     The block order compares the first `front_size` exponents (grevlex)
     before the rest (grevlex), so it eliminates the front variables.
     `key` is its sort key, chosen once: a bigger key means a bigger monomial.
+    `leading_monomial`, also chosen once, returns the largest of an
+    iterable of exponent tuples, with C keys under lex and grevlex (see the
+    module docstring).
     The order's packed layouts (see the module docstring) are built once per
     arity and width, on first use; neither is a field.
     """
 
-    __slots__ = ("kind", "front_size", "key", "_layouts")
+    __slots__ = ("kind", "front_size", "key", "leading_monomial", "_layouts")
     _fields = ("kind", "front_size")
 
     def __init__(self, kind: str, front_size: int | None = None):
@@ -416,12 +435,16 @@ class MonomialOrder(_Record):
             if k is None or k < 1:
                 raise ValueError("block order needs front_size >= 1")
             key = partial(_block_key, k)
+            leading = partial(max, key=key)
         elif front_size is not None:
             raise ValueError(f"{kind} order takes no front_size")
+        elif kind == "grevlex":
+            key, leading = grevlex_key, _grevlex_leading
         else:
-            key = grevlex_key if kind == "grevlex" else tuple
+            key, leading = tuple, max
         self._init(kind, front_size)
         _set(self, "key", key)
+        _set(self, "leading_monomial", leading)
         _set(self, "_layouts", {})
 
     def _layout(self, arity: int, width: int) -> _Layout:

@@ -21,13 +21,13 @@ from math import gcd
 from .derivation import Derivation, apply, kernel_check
 from .groebner import _echelon_add, subalgebra_membership
 from .poly import (
+    GREVLEX,
     PolyMap,
     Polynomial,
     Ring,
     _REVERSED,
     _Record,
     fresh_names,
-    grevlex_key,
 )
 
 DEFAULT_SLICE_DEGREE_BOUND = 3
@@ -82,7 +82,7 @@ def _integral_normalize(p: Polynomial) -> Polynomial:
     grevlex-leading coefficient: p divided by its content signed like that
     coefficient."""
     num = p._num
-    g = gcd(*num.values()) if num[max(num, key=grevlex_key)] > 0 else -gcd(*num.values())
+    g = gcd(*num.values()) if num[GREVLEX.leading_monomial(num)] > 0 else -gcd(*num.values())
     return Polynomial._from_integers(p.ring, {e: c // g for e, c in num.items()}, 1)
 
 

@@ -66,6 +66,27 @@ def test_order_key_is_chosen_once():
     assert repr(GREVLEX) == "MonomialOrder(kind='grevlex', front_size=None)"
 
 
+def test_leading_monomial_matches_the_order_key_random():
+    """An order's `leading_monomial`, with C keys under lex and grevlex, is
+    the exponent tuple of `leading_term`, which maximizes the order's key:
+    on one-term, constant and random polynomials, for lex, grevlex and
+    every block(1..n-1)."""
+    assert LEX.leading_monomial is max
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        ring = Ring(("x", "y", "z", "u", "v")[:n])
+        p = rand_nonzero_poly(rng, ring, max_degree=4, max_terms=rng.choice([1, 1, 2, 6, 12]))
+        if rng.random() < 0.1:
+            p = ring.const(rng.randint(-9, 9) or 1)
+        seen.add(min(p.num_terms(), 2) - p.is_constant)
+        for order in [LEX, GREVLEX] + [block_order(k) for k in range(1, n)]:
+            assert order.leading_monomial(p._num) == leading_term(p, order)[0], (p, order)
+    # constants, other one-term polynomials and longer ones all ran
+    assert seen == {0, 1, 2}
+
+
 @pytest.mark.parametrize("order", [LEX, GREVLEX, block_order(2)], ids=str)
 def test_order_copies_and_pickles(order):
     rng = random.Random(31)
@@ -182,6 +203,29 @@ def test_interreduce_matches_scaling_by_the_leading_coefficient_random(order, mo
     assert 0 < len(divisions) < elements
 
 
+def test_interreduce_scans_the_tail_when_a_leading_monomial_divides_top(monkeypatch):
+    """x*y divides top = x^2*y^2, the fieldwise maximum of the tail x^2,
+    y^2 of x^3 + x^2 + y^2, but neither tail monomial: the scan of the tail
+    runs, finds nothing to divide, and the elements are kept as they are."""
+    polys = [X2**3 + X2**2 + Y2**2, 3 * X2 * Y2]
+    orders = [GREVLEX, LEX, block_order(1)]
+    wants = [_scaling_interreduce(polys, order) for order in orders]
+    divisions = []
+    monkeypatch.setattr(groebner, "_reduce_packed", lambda *args: divisions.append(args))
+
+    def run(layout):
+        heads = list(map(layout.head_of, polys))
+        (_, _, _, top), (xy, *_) = heads
+        assert not (top - xy) & layout.guard
+        return _interreduce(heads, layout, R2)
+
+    for order, want in zip(orders, wants):
+        got = _packed(order, 2, run)
+        assert got == want
+        assert [list(p.terms()) for p in got] == [list(p.terms()) for p in want]
+    assert not divisions
+
+
 @pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)], ids=str)
 def test_buchberger_hands_interreduce_a_minimal_set_random(order, monkeypatch):
     """`_interreduce` keeps every head it is given, so the live elements that
@@ -293,6 +337,21 @@ def test_dimension():
     assert groebner_basis([R3.one()]).dimension == -1
     with pytest.raises(ValueError):
         groebner_basis([]).dimension
+
+
+def test_dimension_memo_keys_on_the_arity():
+    """(x) has the support mask 1 in every ring, and dimension 1 in Q[x, y]
+    but 2 in Q[x, y, z]; the memo of the subset walk holds a bounded number
+    of support sets."""
+    assert groebner_basis([X2]).dimension == 1
+    assert groebner_basis([X]).dimension == 2
+    assert groebner_basis([X2]).dimension == 1
+    memo = groebner._combinatorial_dimension
+    maxsize = memo.cache_info().maxsize
+    assert maxsize is not None
+    for k in range(maxsize + 10):
+        memo(40, frozenset([k + 1]))
+    assert memo.cache_info().currsize == maxsize
 
 
 def test_dimension_unit_iff_membership_of_one_random():

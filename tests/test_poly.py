@@ -18,6 +18,7 @@ from conftest import (
     rand_poly,
     reference_compose,
 )
+from gaql.exprs import parse_polynomial
 from gaql.geometry import fiber_probe
 from gaql.groebner import GREVLEX, LEX, block_order, reduce
 from gaql.poly import (
@@ -714,6 +715,39 @@ def test_head_is_an_integer_monic_form_random():
             assert top == sum(max((e >> s & 0xFFFF for e, _ in tail), default=0) << s for s in fields)
             monic = Polynomial(R4, {want_lm: 1, **{layout.unpack(e): Fraction(t, a) for e, t in tail}})
             assert monic * lc == p
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)], ids=str)
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x*y + 2*x + 3*u",  # content 1
+        "6*x*y - 4*x + 10*u - 2",  # content 2
+        "-6*x*y + 4*x - 10",  # content 2 under a negative lead
+        "-x*y + 2*u",  # content 1 under a negative lead
+        "-4*x^2*y",  # no tail
+        "3*x^2*y",
+        "9*x*v - 6*u^2",  # a one-term tail, content 3
+        "-x*v + u^2",  # a one-term tail, content 1 under a negative lead
+    ],
+)
+def test_head_edge_cases(order, text):
+    """`_Layout.head` divides only by a content other than 1 and reads top
+    off a one-term tail directly; in each case a is positive, the tail is
+    the rest of p over the content signed like the lead, and top is the
+    fieldwise maximum of the tail's packed monomials."""
+    p = parse_polynomial(text, R4)
+    layout = order._layout(4, 8)
+    h = layout.pack_all(p._num)
+    lm, a, tail, top = layout.head(dict(h))
+    want_lm, lc, _ = _head_oracle(p, order.key)
+    assert lm == max(h) and layout.unpack(lm) == want_lm
+    g = gcd(*h.values()) * (1 if h[lm] > 0 else -1)
+    assert a == h[lm] // g > 0
+    assert sorted(tail) == sorted((e, c // g) for e, c in h.items() if e != lm)
+    assert all(type(c) is int for _, c in tail)
+    fields = range(0, layout.guard.bit_length(), 8)
+    assert top == sum(max((e >> s & 0xFF for e, _ in tail), default=0) << s for s in fields)
 
 
 def test_grevlex_key_matches_the_generator_formula_random():
