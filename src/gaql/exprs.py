@@ -9,16 +9,22 @@
 Multiplication is always explicit ("x*y"; "xy" is a single identifier) and
 '/' occurs only inside rational literals.  `str` of a `Polynomial` is its
 canonical form, terms in descending grevlex order with explicit '*' and
-'^', which the parser round-trips exactly.  The parser recurses once per
-level of parentheses, so it refuses nesting deeper than MAX_NESTING with a
-positioned error before the interpreter's recursion limit is reached.
+'^', which the parser round-trips exactly.  One compiled pattern scans the
+whole source into `(kind, text, offset)` tokens before parsing starts, so
+an unexpected character anywhere wins over an earlier syntax error.  An
+error's line and column are computed from its offset when it is raised.
+The parser recurses once per level of parentheses, so it refuses nesting
+deeper than MAX_NESTING with a positioned error before the interpreter's
+recursion limit is reached.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
-from .poly import Polynomial, Ring, _Record
+from .poly import Polynomial, Ring
 
 
 class PolyParseError(ValueError):
@@ -30,90 +36,60 @@ class PolyParseError(ValueError):
         self.col = col
 
 
-class _Token(_Record):
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        # kind: "number" | "name" | one of "+-*^/()" | "end"
-        self._init(kind, text, line, col)
-
-
 MAX_NESTING = 100
 
-_DIGITS = "0123456789"  # str.isdigit also accepts superscripts and other scripts' digits
+# \s is exactly str.isspace and \w exactly str.isalnum or '_'; a number is
+# [0-9]+, since \d and str.isdigit also take other scripts' digits
+_TOKEN = re.compile(
+    r"\s*(?:(?P<number>[0-9]+)|(?P<name>\w+)|(?P<op>[-+*^/()])|(?P<end>\Z)|(?P<bad>.))", re.S
+)
 
 
-def _tokenize(src: str) -> list[_Token]:
+def _error(src: str, offset: int, message: str) -> PolyParseError:
+    # a newline starts a line; every other character takes one column
+    return PolyParseError(message, src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset))
+
+
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """Every token of src, ending with kind "end"; an operator is its own kind."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        start_col = col
-        if ch in _DIGITS:
-            j = i
-            while j < len(src) and src[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("number", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*^/()":
-            tokens.append(_Token(ch, ch, line, start_col))
-            col += 1
-            i += 1
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+    kind, i = None, 0
+    while kind != "end":
+        m = _TOKEN.match(src, i)
+        kind = m.lastgroup
+        text, start, i = m[kind], m.start(kind), m.end()
+        # a name starts with a letter (str.isalpha, which no regex class matches) or '_'
+        if kind == "bad" or kind == "name" and not (text[0].isalpha() or text[0] == "_"):
+            raise _error(src, start, f"unexpected character {text[0]!r}")
+        tokens.append((text if kind == "op" else kind, text, start))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], ring: Ring):
-        self.tokens = tokens
+    def __init__(self, src: str, ring: Ring):
+        self.src = src
+        self.tokens = _tokenize(src)
         self.pos = 0
         self.ring = ring
         self.depth = 0  # parentheses open at the current position
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def take(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise PolyParseError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
+    def take(self, kind: str) -> str:
+        found, text, offset = self.tokens[self.pos]
+        if found != kind:
+            raise _error(self.src, offset, f"expected {kind!r}, found {text or 'end of input'!r}")
         self.pos += 1
-        return tok
+        return text
 
     def expr(self) -> Polynomial:
         sign = 1
-        if self.peek().kind in "+-":
-            if self.take(self.peek().kind).kind == "-":
-                sign = -1
+        if self.peek() in "+-" and self.take(self.peek()) == "-":
+            sign = -1
         total = self.term() * sign
-        while self.peek().kind in "+-":
-            if self.take(self.peek().kind).kind == "-":
+        while self.peek() in "+-":
+            if self.take(self.peek()) == "-":
                 total = total - self.term()
             else:
                 total = total + self.term()
@@ -121,67 +97,64 @@ class _Parser:
 
     def term(self) -> Polynomial:
         product = self.factor()
-        while self.peek().kind == "*":
+        while self.peek() == "*":
             self.take("*")
             product = product * self.factor()
         return product
 
     def factor(self) -> Polynomial:
         base = self.base()
-        if self.peek().kind == "^":
+        if self.peek() == "^":
             self.take("^")
-            tok = self.take("number")
-            return base ** int(tok.text)
+            return base ** self.nat()
         return base
 
     def base(self) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "number":
+        kind, text, offset = self.tokens[self.pos]
+        if kind == "number":
             return self.ring.const(self.rational())
-        if tok.kind == "name":
+        if kind == "name":
             self.take("name")
             try:
-                index = self.ring.index(tok.text)
+                index = self.ring.index(text)
             except KeyError:
-                raise PolyParseError(
-                    f"unknown variable {tok.text!r}", tok.line, tok.col
-                ) from None
+                raise _error(self.src, offset, f"unknown variable {text!r}") from None
             return self.ring.var(index)
-        if tok.kind == "(":
+        if kind == "(":
             if self.depth == MAX_NESTING:
-                raise PolyParseError(
-                    f"parentheses nested more than {MAX_NESTING} deep", tok.line, tok.col
-                )
+                raise _error(self.src, offset, f"parentheses nested more than {MAX_NESTING} deep")
             self.take("(")
             self.depth += 1
             inner = self.expr()
             self.take(")")
             self.depth -= 1
             return inner
-        raise PolyParseError(
-            f"expected a value, found {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.col,
-        )
+        raise _error(self.src, offset, f"expected a value, found {text or 'end of input'!r}")
+
+    def nat(self) -> int:
+        text = self.take("number")
+        try:
+            return int(text)
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            message = f"a number of more than {sys.get_int_max_str_digits()} digits"
+            raise _error(self.src, self.tokens[self.pos - 1][2], message) from None
 
     def rational(self) -> Fraction:
-        num = self.take("number")
-        if self.peek().kind == "/":
+        num = self.nat()
+        if self.peek() == "/":
             self.take("/")
-            den = self.take("number")
-            if int(den.text) == 0:
-                raise PolyParseError("zero denominator", den.line, den.col)
-            return Fraction(int(num.text), int(den.text))
-        return Fraction(int(num.text))
+            den = self.nat()
+            if den == 0:
+                raise _error(self.src, self.tokens[self.pos - 1][2], "zero denominator")
+            return Fraction(num, den)
+        return Fraction(num)
 
 
 def parse_polynomial(src: str, ring: Ring) -> Polynomial:
     """Parse an expression into an exact polynomial over the ring."""
-    parser = _Parser(_tokenize(src), ring)
+    parser = _Parser(src, ring)
     result = parser.expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise PolyParseError(
-            f"unexpected trailing input {trailing.text!r}", trailing.line, trailing.col
-        )
+    kind, text, offset = parser.tokens[parser.pos]
+    if kind != "end":
+        raise _error(src, offset, f"unexpected trailing input {text!r}")
     return result

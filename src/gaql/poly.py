@@ -69,9 +69,9 @@ change after construction: `Polynomial` has the slots `ring`, `_num` and
 is needed by the order's `leading_monomial`: `max` itself under lex and
 `_grevlex_leading` under grevlex, both with C keys, and `max` under the
 order's Python key only for a block order.  The kernels build the packed
-monic form of `_Layout.head` on entry.  `__setattr__` refuses every write;
-construction writes through the slots' own setters (`_set_ring`,
-`_set_num`, `_set_den`).
+monic form of `_Layout.head` on entry.  `__setattr__` and `__delattr__`
+refuse every write; construction writes through the slots' own setters
+(`_set_ring`, `_set_num`, `_set_den`).
 
 The package's other value types (`Ring`, `MonomialOrder`, `PolyMap` and
 the records of the other modules) derive from one immutable-record base,
@@ -595,6 +595,9 @@ class Polynomial:
         return p
 
     def __setattr__(self, name, value):
+        raise AttributeError("Polynomial is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):

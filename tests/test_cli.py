@@ -818,6 +818,16 @@ def test_task_integer_past_the_digit_limit_is_load_error(capsys):
 
 
 @pytest.mark.skipif(not _INT_DIGIT_LIMIT, reason="no limit on integer string conversion")
+def test_expression_number_past_the_digit_limit_is_load_error(capsys):
+    digits = "9" * (_INT_DIGIT_LIMIT + 700)
+    lines = ['{"ring": ["x", "y"]}', '{"command": {"cmd": "poly", "poly": "x + %s"}}' % digits]
+    code, records, err = run_cli_text(capsys, "\n".join(lines))
+    assert code == 2 and records == []
+    assert err.startswith("gaql: line 2: in 'x + 999")
+    assert err.rstrip().endswith(f": a number of more than {_INT_DIGIT_LIMIT} digits (line 1, column 5)")
+
+
+@pytest.mark.skipif(not _INT_DIGIT_LIMIT, reason="no limit on integer string conversion")
 def test_result_past_the_digit_limit_is_an_error_record_and_the_stream_continues(capsys):
     code, records, _ = run_cli(capsys, ["poly", "--ring", "x", "--expr", "10000000000^500*x"])
     assert code == 1 and len(records) == 1

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -153,3 +154,56 @@ def test_nesting_bound():
         with pytest.raises(PolyParseError, match=f"nested more than {MAX_NESTING} deep") as info:
             parse_polynomial(src, R3)
         assert (info.value.line, info.value.col) == (1, 5 + MAX_NESTING)
+
+
+# (source, message, line, column) for every kind of PolyParseError; a line
+# is ended by "\n" alone, and every other character takes one column
+ERROR_POSITIONS = [
+    ("x & y", "unexpected character '&'", 1, 3),
+    # the whole source is scanned first: a bad character wins over an earlier syntax error
+    ("x + * y\n  $", "unexpected character '$'", 2, 3),
+    ("(x +\n y) )\n§", "unexpected character '§'", 3, 1),
+    # a name of Unicode letters and digits is an unknown variable
+    ("ñ + x", "unknown variable 'ñ'", 1, 1),
+    ("x*ñy", "unknown variable 'ñy'", 1, 3),
+    ("x²", "unknown variable 'x²'", 1, 1),
+    # a digit other than 0-9 starts neither a number nor a name
+    ("x + ٣", "unexpected character '٣'", 1, 5),
+    ("2²", "unexpected character '²'", 1, 2),
+    ("(x +\n y", "expected ')', found 'end of input'", 2, 3),
+    ("x +\n", "expected a value, found 'end of input'", 2, 1),
+    ("", "expected a value, found 'end of input'", 1, 1),
+    ("x^-2", "expected 'number', found '-'", 1, 3),
+    ("x y", "unexpected trailing input 'y'", 1, 3),
+    ("x)", "unexpected trailing input ')'", 1, 2),
+    ("x + 3/0", "zero denominator", 1, 7),
+    ("3/\n  00", "zero denominator", 2, 3),
+    ("(" * 101 + "x" + ")" * 101, "parentheses nested more than 100 deep", 1, 101),
+    ("\tq", "unknown variable 'q'", 1, 2),
+    ("x +\r\n\r q", "unknown variable 'q'", 2, 3),
+    ("x　q", "unexpected trailing input 'q'", 1, 3),
+]
+
+
+@pytest.mark.parametrize("src, message, line, col", ERROR_POSITIONS)
+def test_error_message_and_position(src, message, line, col):
+    with pytest.raises(PolyParseError) as err:
+        parse_polynomial(src, R3)
+    assert (str(err.value), err.value.line, err.value.col) == (
+        f"{message} (line {line}, column {col})", line, col
+    )
+
+
+_INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _INT_DIGIT_LIMIT, reason="no limit on integer string conversion")
+def test_number_past_the_digit_limit_is_a_positioned_error():
+    digits = "9" * (_INT_DIGIT_LIMIT + 700)
+    message = f"a number of more than {_INT_DIGIT_LIMIT} digits"
+    for src, line, col in ((f"x + {digits}", 1, 5), (f"x^{digits}", 1, 3), (f"y -\n 1/{digits}", 2, 4)):
+        with pytest.raises(PolyParseError) as err:
+            parse_polynomial(src, R3)
+        assert (str(err.value), err.value.line, err.value.col) == (
+            f"{message} (line {line}, column {col})", line, col
+        )

@@ -626,8 +626,12 @@ def test_polymap_validation_and_helpers():
 
 def test_immutability():
     p = X + Y
-    with pytest.raises(AttributeError):
-        p.ring = R4
+    for name in ("ring", "_num", "_den", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, R4)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert p == X + Y and hash(p) == hash(X + Y)
 
 
 def _head_oracle(p, key):

@@ -19,7 +19,6 @@ import pytest
 import gaql
 from gaql.action import GaAction, exponentiate
 from gaql.derivation import Derivation, FixedLocus, NilpotencyCertificate, certify_locally_nilpotent, fixed_locus
-from gaql.exprs import _Token
 from gaql.geometry import FiberReport, GridSpec, SingularityReport, fiber_probe, singular_locus
 from gaql.groebner import GREVLEX, GroebnerBasis, MonomialOrder, block_order, groebner_basis
 from gaql.poly import PolyMap, Ring
@@ -57,7 +56,6 @@ FACTORIES = {
     NilpotencyCertificate: lambda: certify_locally_nilpotent(_derivation()),
     FixedLocus: lambda: fixed_locus(_derivation()),
     GaAction: _action,
-    _Token: lambda: _Token("name", "x", 1, 2),
     LocalSlice: lambda: find_local_slice(_derivation()),
 }
 TYPES = pytest.mark.parametrize("cls", FACTORIES, ids=lambda cls: cls.__name__)
