@@ -9,7 +9,8 @@ is a ring homomorphism, exp(sD) exp(tD) = exp((s + t)D) gives the group law
 phi(s; phi(t; x)) = phi(s + t; x) (van den Essen, Polynomial Automorphisms,
 2000; Freudenburg, Algebraic Theory of Locally Nilpotent Derivations, 2017).
 
-The check splits each component by powers of t from its stored integers and
+A flow is assembled in one pass from the stored integers of its chains.  The
+check splits each component by powers of t from its stored integers and
 recomputes D of each coefficient, not reading the certificate's chains.
 `apply`, and `compose` under `act`, run on `poly`'s packed product kernel.
 A `GaAction` stores only its components and its certificate: the ring, the
@@ -22,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .derivation import Derivation, NilpotencyCertificate, apply
-from .poly import NEG_INF, Polynomial, Ring, RingMismatchError, _Record, embed, fresh_names
+from .poly import NEG_INF, Polynomial, Ring, RingMismatchError, _Record, fresh_names
 
 
 class UncertifiedDerivationError(ValueError):
@@ -76,19 +77,12 @@ def exponentiate(D: Derivation, cert: NilpotencyCertificate) -> GaAction:
         raise UncertifiedDerivationError(
             "certificate was issued for a different derivation"
         )
-    ring = D.ring
-    (pname,) = fresh_names(("t",), ring.variables)
-    ext = ring.extended((pname,))
-    components = []
-    for i in range(ring.arity):
-        comp = embed(ring.var(i), ext)
-        for k, deriv in enumerate(cert.chains[i], start=1):
-            if deriv.is_zero:
-                break
-            t_k = (0,) * ring.arity + (k,)
-            comp = comp + embed(deriv, ext).mul_monomial(t_k, Fraction(1, math.factorial(k)))
-        components.append(comp)
-    action = GaAction(tuple(components), cert)
+    ext = D.ring.extended(fresh_names(("t",), D.ring.variables))
+    terms = [
+        {e + (k,): Fraction(c, p._den * math.factorial(k)) for k, p in enumerate(chain, 1) for e, c in p._num.items()}
+        for chain in cert.chains
+    ]
+    action = GaAction(tuple(ext.var(i) + Polynomial(ext, t) for i, t in enumerate(terms)), cert)
     _verify_flow(action)
     return action
 

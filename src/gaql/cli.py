@@ -87,7 +87,8 @@ def _poly(state: TaskState, ref, *_):
     try:
         return parse_polynomial(ref, state.ring)
     except PolyParseError as exc:
-        raise TaskLoadError(f"in {ref!r}: {exc}") from None
+        shown = ref if len(ref) <= 40 else ref[:40] + "..."
+        raise TaskLoadError(f"in {shown!r}: {exc}") from None
 
 
 def _int_at_least(minimum: int):

@@ -240,14 +240,11 @@ def _interreduce(heads, layout, ring: Ring) -> tuple[Polynomial, ...]:
     # ascending, and reversed they descend.
     out = []
     for i, (lm, a, tail, top) in enumerate(minimal):
+        num, den = {lm: a}, a
+        num.update(tail)
         if any(not (top - m) & guard for m in lms) and any(not (e - m) & guard for e, _ in tail for m in lms):
-            r, den = _reduce_packed({lm: a, **dict(tail)}, a, minimal[:i] + minimal[i + 1 :], guard)
-            num = {unpack(e): c for e, c in r.items()}
-        else:
-            num, den = {unpack(lm): a}, a
-            for e, c in tail:
-                num[unpack(e)] = c
-        out.append(Polynomial._from_integers(ring, num, den))
+            num, den = _reduce_packed(num, a, minimal[:i] + minimal[i + 1 :], guard)
+        out.append(Polynomial._from_integers(ring, {unpack(e): c for e, c in num.items()}, den))
     return tuple(reversed(out))
 
 

@@ -14,17 +14,17 @@ no Python function runs per term.  Printing writes each coefficient from
 the stored integers as Fraction would, and each monomial from `_factor`, the
 memoized text of one factor x^e.
 
-Products, compositions and derivations share one packed kernel,
-`_ProductLayout`: exponent tuples pack into ints with fields as wide as the
-call's largest degree, coefficient products add into one dict, and that
-dict unpacks once.  `compose` packs each image once and adds c * (L/d) times
-each term's product of powers into one accumulator (d that product's
-denominator, L the lcm of every d); `derivation.apply` reads an iterate's
-partial derivatives off its packed terms and adds each image times one into
-one accumulator over the lcm of the images' denominators.  A square (`p *
-p` on one object, and each squaring step of `**` and of `compose`'s powers)
-takes each pair of terms once: c_i^2 at 2e_i, then 2 c_i c_j at e_i + e_j
-for i < j, about half the products of the loop over every ordered pair.  A
+Products, powers, partial derivatives, compositions and derivations share
+one packed kernel, `_ProductLayout`: exponent tuples pack into ints with
+fields as wide as the call's largest degree, the work runs on packed terms,
+and the result unpacks once.  `**` and `compose` take powers from
+`_ProductLayout.power`; `compose` adds c * (L/d) times each term's product
+of powers into one accumulator (d that product's denominator, L the lcm of
+every d), and `derivation.apply` each image times a partial derivative into
+one over the lcm of the images' denominators.  A square (`p * p` on one
+object, and each squaring step of a power) takes each pair of terms once:
+c_i^2 at 2e_i, then 2 c_i c_j at e_i + e_j for i < j, about half the
+products of the loop over every ordered pair.  A
 product by a one-term polynomial, constant or not, takes `_mul_term` (which
 `mul_monomial` also calls), which shifts and scales each term.  Every sum
 and difference, with a polynomial, an int or a Fraction, goes through
@@ -294,10 +294,10 @@ class _Layout:
 
 
 class _ProductLayout:
-    """The packed product kernel (see the module docstring): e packs to
-    sum(e_i << i * width), width the bit length of the largest degree the
-    caller reaches, so no field carries into the next.  A packed polynomial
-    is a list of (packed monomial, int) pairs."""
+    """The packed kernel of products, powers and partial derivatives: e
+    packs to sum(e_i << i * width), width the bit length of the largest
+    degree the caller reaches, so no field carries into the next.  A packed
+    polynomial is a list of (packed monomial, int) pairs."""
 
     __slots__ = ("shifts", "mask")
 
@@ -352,6 +352,19 @@ class _ProductLayout:
         acc: dict[int, int] = {}
         cls.add_product(acc, pa, pb)
         return [(k, c) for k, c in acc.items() if c]
+
+    def power(self, powers: dict[int, list[tuple[int, int]]], e: int) -> list[tuple[int, int]]:
+        """powers[1] ** e, for e >= 1, squaring from the top bit of e down:
+        the power f = e >> j is the square of the power f >> 1, times
+        powers[1] when f is odd.  Every power taken is kept in `powers`;
+        the loop, unlike a recursion, takes an e of any bit length."""
+        for j in range(e.bit_length() - 2, -1, -1):
+            f = e >> j
+            if f not in powers:
+                half = powers[f >> 1]
+                square = self.product(half, half)
+                powers[f] = self.product(powers[1], square) if f & 1 else square
+        return powers[e]
 
 
 # writes a slot past a record's refusing __setattr__
@@ -721,14 +734,12 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"polynomial power must be a nonnegative integer: {n}")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if not n:
+            return self.ring.one()
+        if not self._num or n == 1:
+            return self
+        layout = _ProductLayout(self.ring.arity, n * max(map(sum, self._num)))
+        return layout.unpack(self.ring, dict(layout.power({1: layout.pack(self._num)}, n)), self._den**n)
 
     def mul_monomial(self, exps: Sequence[int], coeff: Fraction) -> "Polynomial":
         """Multiply by coeff * x^exps in one pass."""
@@ -769,12 +780,8 @@ class Polynomial:
         """Formal partial derivative with respect to variable i."""
         if not 0 <= i < self.ring.arity:
             raise IndexError(f"variable index {i} out of range")
-        out: dict[Exponents, int] = {}
-        for exps, c in self._num.items():
-            e = exps[i]
-            if e:
-                out[exps[:i] + (e - 1,) + exps[i + 1 :]] = c * e
-        return Polynomial._from_integers(self.ring, out, self._den)
+        layout = _ProductLayout(self.ring.arity, max(map(sum, self._num), default=0))
+        return layout.unpack(self.ring, dict(layout.partial(layout.pack(self._num), i)), self._den)
 
     def compose(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute images[i] for variable i; images share one target ring."""
@@ -788,24 +795,13 @@ class Polynomial:
                 raise RingMismatchError("images must share one target ring")
         degrees = [max(map(sum, img._num), default=0) for img in images]
         layout = _ProductLayout(target.arity, max([sum(map(mul, e, degrees)) for e in self._num], default=0))
-        packed = [layout.pack(img._num) for img in images]
-        powers = {(i, 1): pa for i, pa in enumerate(packed)}
-
-        def power(i: int, e: int) -> list[tuple[int, int]]:
-            """images[i] ** e packed: the square of the power e // 2, times
-            images[i] when e is odd."""
-            if (i, e) not in powers:
-                half = power(i, e // 2)
-                square = layout.product(half, half)
-                powers[i, e] = layout.product(packed[i], square) if e & 1 else square
-            return powers[i, e]
-
+        powers = [{1: layout.pack(img._num)} for img in images]
         # the denominator of a term's product of powers, and their lcm
         dens = [reduce(mul, [images[i]._den ** e for i, e in enumerate(exps) if e], 1) for exps in self._num]
         den = lcm(*dens)
         acc: dict[int, int] = {}
         for (exps, c), d in zip(self._num.items(), dens):
-            *factors, last = [power(i, e) for i, e in enumerate(exps) if e] or [[(0, 1)]]
+            *factors, last = [layout.power(powers[i], e) for i, e in enumerate(exps) if e] or [[(0, 1)]]
             head = reduce(layout.product, factors) if factors else [(0, 1)]
             layout.add_product(acc, head, last, c * (den // d))
         return layout.unpack(target, acc, den * self._den)

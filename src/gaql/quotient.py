@@ -62,18 +62,16 @@ class LocalSlice(_Record):
 def _monomials_upto(ring: Ring, degree: int):
     """Exponent tuples of total degree <= degree: degree ascending, and the
     grevlex-largest monomial first within each degree."""
-    monomials = []
-    for d in range(degree + 1):
-        block = []
-        for combo in combinations_with_replacement(range(ring.arity), d):
-            exps = [0] * ring.arity
-            for i in combo:
-                exps[i] += 1
-            block.append(tuple(exps))
-        # within a degree, grevlex puts first the monomial whose reversed
-        # exponents are lexicographically smallest
-        block.sort(key=_REVERSED)
-        monomials += block
+    variables = range(ring.arity)
+    monomials = [
+        tuple(map(combo.count, variables))
+        for d in range(degree + 1)
+        for combo in combinations_with_replacement(variables, d)
+    ]
+    # within a degree, grevlex puts first the monomial whose reversed
+    # exponents are lexicographically smallest; the degree sort is stable
+    monomials.sort(key=_REVERSED)
+    monomials.sort(key=sum)
     return monomials
 
 

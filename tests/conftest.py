@@ -7,8 +7,11 @@ the determinant oracle with another method is `test_poly`'s Gaussian
 elimination at rational points.  `jacobian_rows` builds the Jacobian
 matrix whose determinant the tests take, by `det` or by `cofactor_det`.
 `reference_str` is the printer oracle, on Fractions and `grevlex_key`.
+`reference_partial_derivative` is the oracle for the packed
+`Polynomial.partial_derivative`, a loop over the stored exponent tuples.
 `reference_apply` and `reference_compose` are the oracles for the packed
-`derivation.apply` and `Polynomial.compose`, built from public operations.
+`derivation.apply` and `Polynomial.compose`, built from public operations
+and that oracle.
 `is_invariant` is the invariance oracle on a flow's t-degree, and
 `ideal_contains` the ideal-membership oracle on a reduced basis."""
 
@@ -64,16 +67,29 @@ def reference_str(p: Polynomial) -> str:
     return " ".join(chunks) or "0"
 
 
+def reference_partial_derivative(p: Polynomial, i: int) -> Polynomial:
+    """dp/dx_i term by term on the stored exponent tuples, e_i * c at
+    e - 1_i: the reference for `Polynomial.partial_derivative`, which runs
+    on the packed product kernel."""
+    out = {}
+    for exps, c in p._num.items():
+        e = exps[i]
+        if e:
+            out[exps[:i] + (e - 1,) + exps[i + 1 :]] = c * e
+    return Polynomial._from_integers(p.ring, out, p._den)
+
+
 def reference_apply(D, p: Polynomial, k: int = 1, degree_cap=DEFAULT_DEGREE_CAP) -> Polynomial:
     """The k-th iterate of D on p by the Leibniz rule, sum_i D(x_i) * dp/dx_i,
-    one public product and one public sum per image, with the degree-cap
-    check after each iterate: the reference for `derivation.apply`."""
+    one public product, one public sum and one reference derivative per
+    image, with the degree-cap check after each iterate: the reference for
+    `derivation.apply`."""
     out = p
     for _ in range(k):
         step = D.ring.zero()
         for i, img in enumerate(D.images):
             if not img.is_zero:
-                step = step + img * out.partial_derivative(i)
+                step = step + img * reference_partial_derivative(out, i)
         out = step
         if not out.is_zero and out.total_degree() > degree_cap:
             raise DegreeExplosionError(out.total_degree(), degree_cap)

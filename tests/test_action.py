@@ -304,7 +304,9 @@ def _components_by_running_t_power(D, cert, ext):
 
 
 def test_exponentiate_matches_the_running_t_power():
-    for A in action_corpus():
+    # fractional images, so the chains carry denominators besides the k!
+    fractional = Derivation(TRI, (TRI.zero(), TX * Fraction(1, 2), TY * Fraction(1, 3)))
+    for A in action_corpus() + [exp_of(fractional)]:
         want = _components_by_running_t_power(A.derivation, A.certificate, A.extended_ring)
         assert A.components == want
         assert [list(c.terms()) for c in A.components] == [list(c.terms()) for c in want]

@@ -825,6 +825,8 @@ def test_expression_number_past_the_digit_limit_is_load_error(capsys):
     assert code == 2 and records == []
     assert err.startswith("gaql: line 2: in 'x + 999")
     assert err.rstrip().endswith(f": a number of more than {_INT_DIGIT_LIMIT} digits (line 1, column 5)")
+    # the expression is echoed by its first 40 characters, not in full
+    assert len(err) < 200
 
 
 @pytest.mark.skipif(not _INT_DIGIT_LIMIT, reason="no limit on integer string conversion")
@@ -875,10 +877,11 @@ def test_deep_parentheses_are_a_positioned_load_error(tmp_path, depth):
     task.write_text('{"ring": ["x", "y"]}\n{"poly": {"name": "p", "expr": "y"}}\n'
                     + json.dumps({"command": {"cmd": "poly", "poly": expr}}) + "\n")
     deep = "parentheses nested more than 100 deep (line 1, column 101)"
+    shown = expr[:40] + "..."  # a long expression is echoed by its first 40 characters
     # the --expr message has the form of any other parse error's, such as ((x's
     for argv, prefix, suffix in (
-        (["run", str(task)], f"gaql: line 3: in {expr!r}: ", deep),
-        (["poly", "--ring", "x,y", "--expr", expr], f"gaql: in {expr!r}: ", deep),
+        (["run", str(task)], f"gaql: line 3: in {shown!r}: ", deep),
+        (["poly", "--ring", "x,y", "--expr", expr], f"gaql: in {shown!r}: ", deep),
         (["poly", "--ring", "x,y", "--expr", "((x"], "gaql: in '((x': ", "expected ')', found 'end of input' (line 1, column 4)"),
     ):
         done = subprocess.run(

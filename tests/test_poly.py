@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 from collections import Counter
@@ -17,6 +18,7 @@ from conftest import (
     rand_nonzero_poly,
     rand_poly,
     reference_compose,
+    reference_partial_derivative,
 )
 from gaql.exprs import parse_polynomial
 from gaql.geometry import fiber_probe
@@ -285,12 +287,17 @@ def test_square_cancellation_and_wide_exponents():
 
 def test_power_is_the_product_of_distinct_copies_random():
     rng = random.Random(66)
-    for trial in range(60):
-        ring = Ring(tuple(f"x{i}" for i in range(1 + trial % 3)))
-        p = rand_poly(rng, ring, max_degree=3, max_terms=4)
-        for n in range(7):
-            product = fold(mul, [copy.copy(p) for _ in range(n)], ring.one())
+    bases = [rand_poly(rng, Ring(tuple(f"x{i}" for i in range(1 + trial % 3))), max_degree=3, max_terms=4)
+             for trial in range(60)]
+    for p in bases + [R3.zero(), R3.const(Fraction(-3, 2))]:
+        for n in range(14):
+            product = fold(mul, [copy.copy(p) for _ in range(n)], p.ring.one())
             assert p**n == product
+    # a one-term base: exponents scale by n, which no field of 8 bits holds;
+    # 2**1100 takes more squarings than the interpreter's recursion limit
+    for n, sign in itertools.product((2**70, 2**1100), (1, -1)):
+        assert (sign * X * Z**2) ** n == Polynomial(R3, {(n, 0, 2 * n): 1})
+        assert (sign * X * Z**2) ** (n + 1) == Polynomial(R3, {(n + 1, 0, 2 * n + 2): sign})
 
 
 def test_compose_matches_evaluation_random():
@@ -347,6 +354,15 @@ def test_partial_derivative():
         X.partial_derivative(3)
 
 
+def test_partial_derivative_matches_the_term_by_term_reference_random():
+    rng = random.Random(35)
+    polys = [R3.zero(), R3.const(Fraction(7, 3)), R4.zero(), R4.const(-2)]
+    polys += [rand_poly(rng, (R3, R4)[trial % 2], max_degree=5, max_terms=6) for trial in range(100)]
+    for p in polys:
+        for i in range(p.ring.arity):
+            assert p.partial_derivative(i) == reference_partial_derivative(p, i)
+
+
 def test_compose_identity_and_substitution():
     assert X.compose(list(R3.gens())) == X
     t_ring = Ring(("t",))
@@ -354,6 +370,9 @@ def test_compose_identity_and_substitution():
     two = Ring(("a", "b"))
     p = two.var(0) + two.var(1)
     assert p.compose([t**2, t**3]) == t**2 + t**3
+    # an exponent that takes more squarings than the recursion limit
+    n = 2**1100
+    assert Polynomial(two, {(n, 1): 1}).compose([-t, t**2]) == Polynomial(t_ring, {(n + 2,): 1})
 
 
 def test_compose_group_action_invariant():
