@@ -13,7 +13,7 @@ from itertools import islice
 from math import lcm
 
 from . import groebner
-from .poly import Polynomial, Ring, RingMismatchError, _ProductLayout, _Record
+from .poly import Polynomial, Ring, RingMismatchError, _product_layout, _Record, _set
 
 DEFAULT_BOUND = 64
 DEFAULT_DEGREE_CAP = 512
@@ -31,9 +31,11 @@ class DegreeExplosionError(RuntimeError):
 
 
 class Derivation(_Record):
-    """A derivation given by the images of the ring variables."""
+    """A derivation given by the images of the ring variables.  `_packings`
+    keeps image i packed under a layout at (layout, i); it is not a field."""
 
-    __slots__ = ("ring", "images")
+    __slots__ = ("ring", "images", "_packings")
+    _fields = ("ring", "images")
 
     def __init__(self, ring: Ring, images: tuple[Polynomial, ...]):
         images = tuple(images)
@@ -43,6 +45,7 @@ class Derivation(_Record):
             if img.ring != ring:
                 raise RingMismatchError("derivation images over a different ring")
         self._init(ring, images)
+        _set(self, "_packings", {})
 
     @property
     def is_zero(self) -> bool:
@@ -57,26 +60,31 @@ class Derivation(_Record):
 
 def _iterates(D: Derivation, p: Polynomial, degree_cap):
     """D(p), D^2(p), .. up to and including the first zero; an iterate past
-    degree_cap raises DegreeExplosionError.  The images, their denominators'
-    lcm and the degree growth are read once; each iterate packs once
-    (`poly._ProductLayout`), adds every image times a partial derivative read
-    off the packed terms into one accumulator over that lcm, and unpacks once."""
+    degree_cap raises DegreeExplosionError.  Each iterate packs once under
+    the `poly._product_layout` of its degree plus the images' largest, adds
+    every image times a partial derivative over the images' lcm
+    denominator, and unpacks once; D keeps each image packed per layout."""
     ring = D.ring
     images = [(i, img) for i, img in enumerate(D.images) if img._num]
     den = lcm(*[img._den for _, img in images])
     # an iterate's degree grows by less than the largest image degree
     growth = max([img.total_degree() for _, img in images], default=0)
+    degree = p.total_degree()
     while not p.is_zero:
-        layout = _ProductLayout(ring.arity, p.total_degree() + growth)
-        packed = layout.pack(p._num)
+        layout = _product_layout(ring.arity, degree + growth)
+        packed = layout.pack_all(p._num).items()
         acc: dict[int, int] = {}
         for i, img in images:
             part = layout.partial(packed, i)
             if part:
-                layout.add_product(acc, part, layout.pack(img._num), den // img._den)
-        p = layout.unpack(ring, acc, p._den * den)
-        if not p.is_zero and p.total_degree() > degree_cap:
-            raise DegreeExplosionError(p.total_degree(), degree_cap)
+                image = D._packings.get((layout, i))
+                if image is None:
+                    image = D._packings[layout, i] = [*layout.pack_all(img._num).items()]
+                layout.add_product(acc, part, image, den // img._den)
+        p = layout.to_polynomial(ring, acc, p._den * den)
+        degree = p.total_degree()  # NEG_INF, below every cap, for zero
+        if degree > degree_cap:
+            raise DegreeExplosionError(degree, degree_cap)
         yield p
 
 

@@ -82,6 +82,8 @@ class GridSpec(_Record):
         box = tuple((_exact(lo), _exact(hi)) for lo, hi in box)
         if not box:
             raise ValueError("grid needs at least one axis")
+        if not isinstance(steps, int) or isinstance(steps, bool):
+            raise TypeError(f"grid steps {steps!r} is a {type(steps).__name__}, not an int")
         if steps < 1:
             raise ValueError("grid needs at least one step per axis")
         for lo, hi in box:

@@ -117,8 +117,7 @@ def reduce(p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
         return layout, _reduce_packed(layout.pack_all(p._num), p._den, heads, layout.guard)
 
     layout, (r, den) = _packed(order, p.ring.arity, run)
-    unpack = layout.unpack
-    return Polynomial._from_integers(p.ring, {unpack(e): c for e, c in r.items()}, den)
+    return layout.to_polynomial(p.ring, r, den)
 
 
 def _s_polynomial(f, g, plcm: int, guard: int) -> tuple[dict[int, int], int]:
@@ -229,7 +228,7 @@ def _interreduce(heads, layout, ring: Ring) -> tuple[Polynomial, ...]:
     monomial that some leading monomial divides only when one divides its
     `top`: top is the fieldwise maximum of the tail's packed monomials, so
     a divisor of a tail monomial divides top in every field."""
-    guard, unpack = layout.guard, layout.unpack
+    guard = layout.guard
     minimal = sorted(heads, key=itemgetter(0))
     lms = [head[0] for head in minimal]
     # No other leading monomial divides an element's own, so reducing it
@@ -244,7 +243,7 @@ def _interreduce(heads, layout, ring: Ring) -> tuple[Polynomial, ...]:
         num.update(tail)
         if any(not (top - m) & guard for m in lms) and any(not (e - m) & guard for e, _ in tail for m in lms):
             num, den = _reduce_packed(num, a, minimal[:i] + minimal[i + 1 :], guard)
-        out.append(Polynomial._from_integers(ring, {unpack(e): c for e, c in num.items()}, den))
+        out.append(layout.to_polynomial(ring, num, den))
     return tuple(reversed(out))
 
 

@@ -14,28 +14,13 @@ no Python function runs per term.  Printing writes each coefficient from
 the stored integers as Fraction would, and each monomial from `_factor`, the
 memoized text of one factor x^e.
 
-Products, powers, partial derivatives, compositions and derivations share
-one packed kernel, `_ProductLayout`: exponent tuples pack into ints with
-fields as wide as the call's largest degree, the work runs on packed terms,
-and the result unpacks once.  `**` and `compose` take powers from
-`_ProductLayout.power`; `compose` adds c * (L/d) times each term's product
-of powers into one accumulator (d that product's denominator, L the lcm of
-every d), and `derivation.apply` each image times a partial derivative into
-one over the lcm of the images' denominators.  A square (`p * p` on one
-object, and each squaring step of a power) takes each pair of terms once:
-c_i^2 at 2e_i, then 2 c_i c_j at e_i + e_j for i < j, about half the
-products of the loop over every ordered pair.  A
-product by a one-term polynomial, constant or not, takes `_mul_term` (which
-`mul_monomial` also calls), which shifts and scales each term.  Every sum
-and difference, with a polynomial, an int or a Fraction, goes through
-`_plus` over the lcm of the two denominators.
-
-Division runs on packed monomials ordered like the monomial order
-(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors", CASC 2007).  A `MonomialOrder` owns rows, linear
-forms in the exponents: none for lex; for grevlex the degree, then the
-prefix sums e_1 + .. + e_j for j = n - 1 down to 1; for block(k) the grevlex
-rows of the first k variables, then those of the rest.  A packed monomial
+Products, powers, partial derivatives, compositions, derivations and
+division pack monomials into ints of one class, `_Layout` (Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007).  A `MonomialOrder` owns rows, linear forms
+in the exponents: none for lex; for grevlex the degree, then the prefix
+sums e_1 + .. + e_j for j = n - 1 down to 1; for block(k) the grevlex rows
+of the first k variables, then those of the rest.  A packed monomial
 holds, in fields of one width from the most significant down, the rows
 applied to e and then e_1, .., e_n themselves.  While every field stays
 below half its range:
@@ -48,20 +33,33 @@ below half its range:
   of (pa | guard) - pb (`_Layout.fieldwise_max`); on the low n fields it is
   the exponent fields of lcm(x^a, x^b), which `_Layout.with_rows` packs by
   adding the order's rows back;
-- the low n fields unpack back to the exponent tuple.
+- the low n fields unpack back to the exponent tuple; every kernel's
+  result unpacks through `_Layout.to_polynomial`, its zero terms left out.
 
-Packing checks a monomial's largest field: its largest exponent under lex,
-its degree under grevlex, the larger block degree under block(k), each of
-which bounds every other field; a sum, or the rows of an lcm, is checked by
-its guard bits.
-Either check failing raises `_Overflow`, and `_packed` runs the whole
-computation again at double the width, starting from 8 bits: the result
-does not depend on the width.  `_reduce_packed` is the package's one
-division kernel, and it returns a remainder only: `groebner.reduce` packs
-for it and unpacks once, and `groebner.groebner_basis` keeps its basis and
-its pair criteria packed throughout.  A `PolyMap` keeps its components
-packed per layout, for the fibers of `geometry.fiber_probe`, which differ
-only in their constant terms.  `det` divides nothing.
+`_Layout.pack_all` checks a monomial's largest field: its largest exponent
+under lex, its degree under grevlex, the larger block degree under
+block(k), each of which bounds every other field; a sum, or the rows of an
+lcm, is checked by its guard bits.  Either check failing raises `_Overflow`,
+and division, on its order's layouts, runs again at double the width
+(`_packed`, from 8 bits): the result does not depend on the width.
+
+Products run on LEX's layouts, as wide as `_product_layout` makes them: the
+bit length of the call's degree bound plus the guard bit, so no sum needs a
+check.  `**` and `compose` take powers from `_Layout.power`; `compose`
+packs only the images p uses and adds c * (L/d) times each term's product
+of powers into one accumulator (d that product's denominator, L the lcm of
+every d), and `derivation.apply` each image times a partial derivative
+into one over the lcm of the images' denominators.  A square (`p * p`, and
+each squaring step of a power) takes each pair of terms once, about half
+the products of the loop over every ordered pair.  A product by a one-term
+polynomial takes `_mul_term`, which shifts and scales each term; every sum
+and difference goes through `_plus` over the lcm of the two denominators.
+
+`_reduce_packed`, the one division kernel, returns a remainder only:
+`groebner.reduce` packs for it and unpacks once, and `groebner_basis` keeps
+its basis and pair criteria packed throughout.  A `PolyMap` keeps its
+components packed per layout, for the fibers of `geometry.fiber_probe`.
+`det` and `PolyMap.maximal_minors` read one table of `_maximal_minors`.
 
 All operations are pure, and the ring and stored form of a value never
 change after construction: `Polynomial` has the slots `ring`, `_num` and
@@ -91,7 +89,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from functools import lru_cache, partial, reduce
 from itertools import combinations
-from operator import add, attrgetter, itemgetter, lshift, mul, neg
+from operator import add, attrgetter, itemgetter, mul, neg
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -226,11 +224,6 @@ class _Layout:
         # (shift, rows of x_i) for each x_i with a nonzero row: lex has none
         self.row_cols = tuple((s, c - (1 << s)) for s, c in zip(self.shifts, self.cols) if c != 1 << s)
 
-    def pack(self, exps: Exponents) -> int:
-        if self.largest(exps) >> self.limit:
-            raise _Overflow
-        return sum(map(mul, exps, self.cols))
-
     def pack_all(self, num: Mapping[Exponents, int]) -> dict[int, int]:
         if max(map(self.largest, num), default=0) >> self.limit:
             raise _Overflow
@@ -240,6 +233,13 @@ class _Layout:
     def unpack(self, packed: int) -> Exponents:
         mask = self.mask
         return tuple([packed >> s & mask for s in self.shifts])
+
+    def to_polynomial(self, ring: "Ring", packed: Mapping[int, int], den: int) -> "Polynomial":
+        """sum(packed[k] * x^k) / den over ring, its zero terms left out."""
+        mask, shifts = self.mask, self.shifts
+        return Polynomial._from_integers(
+            ring, {tuple([k >> s & mask for s in shifts]): c for k, c in packed.items() if c}, den
+        )
 
     def fieldwise_max(self, a: int, b: int) -> int:
         """The int whose every field is the larger of a's and b's, for a and
@@ -292,33 +292,8 @@ class _Layout:
         top = reduce(self.fieldwise_max, [e for e, _ in tail]) if tail else 0
         return lm, lead, tail, top
 
-
-class _ProductLayout:
-    """The packed kernel of products, powers and partial derivatives: e
-    packs to sum(e_i << i * width), width the bit length of the largest
-    degree the caller reaches, so no field carries into the next.  A packed
-    polynomial is a list of (packed monomial, int) pairs."""
-
-    __slots__ = ("shifts", "mask")
-
-    def __init__(self, arity: int, degree: int):
-        width = degree.bit_length() or 1
-        self.shifts = range(0, width * arity, width)
-        self.mask = (1 << width) - 1
-
-    def pack(self, num: Mapping[Exponents, int]) -> list[tuple[int, int]]:
-        shifts = self.shifts
-        return [(sum(map(lshift, e, shifts)), c) for e, c in num.items()]
-
-    def unpack(self, ring: Ring, acc: Mapping[int, int], den: int) -> "Polynomial":
-        """sum(acc[k] * x^k) / den, leaving out the zero entries of acc."""
-        mask, shifts = self.mask, self.shifts
-        return Polynomial._from_integers(
-            ring, {tuple([k >> s & mask for s in shifts]): v for k, v in acc.items() if v}, den
-        )
-
     def partial(self, pa: list[tuple[int, int]], i: int) -> list[tuple[int, int]]:
-        """The partial derivative in x_i of pa: c * e_i at x^(e - 1_i)."""
+        """The partial derivative in x_i of pa, packed under LEX: c * e_i at x^(e - 1_i)."""
         s, mask = self.shifts[i], self.mask
         one = 1 << s
         return [(k - one, c * (k >> s & mask)) for k, c in pa if k >> s & mask]
@@ -483,6 +458,12 @@ class MonomialOrder(_Record):
 
 LEX = MonomialOrder("lex")
 GREVLEX = MonomialOrder("grevlex")
+
+
+def _product_layout(arity: int, degree: int) -> _Layout:
+    """LEX's layout for `arity` whose fields hold every exponent up to
+    degree: as wide as its bit length, plus the guard bit."""
+    return LEX._layout(arity, degree.bit_length() + 1)
 
 
 def _packed(order: MonomialOrder, arity: int, run):
@@ -723,11 +704,11 @@ class Polynomial:
                 return a._mul_term(e, c, b._den)
         # An exponent of the product is at most the sum of the operands'
         # total degrees, so fields this wide never carry into each other.
-        layout = _ProductLayout(self.ring.arity, max(map(sum, self._num)) + max(map(sum, q._num)))
-        pa = layout.pack(self._num)
+        layout = _product_layout(self.ring.arity, max(map(sum, self._num)) + max(map(sum, q._num)))
+        pa = [*layout.pack_all(self._num).items()]
         acc: dict[int, int] = {}
-        layout.add_product(acc, pa, pa if q is self else layout.pack(q._num))
-        return layout.unpack(self.ring, acc, self._den * q._den)
+        layout.add_product(acc, pa, pa if q is self else [*layout.pack_all(q._num).items()])
+        return layout.to_polynomial(self.ring, acc, self._den * q._den)
 
     __rmul__ = __mul__
 
@@ -738,8 +719,9 @@ class Polynomial:
             return self.ring.one()
         if not self._num or n == 1:
             return self
-        layout = _ProductLayout(self.ring.arity, n * max(map(sum, self._num)))
-        return layout.unpack(self.ring, dict(layout.power({1: layout.pack(self._num)}, n)), self._den**n)
+        layout = _product_layout(self.ring.arity, n * max(map(sum, self._num)))
+        power = layout.power({1: [*layout.pack_all(self._num).items()]}, n)
+        return layout.to_polynomial(self.ring, dict(power), self._den**n)
 
     def mul_monomial(self, exps: Sequence[int], coeff: Fraction) -> "Polynomial":
         """Multiply by coeff * x^exps in one pass."""
@@ -780,8 +762,9 @@ class Polynomial:
         """Formal partial derivative with respect to variable i."""
         if not 0 <= i < self.ring.arity:
             raise IndexError(f"variable index {i} out of range")
-        layout = _ProductLayout(self.ring.arity, max(map(sum, self._num), default=0))
-        return layout.unpack(self.ring, dict(layout.partial(layout.pack(self._num), i)), self._den)
+        layout = _product_layout(self.ring.arity, max(map(sum, self._num), default=0))
+        part = layout.partial(layout.pack_all(self._num).items(), i)
+        return layout.to_polynomial(self.ring, dict(part), self._den)
 
     def compose(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute images[i] for variable i; images share one target ring."""
@@ -794,8 +777,10 @@ class Polynomial:
             if img.ring != target:
                 raise RingMismatchError("images must share one target ring")
         degrees = [max(map(sum, img._num), default=0) for img in images]
-        layout = _ProductLayout(target.arity, max([sum(map(mul, e, degrees)) for e in self._num], default=0))
-        powers = [{1: layout.pack(img._num)} for img in images]
+        layout = _product_layout(target.arity, max([sum(map(mul, e, degrees)) for e in self._num], default=0))
+        # the images p uses, the only ones the fields are wide enough for
+        used = [i for i, column in enumerate(zip(*self._num)) if any(column)]
+        powers = {i: {1: [*layout.pack_all(images[i]._num).items()]} for i in used}
         # the denominator of a term's product of powers, and their lcm
         dens = [reduce(mul, [images[i]._den ** e for i, e in enumerate(exps) if e], 1) for exps in self._num]
         den = lcm(*dens)
@@ -804,7 +789,7 @@ class Polynomial:
             *factors, last = [layout.power(powers[i], e) for i, e in enumerate(exps) if e] or [[(0, 1)]]
             head = reduce(layout.product, factors) if factors else [(0, 1)]
             layout.add_product(acc, head, last, c * (den // d))
-        return layout.unpack(target, acc, den * self._den)
+        return layout.to_polynomial(target, acc, den * self._den)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point."""
@@ -920,31 +905,20 @@ def _reduce_packed(h: dict[int, int], den: int, heads, guard: int):
     return {e: n * (den // d) for e, (n, d) in remainder.items()}, den
 
 
-def det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Determinant of a square polynomial matrix, by expansion of minors with
-    each smaller minor computed once (Gentleman and Johnson, "Analysis of
-    algorithms, a case study: determinants of matrices with polynomial
-    entries", ACM Trans. Math. Softw. 2, 1976).
+def _maximal_minors(rows: Sequence[Sequence[Polynomial]], ring: Ring) -> dict[tuple[int, ...], Polynomial]:
+    """The nonzero maximal minors of a k x n matrix over ring, k <= n, keyed
+    by their column tuples, each smaller minor computed once (Gentleman and
+    Johnson, "Analysis of algorithms, a case study: determinants of
+    matrices with polynomial entries", ACM Trans. Math. Softw. 2, 1976).
 
     After row i, `level` maps each ascending tuple of i + 1 columns to the
     nonzero minor of rows 0..i on those columns; a minor expands along its
     last row over the level above, with sign (-1)^(i + position).  Products
-    by a zero entry or a zero minor are skipped, and nothing is divided.
-    The table holds C(n, k) minors after row k, about n * 2^(n-1) products
-    in all: cheaper than fraction-free elimination for the Jacobian minors
-    gaql takes (of size arity - 1 or arity), but exponential in n, so
-    slower than elimination on a large matrix of constants.
-    """
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("determinant needs a nonempty square matrix")
-    ring = rows[0][0].ring
-    for row in rows:
-        for entry in row:
-            if entry.ring != ring:
-                raise RingMismatchError("matrix entries over different rings")
+    by a zero entry or a zero minor are skipped, and nothing is divided:
+    about n * 2^(n-1) products, exponential in n."""
+    n = len(rows[0])
     level = {(j,): entry for j, entry in enumerate(rows[0]) if entry}
-    for i in range(1, n):
+    for i in range(1, len(rows)):
         row, below = rows[i], {}
         for cols in combinations(range(n), i + 1):
             minor = ring.zero()
@@ -956,7 +930,21 @@ def det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
             if minor:
                 below[cols] = minor
         level = below
-    return level.get(tuple(range(n)), ring.zero())
+    return level
+
+
+def det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
+    """Determinant of a square polynomial matrix: its one maximal minor
+    (`_maximal_minors`)."""
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ValueError("determinant needs a nonempty square matrix")
+    ring = rows[0][0].ring
+    for row in rows:
+        for entry in row:
+            if entry.ring != ring:
+                raise RingMismatchError("matrix entries over different rings")
+    return _maximal_minors(rows, ring).get(tuple(range(n)), ring.zero())
 
 
 class PolyMap(_Record):
@@ -1008,7 +996,8 @@ class PolyMap(_Record):
 
     def maximal_minors(self) -> tuple[Polynomial, ...]:
         """The n maximal minors of the (n - 1) x n Jacobian matrix; minor j
-        drops column j.  Needs m = n - 1 components."""
+        drops column j.  Needs m = n - 1 components.  All n come from one
+        table of `_maximal_minors`, which shares their smaller minors."""
         n = self.ring.arity
         if len(self.components) != n - 1:
             raise ValueError(
@@ -1016,7 +1005,8 @@ class PolyMap(_Record):
                 f"got {len(self.components)}"
             )
         jac = [[f.partial_derivative(j) for j in range(n)] for f in self.components]
-        return tuple(det([row[:j] + row[j + 1 :] for row in jac]) for j in range(n))
+        minors = _maximal_minors(jac, self.ring)
+        return tuple(minors.get(tuple(range(j)) + tuple(range(j + 1, n)), self.ring.zero()) for j in range(n))
 
     def evaluate(self, point: Sequence) -> tuple[Fraction, ...]:
         return tuple(f.evaluate(point) for f in self.components)

@@ -9,15 +9,19 @@ matrix whose determinant the tests take, by `det` or by `cofactor_det`.
 `reference_str` is the printer oracle, on Fractions and `grevlex_key`.
 `reference_partial_derivative` is the oracle for the packed
 `Polynomial.partial_derivative`, a loop over the stored exponent tuples.
-`reference_apply` and `reference_compose` are the oracles for the packed
-`derivation.apply` and `Polynomial.compose`, built from public operations
-and that oracle.
+`reference_product` is the oracle for the packed products and powers, a
+loop over every pair of Fraction terms.  `reference_apply` is the oracle
+for the packed `derivation.apply`, built from public operations and the
+derivative oracle; `reference_compose`, for the packed
+`Polynomial.compose`, takes its powers from the product oracle.
 `is_invariant` is the invariance oracle on a flow's t-degree, and
-`ideal_contains` the ideal-membership oracle on a reduced basis."""
+`ideal_contains` the ideal-membership oracle on a reduced basis.
+`packed_monomial` packs one exponent tuple through `_Layout.pack_all`."""
 
 import itertools
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -79,6 +83,18 @@ def reference_partial_derivative(p: Polynomial, i: int) -> Polynomial:
     return Polynomial._from_integers(p.ring, out, p._den)
 
 
+def reference_product(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p * q term by term: each pair of Fraction terms adds its product at
+    the sum of the two exponent tuples.  The reference for the packed
+    `Polynomial.__mul__` and `Polynomial.__pow__`."""
+    out = {}
+    for ea, ca in p.terms():
+        for eb, cb in q.terms():
+            key = tuple(map(add, ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return Polynomial(p.ring, out)
+
+
 def reference_apply(D, p: Polynomial, k: int = 1, degree_cap=DEFAULT_DEGREE_CAP) -> Polynomial:
     """The k-th iterate of D on p by the Leibniz rule, sum_i D(x_i) * dp/dx_i,
     one public product, one public sum and one reference derivative per
@@ -108,18 +124,25 @@ def ideal_contains(gb, p: Polynomial) -> bool:
     return reduce(p, gb.basis, gb.order).is_zero
 
 
+def packed_monomial(layout, exps) -> int:
+    """The exponent tuple exps packed by `layout.pack_all`, range check
+    included."""
+    (packed,) = layout.pack_all({tuple(exps): 1})
+    return packed
+
+
 def reference_compose(p: Polynomial, images) -> Polynomial:
     """p with images[i] substituted for variable i, term by term: each
-    term's Fraction coefficient times the public powers of the images,
-    added to the sum one term at a time: the reference for
-    `Polynomial.compose`."""
+    term's Fraction coefficient times images[i] taken e_i times by
+    `reference_product`, added to the sum one term at a time: the reference
+    for `Polynomial.compose`."""
     target = images[0].ring
     total = target.zero()
     for exps, c in p.terms():
         term = target.const(c)
         for img, e in zip(images, exps):
-            if e:
-                term = term * img**e
+            for _ in range(e):
+                term = reference_product(term, img)
         total = total + term
     return total
 

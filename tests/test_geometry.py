@@ -217,6 +217,11 @@ def test_grid_spec():
         GridSpec(box=((Fraction(1), Fraction(0)),), steps=2)
     with pytest.raises(ValueError):
         GridSpec(box=((Fraction(0), Fraction(1)),), steps=0)
+    # a steps that is not an int, or is a bool, would be stored and fail
+    # later inside range
+    for bad in (2.5, True, Fraction(3)):
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            GridSpec(box=((0, 1), (0, 1)), steps=bad)
 
 
 @pytest.mark.parametrize(

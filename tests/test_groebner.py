@@ -14,6 +14,7 @@ from conftest import (
     _scaling_s_polynomial,
     ideal_contains,
     leading_term,
+    packed_monomial,
     rand_division_case,
     rand_nonzero_poly,
     rand_poly,
@@ -588,7 +589,7 @@ def _tuple_update_buchberger(gens, order, layout):
                 kept.append((m, k, coprime))
         for m, k, coprime in kept:
             if not coprime:
-                heappush(pairs, (layout.pack(m), k, new, m))
+                heappush(pairs, (packed_monomial(layout, m), k, new, m))
         live[:] = [k for k in live if not _monomial_divides(lm, lms[k])]
         live.append(new)
         heads.append(head)

@@ -14,11 +14,13 @@ from conftest import (
     cofactor_det,
     jacobian_rows,
     leading_term,
+    packed_monomial,
     rand_division_case,
     rand_nonzero_poly,
     rand_poly,
     reference_compose,
     reference_partial_derivative,
+    reference_product,
 )
 from gaql.exprs import parse_polynomial
 from gaql.geometry import fiber_probe
@@ -31,7 +33,7 @@ from gaql.poly import (
     MonomialOrder,
     RingMismatchError,
     _Overflow,
-    _ProductLayout,
+    _product_layout,
     det,
     embed,
     grevlex_key,
@@ -189,14 +191,11 @@ def test_constructor_stores_fractions():
 
 
 def _oracle_product(p, q):
-    """Term list of p*q by the schoolbook Fraction double loop, zeros dropped,
-    in descending grevlex order."""
-    out = {}
-    for ea, ca in p.terms():
-        for eb, cb in q.terms():
-            key = tuple(a + b for a, b in zip(ea, eb))
-            out[key] = out.get(key, Fraction(0)) + ca * cb
-    return sorted(((e, c) for e, c in out.items() if c), key=lambda t: grevlex_key(t[0]), reverse=True)
+    """Term list of p*q by `reference_product`, the schoolbook Fraction
+    double loop, in descending grevlex order by `grevlex_key`."""
+    product = reference_product(p, q)
+    terms = [(e, product.coefficient(e)) for e in product._num]
+    return sorted(terms, key=lambda t: grevlex_key(t[0]), reverse=True)
 
 
 def test_product_matches_fraction_oracle_random():
@@ -265,11 +264,15 @@ def test_square_matches_the_rectangular_product_random():
         assert list(square.terms()) == _oracle_product(p, p)
         assert p**2 == square
         # the square path scales as the rectangular one does
-        layout = _ProductLayout(ring.arity, 2 * max(map(sum, p._num), default=0))
-        packed = layout.pack(p._num)
+        layout = _product_layout(ring.arity, 2 * max(map(sum, p._num), default=0))
+        packed = [*layout.pack_all(p._num).items()]
         acc = {}
         layout.add_product(acc, packed, packed, -3)
-        assert layout.unpack(ring, acc, p.integer_form()[0] ** 2) == -3 * square
+        assert layout.to_polynomial(ring, acc, p.integer_form()[0] ** 2) == -3 * square
+
+
+# 2^k - 1, 2^k and 2^k + 1 for k = 3..8
+DEGREES_NEAR_POWERS_OF_TWO = [2**k + s for k in range(3, 9) for s in (-1, 0, 1)]
 
 
 def test_square_cancellation_and_wide_exponents():
@@ -283,9 +286,20 @@ def test_square_cancellation_and_wide_exponents():
         p = Polynomial(R2, {(e, 0): 1, (0, 1): 1})
         assert list((p * p).terms()) == [((2 * e, 0), 1), ((e, 1), 2), ((0, 2), 1)]
         assert p * p == p * copy.copy(p)
+    # product degrees d at and next to 2^k, where the fields gain a bit: x^d
+    # fills its field, and y^(d - 1) = y^a * y^(d - 1 - a) nearly does
+    for d in DEGREES_NEAR_POWERS_OF_TWO:
+        a = d // 2
+        p = Polynomial(R2, {(a, 0): 1, (1, a - 1): -2, (0, a): Fraction(1, 3), (0, 0): 5})
+        q = p * x ** (d - 2 * a) + y ** (d - 1 - a)
+        for left, right in ((p, p), (p, copy.copy(p)), (p, q), (q, p)):
+            want = reference_product(left, right)
+            assert left * right == want, d
+        assert (p * q).total_degree() == d and (p * q).degree_in(0) == d
 
 
 def test_power_is_the_product_of_distinct_copies_random():
+    x2, y2 = R2.gens()
     rng = random.Random(66)
     bases = [rand_poly(rng, Ring(tuple(f"x{i}" for i in range(1 + trial % 3))), max_degree=3, max_terms=4)
              for trial in range(60)]
@@ -293,6 +307,18 @@ def test_power_is_the_product_of_distinct_copies_random():
         for n in range(14):
             product = fold(mul, [copy.copy(p) for _ in range(n)], p.ring.one())
             assert p**n == product
+    # powers of degree d at and next to 2^k, where the fields gain a bit: a
+    # linear base to the d-th power, and a binomial of degree 3 or 4 where d
+    # has that factor, against the product of n - 1 distinct copies times
+    # one more, taken by the code and by the Fraction reference
+    for d in DEGREES_NEAR_POWERS_OF_TWO:
+        bases = [(x2 - Fraction(1, 2) * y2, d)]
+        bases += [(x2**2 * y2 - 3 * y2**3, d // 3)] if d % 3 == 0 else []
+        bases += [(x2**4 - 2 * x2 * y2, d // 4)] if d % 4 == 0 else []
+        for p, n in bases:
+            below = fold(mul, [copy.copy(p) for _ in range(n - 1)])
+            assert p**n == below * copy.copy(p) == reference_product(below, p), d
+            assert (p**n).total_degree() == d
     # a one-term base: exponents scale by n, which no field of 8 bits holds;
     # 2**1100 takes more squarings than the interpreter's recursion limit
     for n, sign in itertools.product((2**70, 2**1100), (1, -1)):
@@ -308,6 +334,17 @@ def test_compose_matches_evaluation_random():
         images = [rand_poly(rng, two, max_degree=3, max_terms=4) for _ in range(3)]
         pt = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2)]
         composed = p.compose(images)
+        assert composed.evaluate(pt) == p.evaluate([g.evaluate(pt) for g in images])
+    # product degrees d at and next to 2^k; z is unused, and its image has
+    # a higher degree than the composition, so its exponents fit no field
+    a, b = two.gens()
+    for d in DEGREES_NEAR_POWERS_OF_TWO:
+        p = X ** (d - 2) * Y - 3 * X**2 + Fraction(1, 2) * Y
+        images = [a - 2 * b, Fraction(2, 3) * a * b, a ** (2 * d) - b]
+        composed = p.compose(images)
+        assert composed == reference_compose(p, images), d
+        assert composed.total_degree() == d
+        pt = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2)]
         assert composed.evaluate(pt) == p.evaluate([g.evaluate(pt) for g in images])
 
 
@@ -915,13 +952,13 @@ def test_packed_monomials_follow_the_order_random():
             monomials = [tuple(rng.randint(0, 12) for _ in range(n)) for _ in range(40)]
             monomials += [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(20)]
             for a in monomials:
-                pa = layout.pack(a)
+                pa = packed_monomial(layout, a)
                 assert layout.unpack(pa) == a
                 for b in rng.sample(monomials, 15):
-                    pb = layout.pack(b)
+                    pb = packed_monomial(layout, b)
                     assert (pa < pb) == (order.key(a) < order.key(b)), (order, a, b)
                     assert (pa == pb) == (a == b)
-                    assert pa + pb == layout.pack(tuple(map(add, a, b)))
+                    assert pa + pb == packed_monomial(layout, tuple(map(add, a, b)))
                     assert (not (pb - pa) & layout.guard) == all(x <= y for x, y in zip(a, b)), (order, a, b)
     assert order._layout(5, 8) is order._layout(5, 8)
 
@@ -962,9 +999,9 @@ def test_packed_lcm_divisibility_and_coprimality_match_tuples_random(width):
             # packed monomials: the degree, which bounds every field, below 1 << limit
             monomials = [_split(rng, rng.choice(values + [rng.randint(0, top)]), n) for _ in range(30)]
             for a in monomials:
-                pa = layout.pack(a)
+                pa = packed_monomial(layout, a)
                 for b in rng.sample(monomials, 10):
-                    pb = layout.pack(b)
+                    pb = packed_monomial(layout, b)
                     m = tuple(map(max, a, b))
                     # m packed with no range check: every field below 2 << limit, so no carry
                     packed = sum(map(mul, m, layout.cols))

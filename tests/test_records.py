@@ -142,20 +142,22 @@ def test_defaults():
 
 
 def test_caches_are_not_fields():
-    """An order's layouts and key and a map's packings stay out of
-    equality, hashing, repr, copies and pickles."""
-    order, F = block_order(2), _map()
+    """An order's layouts and key and a map's and a derivation's packings
+    stay out of equality, hashing, repr, copies and pickles."""
+    order, F, D = block_order(2), _map(), _derivation()
     groebner_basis(F.components, order)
     fiber_probe(F, (1, 1))
-    assert order._layouts and F._packings
-    for used, fresh in ((order, block_order(2)), (F, _map())):
+    certify_locally_nilpotent(D)
+    assert order._layouts and F._packings and D._packings
+    for used, fresh in ((order, block_order(2)), (F, _map()), (D, _derivation())):
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
         for twin in (copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used))):
             assert twin == used
-    assert "key" not in repr(order) and "_layouts" not in repr(order) and "_packings" not in repr(F)
+    assert "key" not in repr(order) and "_layouts" not in repr(order)
+    assert "_packings" not in repr(F) and "_packings" not in repr(D)
     for twin in (copy.deepcopy(order), pickle.loads(pickle.dumps(order))):
         assert twin._layouts == {} and twin.key((1, 0, 0)) == order.key((1, 0, 0))
-    assert pickle.loads(pickle.dumps(F))._packings == {}
+    assert pickle.loads(pickle.dumps(F))._packings == {} == pickle.loads(pickle.dumps(D))._packings
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
